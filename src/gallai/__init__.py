@@ -18,17 +18,11 @@ from .claims import (
     VACUOUS,
     VIOLATED,
     ClaimVerdict,
+    TRIPLE_CLAIMS,
     TruncatedEnumerationError,
-    check_case_bounds,
-    check_conjecture4,
-    check_conjecture_z,
-    check_lemma21,
-    check_lemma22,
-    check_lemma23,
     check_prop1,
-    check_theorem1,
+    check_triple,
     gallai_vertex_set,
-    is_hypotraceable,
 )
 from .generate import generate_connected_graphs
 from .graphs import (
@@ -51,7 +45,6 @@ from .paths import (
     Path,
     enumerate_all_simple_paths,
     enumerate_longest_paths,
-    has_hamiltonian_path,
     longest_path_length,
     subpath,
 )
@@ -78,6 +71,7 @@ from .subdivision import (
 from .triples import (
     PathTriple,
     TripleAnalysis,
+    TripleStream,
     analyze_triple,
     distance_sum,
     exclusive_vertices,

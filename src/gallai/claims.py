@@ -1,9 +1,11 @@
 """Predicate checkers for the numbered claims of the intersection theory.
 
-Every checker takes a concrete graph plus paths, returns a structured
-verdict, and never uses floating point: each bound is checked in
-cross-multiplied integer form so boundary cases cannot be masked by
-rounding.
+The triple claims are pure predicates over the graph order, the
+longest-path length and a ``TripleAnalysis``, collected in
+``TRIPLE_CLAIMS``; ``check_triple`` and ``check_prop1`` take a concrete
+graph plus paths and return a structured verdict. No bound uses floating
+point: each is checked in cross-multiplied integer form so boundary cases
+cannot be masked by rounding.
 
 Claim registry (ids are the stable wire vocabulary of reports):
 
@@ -25,18 +27,12 @@ are classified separately from conjecture violations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import reduce
 from typing import Any
 
 from .graphs import Graph, graph_key, is_connected
-from .paths import (
-    LongestPathSet,
-    Path,
-    enumerate_longest_paths,
-    has_hamiltonian_path,
-)
+from .paths import LongestPathSet, Path, enumerate_longest_paths
 from .triples import PathTriple, TripleAnalysis, analyze_triple
 
 HOLDS = "holds"
@@ -61,8 +57,6 @@ PROVEN_CLAIMS = frozenset(
     }
 )
 CONJECTURE_CLAIMS = frozenset({"conj_Z", "conj4"})
-
-HYPOTRACEABLE_MAX_N = 34
 
 
 class TruncatedEnumerationError(RuntimeError):
@@ -118,19 +112,13 @@ def crossing_length_inequality(l: int, f: int) -> bool:
 # gates shared by the checkers
 # ---------------------------------------------------------------------------
 
-def _longest(graph: Graph, longest_paths: LongestPathSet | None) -> LongestPathSet:
-    if longest_paths is None:
-        return enumerate_longest_paths(graph)
-    return longest_paths
-
-
 def _gate_longest(
     claim: str,
     graph: Graph,
     paths,
     longest_paths: LongestPathSet | None,
 ) -> tuple[LongestPathSet, ClaimVerdict | None]:
-    lp = _longest(graph, longest_paths)
+    lp = enumerate_longest_paths(graph) if longest_paths is None else longest_paths
     if lp.truncated:
         return lp, ClaimVerdict(
             claim,
@@ -146,15 +134,7 @@ def _gate_longest(
     return lp, None
 
 
-def _analysis(
-    graph: Graph, triple: PathTriple, analysis: TripleAnalysis | None
-) -> TripleAnalysis:
-    if analysis is None:
-        return analyze_triple(graph, triple)
-    return analysis
-
-
-def _violation_witness(graph: Graph, triple: PathTriple, ana: TripleAnalysis) -> dict:
+def _replay_witness(graph: Graph, triple: PathTriple, ana: TripleAnalysis) -> dict:
     return {
         "graph": graph_key(graph),
         "paths": [list(p.vertices) for p in triple.paths],
@@ -200,119 +180,53 @@ def check_prop1(
     )
 
 
-def check_conjecture_z(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
+# Each triple predicate maps (n, l, analysis) to (claim id, status, info).
+# A violated verdict's witness is the full replay witness plus ``info``.
+
+def _conj_z(n: int, l: int, a: TripleAnalysis):
     """Three longest paths share a vertex, i.e. the minimum distance sum
     over all vertices is zero."""
-    _, short = _gate_longest("conj_Z", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    if ana.f == 0:
-        return ClaimVerdict("conj_Z", HOLDS, {"common": sorted(ana.witnesses)})
-    return ClaimVerdict("conj_Z", VIOLATED, _violation_witness(graph, triple, ana))
+    if a.f == 0:
+        return "conj_Z", HOLDS, {"common": sorted(a.witnesses)}
+    return "conj_Z", VIOLATED, {}
 
 
-def check_lemma21(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
+def _lemma21(n: int, l: int, a: TripleAnalysis):
     """When the triple has no common vertex, the graph order satisfies
     2n >= 3l + sum of exclusive-vertex counts + 3. Vacuous at f = 0."""
-    lp, short = _gate_longest("lemma21", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    if ana.f == 0:
-        return ClaimVerdict("lemma21", VACUOUS, {"f": 0})
-    ok = lemma21_inequality(graph.n, lp.length, ana.x_sizes)
-    if ok:
-        return ClaimVerdict(
-            "lemma21", HOLDS, {"n": graph.n, "l": lp.length, "x_sizes": list(ana.x_sizes)}
-        )
-    witness = _violation_witness(graph, triple, ana)
-    witness.update({"n": graph.n, "l": lp.length})
-    return ClaimVerdict("lemma21", VIOLATED, witness)
+    if a.f == 0:
+        return "lemma21", VACUOUS, {"f": 0}
+    ok = lemma21_inequality(n, l, a.x_sizes)
+    return "lemma21", HOLDS if ok else VIOLATED, {"n": n, "l": l, "x_sizes": list(a.x_sizes)}
 
 
-def check_lemma22(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
+def _lemma22(n: int, l: int, a: TripleAnalysis):
     """Each path's exclusive-vertex count is at least its crossing count
     times (f - 1). Never vacuous: the right side is <= 0 whenever f <= 1."""
-    _, short = _gate_longest("lemma22", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    if lemma22_inequality(ana.x_sizes, ana.t_counts, ana.f):
-        return ClaimVerdict(
-            "lemma22",
-            HOLDS,
-            {"f": ana.f, "x_sizes": list(ana.x_sizes), "t_counts": list(ana.t_counts)},
-        )
-    return ClaimVerdict("lemma22", VIOLATED, _violation_witness(graph, triple, ana))
+    ok = lemma22_inequality(a.x_sizes, a.t_counts, a.f)
+    info = {"f": a.f, "x_sizes": list(a.x_sizes), "t_counts": list(a.t_counts)}
+    return "lemma22", HOLDS if ok else VIOLATED, info
 
 
-def check_lemma23(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
-    """A path crossed exactly once by the other two forces f = 0.
+def _forces_zero(claim: str, crossings: int):
+    """A path crossed exactly ``crossings`` times by the other two forces
+    f = 0; vacuous when no path of the triple has that crossing count."""
 
-    Vacuous when no path of the triple has crossing count 1.
-    """
-    _, short = _gate_longest("lemma23", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    if 1 not in ana.t_counts:
-        return ClaimVerdict("lemma23", VACUOUS, {"t_counts": list(ana.t_counts)})
-    if ana.f == 0:
-        return ClaimVerdict("lemma23", HOLDS, {"t_counts": list(ana.t_counts)})
-    return ClaimVerdict("lemma23", VIOLATED, _violation_witness(graph, triple, ana))
+    def predicate(n: int, l: int, a: TripleAnalysis):
+        info = {"t_counts": list(a.t_counts)}
+        if crossings not in a.t_counts:
+            return claim, VACUOUS, info
+        return claim, HOLDS if a.f == 0 else VIOLATED, info
+
+    return predicate
 
 
-def check_theorem1(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
+def _thm1(n: int, l: int, a: TripleAnalysis):
     """The linear bound 13 f <= n + 6."""
-    _, short = _gate_longest("thm1", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    if theorem1_inequality(graph.n, ana.f):
-        return ClaimVerdict("thm1", HOLDS, {"n": graph.n, "f": ana.f})
-    witness = _violation_witness(graph, triple, ana)
-    witness["n"] = graph.n
-    return ClaimVerdict("thm1", VIOLATED, witness)
+    return "thm1", HOLDS if theorem1_inequality(n, a.f) else VIOLATED, {"n": n, "f": a.f}
 
 
-def check_case_bounds(
-    graph: Graph,
-    triple: PathTriple,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    analysis: TripleAnalysis | None = None,
-) -> ClaimVerdict:
+def _case_bounds(n: int, l: int, a: TripleAnalysis):
     """The sharper bounds classified by the minimum crossing count t_min.
 
     t_min = 2 checks 26 f <= 2n + 9 (claim ``case1_bound``); t_min >= 3
@@ -321,62 +235,73 @@ def check_case_bounds(
     branches also probe the proof-internal length bound l >= 6 f - 2 and
     fold its outcome into the witness.
     """
-    lp, short = _gate_longest("case1_bound", graph, triple.paths, longest_paths)
-    if short is not None:
-        return short
-    ana = _analysis(graph, triple, analysis)
-    t_min = min(ana.t_counts)
+    t_min = min(a.t_counts)
     if t_min <= 1:
-        return ClaimVerdict(
-            "case1_bound",
-            VACUOUS,
-            {"t_min": t_min, "deferred_to": "lemma23"},
-        )
+        return "case1_bound", VACUOUS, {"t_min": t_min, "deferred_to": "lemma23"}
     if t_min == 2:
-        claim = "case1_bound"
-        ok = case1_inequality(graph.n, ana.f)
+        claim, ok = "case1_bound", case1_inequality(n, a.f)
     else:
-        claim = "case2_bound"
-        ok = case2_inequality(graph.n, ana.f)
-    internal_ok = crossing_length_inequality(lp.length, ana.f)
+        claim, ok = "case2_bound", case2_inequality(n, a.f)
+    internal_ok = crossing_length_inequality(l, a.f)
     info = {
-        "n": graph.n,
-        "f": ana.f,
+        "n": n,
+        "f": a.f,
         "t_min": t_min,
         "proof_internal_length_bound": {
             "inequality": "l >= 6*f - 2",
-            "l": lp.length,
+            "l": l,
             "holds": internal_ok,
         },
     }
-    if ok and internal_ok:
-        return ClaimVerdict(claim, HOLDS, info)
-    witness = _violation_witness(graph, triple, ana)
-    witness.update(info)
-    return ClaimVerdict(claim, VIOLATED, witness)
+    return claim, HOLDS if ok and internal_ok else VIOLATED, info
 
 
-def check_conjecture4(
+# The triple claims, keyed by check name (``case_bounds`` reports under the
+# claim id of the case it falls into).
+TRIPLE_CLAIMS = {
+    "conj_Z": _conj_z,
+    "lemma21": _lemma21,
+    "lemma22": _lemma22,
+    "lemma23": _forces_zero("lemma23", 1),
+    "thm1": _thm1,
+    "case_bounds": _case_bounds,
+    "conj4": _forces_zero("conj4", 2),
+}
+
+
+def triple_verdict(
+    name: str, graph: Graph, triple: PathTriple, l: int, analysis: TripleAnalysis
+) -> ClaimVerdict:
+    """Evaluate the registered claim ``name`` on a triple of longest paths
+    of length ``l``, trusting the caller to have gated the path set."""
+    claim, status, info = TRIPLE_CLAIMS[name](graph.n, l, analysis)
+    if status == VIOLATED:
+        info = {**_replay_witness(graph, triple, analysis), **info}
+    return ClaimVerdict(claim, status, info)
+
+
+def check_triple(
+    name: str,
     graph: Graph,
     triple: PathTriple,
     *,
     longest_paths: LongestPathSet | None = None,
     analysis: TripleAnalysis | None = None,
 ) -> ClaimVerdict:
-    """A path crossed exactly twice forces f = 0 (open conjecture).
+    """Check one registered triple claim on caller-supplied paths.
 
-    Vacuous when no path has crossing count 2; a violation would be a
-    genuine finding and carries the full replay witness.
+    The paths must all be longest; a truncated enumeration gives
+    ``skipped_truncated``. ``analysis`` defaults to a fresh
+    ``analyze_triple``.
     """
-    _, short = _gate_longest("conj4", graph, triple.paths, longest_paths)
+    if name not in TRIPLE_CLAIMS:
+        raise ValueError(f"unknown triple claim {name!r}; pick from {sorted(TRIPLE_CLAIMS)}")
+    lp, short = _gate_longest(name, graph, triple.paths, longest_paths)
     if short is not None:
         return short
-    ana = _analysis(graph, triple, analysis)
-    if 2 not in ana.t_counts:
-        return ClaimVerdict("conj4", VACUOUS, {"t_counts": list(ana.t_counts)})
-    if ana.f == 0:
-        return ClaimVerdict("conj4", HOLDS, {"t_counts": list(ana.t_counts)})
-    return ClaimVerdict("conj4", VIOLATED, _violation_witness(graph, triple, ana))
+    if analysis is None:
+        analysis = analyze_triple(graph, triple)
+    return triple_verdict(name, graph, triple, lp.length, analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +318,10 @@ def gallai_vertex_set(
     """
     if not is_connected(graph):
         raise ValueError("the longest-path intersection is defined for connected graphs")
-    lp = _longest(graph, longest_paths)
+    lp = enumerate_longest_paths(graph) if longest_paths is None else longest_paths
     if lp.truncated:
         raise TruncatedEnumerationError(
             "longest-path enumeration was truncated; intersection unknown"
         )
     mask = reduce(lambda acc, p: acc & p.mask, lp.paths, (1 << graph.n) - 1)
     return frozenset(v for v in range(graph.n) if mask >> v & 1)
-
-
-def is_hypotraceable(graph: Graph, *, budget_s: float = 60.0) -> bool:
-    """Whether the graph has no Hamiltonian path while every single-vertex
-    deletion does.
-
-    Exact search only; graphs beyond 34 vertices are rejected and the
-    wall-clock budget covers the whole instance (the graph and all its
-    vertex-deleted subgraphs). The smallest graphs with this property are
-    substantially larger than the exhaustive corpora used elsewhere.
-    """
-    if graph.n > HYPOTRACEABLE_MAX_N:
-        raise ValueError(
-            f"exact check supports at most {HYPOTRACEABLE_MAX_N} vertices"
-        )
-    deadline = time.monotonic() + budget_s
-    if has_hamiltonian_path(graph, deadline=deadline):
-        return False
-    for v in range(graph.n):
-        if not has_hamiltonian_path(graph.delete_vertex(v), deadline=deadline):
-            return False
-    return True

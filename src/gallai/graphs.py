@@ -239,13 +239,21 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph6_lines(lines: Iterable[str]) -> list[Graph]:
-    """Decode one graph per non-empty line."""
+def parse_graph6_lines(lines: Iterable[str], source: str | None = None) -> list[Graph]:
+    """Decode one graph per non-empty line.
+
+    A malformed record raises ``Graph6Error`` naming its 1-based line
+    number, prefixed by ``source`` (the file it came from) when given.
+    """
     out = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            out.append(parse_graph6(line))
+            try:
+                out.append(parse_graph6(line))
+            except Graph6Error as exc:
+                where = f"line {number}" if source is None else f"{source}: line {number}"
+                raise Graph6Error(f"{where}: {exc}") from exc
     return out
 
 

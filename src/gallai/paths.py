@@ -1,6 +1,5 @@
 """Exact longest-path search: length optimisation, full enumeration of the
-longest-path set, a naive all-simple-paths oracle, and Hamiltonian-path
-testing.
+longest-path set, and a naive all-simple-paths oracle.
 
 The searcher is a depth-first extension from every start vertex with one
 admissible prune: the current length plus the number of unused vertices
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .graphs import Graph, is_connected, reachable_mask
+from .graphs import Graph, reachable_mask
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -26,10 +25,6 @@ class BudgetError(RuntimeError):
 
 
 class _StopSearch(Exception):
-    pass
-
-
-class _FoundTarget(Exception):
     pass
 
 
@@ -262,40 +257,3 @@ def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:
     for start in range(graph.n):
         dfs(start, 1 << start, [start])
     return tuple(sorted(Path(t) for t in out))
-
-
-def has_hamiltonian_path(graph: Graph, *, deadline: float | None = None) -> bool:
-    """Whether some simple path visits every vertex (l(G) = n - 1)."""
-    n = graph.n
-    if n == 1:
-        return True
-    if not is_connected(graph):
-        return False
-    adj = graph.adjacency
-    target = n - 1
-    ticks = 0
-
-    def dfs(head: int, used: int, length: int) -> None:
-        nonlocal ticks
-        if length == target:
-            raise _FoundTarget
-        ext = adj[head] & ~used
-        if not ext:
-            return
-        _check_deadline(deadline, ticks)
-        ticks += 1
-        gain = reachable_mask(adj, ext, used).bit_count()
-        if length + gain < target:
-            return
-        m = ext
-        while m:
-            low = m & -m
-            m ^= low
-            dfs(low.bit_length() - 1, used | low, length + 1)
-
-    try:
-        for start in range(n):
-            dfs(start, 1 << start, 0)
-    except _FoundTarget:
-        return True
-    return False

@@ -23,24 +23,18 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
-from math import comb
 from multiprocessing import get_context
 
 from .claims import (
     PROVEN_CLAIMS,
+    TRIPLE_CLAIMS,
     VIOLATED,
     ClaimVerdict,
-    check_case_bounds,
-    check_conjecture4,
-    check_conjecture_z,
-    check_lemma21,
-    check_lemma22,
-    check_lemma23,
     check_prop1,
-    check_theorem1,
     gallai_vertex_set,
-    is_hypotraceable,
+    triple_verdict,
 )
 from .generate import MAX_GENERATION_N, generate_connected_graphs
 from .graphs import (
@@ -50,9 +44,9 @@ from .graphs import (
     parse_edge_list,
     parse_graph6_lines,
 )
-from .paths import BudgetError, DEFAULT_PATH_CAP, enumerate_longest_paths
+from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
 from .subdivision import check_size_bound, verify_proposition
-from .triples import PathTriple, analyze_triple
+from .triples import TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
 
@@ -69,15 +63,10 @@ ALL_CHECKS = (
 
 TRIPLE_MODES = ("shortcut-first", "all", "capped")
 
-_TRIPLE_CHECKERS = {
-    "conj_Z": check_conjecture_z,
-    "lemma21": check_lemma21,
-    "lemma22": check_lemma22,
-    "lemma23": check_lemma23,
-    "thm1": check_theorem1,
-    "case_bounds": check_case_bounds,
-    "conj4": check_conjecture4,
-}
+# Verdict builders per triple check, called as (graph, triple, l, analysis)
+# on a longest-path set already gated once per graph. Looked up per graph,
+# never bound at import, so a wrapped entry takes effect.
+_TRIPLE_CHECKERS = {name: partial(triple_verdict, name) for name in TRIPLE_CLAIMS}
 
 EXIT_OK = 0
 EXIT_CONJECTURE_VIOLATION = 2
@@ -206,11 +195,6 @@ class ScanReport:
         }
 
 
-def _tally(record: GraphRecord, verdict: ClaimVerdict) -> None:
-    claim_tally = record.tallies.setdefault(verdict.claim, {})
-    claim_tally[verdict.status] = claim_tally.get(verdict.status, 0) + 1
-
-
 class _ProvenClaimViolated(Exception):
     """A proven statement failed; the enclosing scan must stop."""
 
@@ -238,10 +222,13 @@ def _examine_graph(
 
     gallai = gallai_vertex_set(graph, longest_paths=lp)
     record.gallai_size = len(gallai)
-    record.triples_total = comb(len(lp.paths), 3)
+    limit = None if config.triple_mode == "all" else config.triple_cap
+    triples = TripleStream(lp, limit)
+    record.triples_total = triples.total
 
     def run(verdict: ClaimVerdict) -> None:
-        _tally(record, verdict)
+        claim_tally = record.tallies.setdefault(verdict.claim, {})
+        claim_tally[verdict.status] = claim_tally.get(verdict.status, 0) + 1
         if verdict.status == VIOLATED:
             violations.append(ViolationRecord(g6, verdict.claim, verdict.witness or {}))
             if verdict.claim in PROVEN_CLAIMS:
@@ -268,15 +255,9 @@ def _examine_graph(
             record.max_f = 0
             return record, violations, False
 
-        limit = (
-            record.triples_total if config.triple_mode == "all" else config.triple_cap
-        )
+        checkers = [_TRIPLE_CHECKERS[c] for c in config.checks if c in _TRIPLE_CHECKERS]
         seen_pairs: set[tuple] = set()
-        for combo in combinations(lp.paths, 3):
-            if record.triples_examined >= limit:
-                break
-            record.triples_examined += 1
-            triple = PathTriple(combo)
+        for triple in triples:
             analysis = analyze_triple(graph, triple, strict_t=config.strict_t)
             record.max_f = (
                 analysis.f if record.max_f is None else max(record.max_f, analysis.f)
@@ -291,19 +272,19 @@ def _examine_graph(
                     seen_pairs.add(key)
                     record.pairs_examined += 1
                     run(check_prop1(graph, a, b, longest_paths=lp))
-            for name in config.checks:
-                checker = _TRIPLE_CHECKERS.get(name)
-                if checker is not None:
-                    run(checker(graph, triple, longest_paths=lp, analysis=analysis))
+            for checker in checkers:
+                run(checker(graph, triple, lp.length, analysis))
             for t in config.subdivision_t:
                 run(verify_proposition(graph, triple, t, longest_paths=lp))
                 run(check_size_bound(graph, triple, t))
-        record.triples_skipped = record.triples_total - record.triples_examined
         return record, violations, False
     except _ProvenClaimViolated:
-        if record.triples_total is not None:
-            record.triples_skipped = record.triples_total - record.triples_examined
         return record, violations, True
+    finally:
+        # Shortcut and vacuous graphs count no triples examined or skipped.
+        if record.status == "checked":
+            record.triples_examined = triples.examined
+            record.triples_skipped = triples.skipped
 
 
 def _resolve_source(config: ScanConfig) -> list[Graph]:
@@ -312,13 +293,14 @@ def _resolve_source(config: ScanConfig) -> list[Graph]:
         for n in range(1, config.generate_n + 1):
             graphs.extend(generate_connected_graphs(n))
         return graphs
-    if config.input_path == "-":
+    path = config.input_path
+    if path == "-":
         text = sys.stdin.read()
     else:
-        with open(config.input_path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     if config.input_format == "graph6":
-        return parse_graph6_lines(text.splitlines())
+        return parse_graph6_lines(text.splitlines(), None if path == "-" else path)
     return [parse_edge_list(text)]
 
 
@@ -447,8 +429,6 @@ def analyze_one(
     triple_cap: int = 100_000,
     subdivision_t: tuple[int, ...] = (),
     strict_t: bool = False,
-    hypotraceable: bool = False,
-    hypotraceable_budget_s: float = 60.0,
 ) -> dict:
     """Exhaustive per-triple analysis of one graph, JSON-ready.
 
@@ -470,26 +450,16 @@ def analyze_one(
     gallai = gallai_vertex_set(graph, longest_paths=lp)
     out["gallai_vertices"] = sorted(gallai)
     out["gallai_size"] = len(gallai)
-    if hypotraceable:
-        try:
-            out["hypotraceable"] = is_hypotraceable(graph, budget_s=hypotraceable_budget_s)
-        except (ValueError, BudgetError) as exc:
-            out["hypotraceable"] = None
-            out["hypotraceable_error"] = str(exc)
     out["strict_crossings"] = strict_t
-    triples_out = []
-    total = comb(len(lp.paths), 3)
-    out["triples_total"] = total
-    if total == 0:
+    triples = TripleStream(lp, triple_cap)
+    out["triples_total"] = triples.total
+    if triples.total == 0:
         out["status"] = "vacuous"
         out["triples"] = []
         return out
-    examined = 0
-    for combo in combinations(lp.paths, 3):
-        if examined >= triple_cap:
-            break
-        examined += 1
-        triple = PathTriple(combo)
+    checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
+    triples_out = []
+    for triple in triples:
         analysis = analyze_triple(graph, triple, strict_t=strict_t)
         entry = {
             "paths": [list(p.vertices) for p in triple.paths],
@@ -500,16 +470,14 @@ def analyze_one(
             "pairwise_sizes": [len(s) for s in analysis.pairwise],
             "verdicts": {},
         }
-        for name in checks:
-            checker = _TRIPLE_CHECKERS.get(name)
-            if checker is not None:
-                v = checker(graph, triple, longest_paths=lp, analysis=analysis)
-                entry["verdicts"][v.claim] = v.status
+        for checker in checkers:
+            v = checker(graph, triple, lp.length, analysis)
+            entry["verdicts"][v.claim] = v.status
         if "prop1" in checks:
-            statuses = []
-            for a, b in combinations(triple.paths, 2):
-                statuses.append(check_prop1(graph, a, b, longest_paths=lp).status)
-            entry["verdicts"]["prop1"] = statuses
+            entry["verdicts"]["prop1"] = [
+                check_prop1(graph, a, b, longest_paths=lp).status
+                for a, b in combinations(triple.paths, 2)
+            ]
         sub = {}
         for t in subdivision_t:
             prop = verify_proposition(graph, triple, t, longest_paths=lp)
@@ -518,7 +486,7 @@ def analyze_one(
         if sub:
             entry["subdivision"] = sub
         triples_out.append(entry)
-    out["triples_examined"] = examined
+    out["triples_examined"] = triples.examined
     out["triples"] = triples_out
     out["max_f"] = max(t["f"] for t in triples_out)
     out["min_t"] = min(min(t["t_counts"]) for t in triples_out)
@@ -564,15 +532,8 @@ def subdivision_sweep(
             if len(lp.paths) < 3 or lp.truncated:
                 continue
             eligible += 1
-            total = comb(len(lp.paths), 3)
-            limit = total if triple_cap is None else min(total, triple_cap)
-            triples_skipped += total - limit
-            examined = 0
-            for combo in combinations(lp.paths, 3):
-                if examined >= limit:
-                    break
-                examined += 1
-                triple = PathTriple(combo)
+            triples = TripleStream(lp, triple_cap)
+            for triple in triples:
                 for t in t_values:
                     t0 = time.monotonic()
                     verdicts = []
@@ -598,6 +559,7 @@ def subdivision_sweep(
                             )
                         elif v.status in ("skipped_budget", "skipped_truncated"):
                             skipped += 1
+            triples_skipped += triples.skipped
     return {
         "max_n": max_n,
         "t_values": list(t_values),

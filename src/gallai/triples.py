@@ -9,9 +9,11 @@ layer the longest-path requirement on top where it matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
+from math import comb
 
 from .graphs import Graph, _distance_list
-from .paths import Path
+from .paths import LongestPathSet, Path
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,46 @@ class PathTriple:
             raise IndexError(f"path index {which} out of range 0..2")
         rest = [p for i, p in enumerate(self.paths) if i != which]
         return rest[0], rest[1]
+
+
+class TripleStream:
+    """The path triples of a longest-path set, lazily, in canonical order.
+
+    Iteration stops after ``cap`` triples when one is given. ``total`` is
+    the number of triples in the set and ``examined`` the number yielded so
+    far, so ``skipped`` stays right when the consumer stops early.
+    """
+
+    def __init__(self, longest_paths: LongestPathSet, cap: int | None = None):
+        self.paths = longest_paths.paths
+        self.total = comb(len(self.paths), 3)
+        self.cap = cap
+        self.examined = 0
+
+    @property
+    def skipped(self) -> int:
+        return self.total - self.examined
+
+    def __iter__(self):
+        for combo in islice(combinations(self.paths, 3), self.cap):
+            self.examined += 1
+            yield PathTriple(combo)
+
+    def __getitem__(self, index: int) -> PathTriple:
+        """The triple at ``index`` in canonical order, found by counting
+        rather than by stepping past every triple before it."""
+        if not 0 <= index < self.total:
+            raise IndexError(f"triple index {index} out of range 0..{self.total - 1}")
+        picks = []
+        pos = 0
+        for size in (3, 2, 1):
+            # Skip whole blocks: comb(rest, size - 1) triples pick paths[pos] next.
+            while index >= (block := comb(len(self.paths) - pos - 1, size - 1)):
+                index -= block
+                pos += 1
+            picks.append(self.paths[pos])
+            pos += 1
+        return PathTriple(tuple(picks))
 
 
 def distance_sum(graph: Graph, v: int, triple: PathTriple) -> int:

@@ -1,18 +1,11 @@
-"""Claim checkers: verdict logic, integer-exact bounds, the longest-path
-intersection set, and hypotraceability."""
+"""Claim checkers: verdict logic, the triple-claim predicates, integer-exact
+bounds, and the longest-path intersection set."""
 
 from itertools import combinations
 
 import pytest
 
-from conftest import (
-    corpus,
-    corpus_up_to,
-    cycle_graph,
-    path_graph,
-    petersen_graph,
-    star_graph,
-)
+from conftest import corpus, corpus_up_to, cycle_graph, star_graph
 from gallai.claims import (
     HOLDS,
     SKIPPED_TRUNCATED,
@@ -20,27 +13,22 @@ from gallai.claims import (
     VIOLATED,
     CONJECTURE_CLAIMS,
     PROVEN_CLAIMS,
+    TRIPLE_CLAIMS,
     TruncatedEnumerationError,
     case1_inequality,
     case2_inequality,
-    check_case_bounds,
-    check_conjecture4,
-    check_conjecture_z,
-    check_lemma21,
-    check_lemma22,
-    check_lemma23,
     check_prop1,
-    check_theorem1,
+    check_triple,
     crossing_length_inequality,
     gallai_vertex_set,
-    is_hypotraceable,
     lemma21_inequality,
     lemma22_inequality,
     theorem1_inequality,
+    triple_verdict,
 )
-from gallai.graphs import distances_from_set, from_edge_list
-from gallai.paths import BudgetError, Path, enumerate_longest_paths
-from gallai.triples import PathTriple, analyze_triple
+from gallai.graphs import distances_from_set, from_edge_list, graph_key
+from gallai.paths import Path, enumerate_longest_paths
+from gallai.triples import PathTriple, TripleAnalysis, analyze_triple
 
 
 def star_setup():
@@ -117,54 +105,54 @@ class TestProp1:
 class TestConjectureZ:
     def test_star(self):
         g, lp, t = star_setup()
-        v = check_conjecture_z(g, t, longest_paths=lp)
+        v = check_triple("conj_Z", g, t, longest_paths=lp)
         assert v.status == HOLDS
         assert v.witness["common"] == [0]
 
     def test_cycle(self):
         g, lp, t = cycle_setup()
-        assert check_conjecture_z(g, t, longest_paths=lp).status == HOLDS
+        assert check_triple("conj_Z", g, t, longest_paths=lp).status == HOLDS
 
     def test_skipped_on_truncated_enumeration(self):
         g = cycle_graph(5)
         lp = enumerate_longest_paths(g, cap=3)
         t = PathTriple(tuple(lp.paths))
-        v = check_conjecture_z(g, t, longest_paths=lp)
+        v = check_triple("conj_Z", g, t, longest_paths=lp)
         assert v.status == SKIPPED_TRUNCATED
 
 
 class TestLemma21:
     def test_vacuous_at_zero(self):
         g, lp, t = star_setup()
-        assert check_lemma21(g, t, longest_paths=lp).status == VACUOUS
+        assert check_triple("lemma21", g, t, longest_paths=lp).status == VACUOUS
 
 
 class TestLemma22:
     def test_star(self):
         g, lp, t = star_setup()
-        v = check_lemma22(g, t, longest_paths=lp)
+        v = check_triple("lemma22", g, t, longest_paths=lp)
         assert v.status == HOLDS
         assert v.witness["x_sizes"] == [0, 0, 0]
 
     def test_cycle(self):
         g, lp, t = cycle_setup()
-        assert check_lemma22(g, t, longest_paths=lp).status == HOLDS
+        assert check_triple("lemma22", g, t, longest_paths=lp).status == HOLDS
 
 
 class TestLemma23:
     def test_star_holds(self):
         g, lp, t = star_setup()
-        assert check_lemma23(g, t, longest_paths=lp).status == HOLDS
+        assert check_triple("lemma23", g, t, longest_paths=lp).status == HOLDS
 
     def test_cycle_vacuous(self):
         g, lp, t = cycle_setup()
-        assert check_lemma23(g, t, longest_paths=lp).status == VACUOUS
+        assert check_triple("lemma23", g, t, longest_paths=lp).status == VACUOUS
 
 
 class TestTheorem1:
     def test_star(self):
         g, lp, t = star_setup()
-        v = check_theorem1(g, t, longest_paths=lp)
+        v = check_triple("thm1", g, t, longest_paths=lp)
         assert v.status == HOLDS
         assert v.witness == {"n": 4, "f": 0}
 
@@ -172,7 +160,7 @@ class TestTheorem1:
 class TestCaseBounds:
     def test_cycle_case2(self):
         g, lp, t = cycle_setup()
-        v = check_case_bounds(g, t, longest_paths=lp)
+        v = check_triple("case_bounds", g, t, longest_paths=lp)
         assert v.claim == "case2_bound"
         assert v.status == HOLDS
         assert v.witness["t_min"] == 5
@@ -180,7 +168,7 @@ class TestCaseBounds:
 
     def test_star_vacuous(self):
         g, lp, t = star_setup()
-        v = check_case_bounds(g, t, longest_paths=lp)
+        v = check_triple("case_bounds", g, t, longest_paths=lp)
         assert v.status == VACUOUS
         assert v.witness["t_min"] == 1
 
@@ -188,22 +176,111 @@ class TestCaseBounds:
 class TestConjecture4:
     def test_cycle_vacuous(self):
         g, lp, t = cycle_setup()
-        assert check_conjecture4(g, t, longest_paths=lp).status == VACUOUS
+        assert check_triple("conj4", g, t, longest_paths=lp).status == VACUOUS
 
     def test_star_vacuous(self):
         g, lp, t = star_setup()
-        assert check_conjecture4(g, t, longest_paths=lp).status == VACUOUS
+        assert check_triple("conj4", g, t, longest_paths=lp).status == VACUOUS
 
 
-CHECKERS = (
-    check_conjecture_z,
-    check_lemma21,
-    check_lemma22,
-    check_lemma23,
-    check_theorem1,
-    check_case_bounds,
-    check_conjecture4,
-)
+def fabricated(f, t_counts, x_sizes=(0, 0, 0)):
+    """A triple analysis no real longest-path triple up to n = 8 has."""
+    return TripleAnalysis(f, frozenset({0}), x_sizes, t_counts, (frozenset(),) * 3)
+
+
+def status(name, n, l, analysis):
+    claim, verdict, _ = TRIPLE_CLAIMS[name](n, l, analysis)
+    return claim, verdict
+
+
+class TestPredicates:
+    """Every status of every triple claim, at each inequality's boundary."""
+
+    def test_conj_z(self):
+        assert status("conj_Z", 5, 4, fabricated(0, (1, 1, 1))) == ("conj_Z", HOLDS)
+        assert status("conj_Z", 5, 4, fabricated(1, (1, 1, 1))) == ("conj_Z", VIOLATED)
+
+    def test_lemma21(self):
+        # 2*13 = 26 against 3*7 + 2 + 3 = 26.
+        assert status("lemma21", 13, 7, fabricated(0, (3, 3, 3), (2, 0, 0)))[1] == VACUOUS
+        assert status("lemma21", 13, 7, fabricated(1, (3, 3, 3), (2, 0, 0)))[1] == HOLDS
+        assert status("lemma21", 12, 7, fabricated(1, (3, 3, 3), (2, 0, 0)))[1] == VIOLATED
+
+    def test_lemma22(self):
+        assert status("lemma22", 20, 9, fabricated(2, (2, 3, 2), (2, 3, 2)))[1] == HOLDS
+        assert status("lemma22", 20, 9, fabricated(2, (2, 3, 2), (2, 2, 2)))[1] == VIOLATED
+
+    @pytest.mark.parametrize("name, crossings", [("lemma23", 1), ("conj4", 2)])
+    def test_forced_zero(self, name, crossings):
+        assert status(name, 9, 5, fabricated(1, (3, 4, 5)))[1] == VACUOUS
+        assert status(name, 9, 5, fabricated(0, (crossings, 4, 5)))[1] == HOLDS
+        assert status(name, 9, 5, fabricated(1, (5, crossings, 4)))[1] == VIOLATED
+
+    def test_theorem1(self):
+        assert status("thm1", 7, 4, fabricated(1, (3, 3, 3)))[1] == HOLDS       # 13 <= 13
+        assert status("thm1", 6, 4, fabricated(1, (3, 3, 3)))[1] == VIOLATED    # 13 > 12
+
+    def test_case_bounds_vacuous_below_two_crossings(self):
+        claim, verdict, info = TRIPLE_CLAIMS["case_bounds"](9, 4, fabricated(1, (1, 2, 3)))
+        assert (claim, verdict) == ("case1_bound", VACUOUS)
+        assert info == {"t_min": 1, "deferred_to": "lemma23"}
+
+    def test_case1_bound(self):
+        # 26 f <= 2n + 9 and l >= 6 f - 2, both at equality or one short.
+        assert status("case_bounds", 9, 4, fabricated(1, (2, 3, 3))) == ("case1_bound", HOLDS)
+        assert status("case_bounds", 8, 4, fabricated(1, (2, 3, 3))) == ("case1_bound", VIOLATED)
+        assert status("case_bounds", 9, 3, fabricated(1, (2, 3, 3))) == ("case1_bound", VIOLATED)
+
+    def test_case2_bound(self):
+        # 27 f <= 2n + 12: 27 <= 28 at n = 8, 27 > 26 at n = 7.
+        assert status("case_bounds", 8, 4, fabricated(1, (3, 3, 4))) == ("case2_bound", HOLDS)
+        assert status("case_bounds", 7, 4, fabricated(1, (3, 3, 4))) == ("case2_bound", VIOLATED)
+        assert status("case_bounds", 8, 3, fabricated(1, (3, 3, 4))) == ("case2_bound", VIOLATED)
+
+    def test_length_probe_failure_is_in_the_witness(self):
+        _, _, info = TRIPLE_CLAIMS["case_bounds"](8, 3, fabricated(1, (3, 3, 4)))
+        assert info["proof_internal_length_bound"] == {
+            "inequality": "l >= 6*f - 2", "l": 3, "holds": False,
+        }
+
+    def test_violated_witness_replays(self):
+        g, lp, t = star_setup()
+        fake = fabricated(1, (1, 1, 1), (0, 1, 0))
+        violated = set()
+        for name in TRIPLE_CLAIMS:
+            v = check_triple(name, g, t, longest_paths=lp, analysis=fake)
+            assert v == triple_verdict(name, g, t, lp.length, fake)
+            if v.status != VIOLATED:
+                continue
+            violated.add(v.claim)
+            assert v.witness["graph"] == graph_key(g)
+            assert v.witness["paths"] == [list(p.vertices) for p in t.paths]
+            assert v.witness["f"] == 1
+            assert v.witness["witnesses"] == [0]
+            assert v.witness["x_sizes"] == [0, 1, 0]
+            assert v.witness["t_counts"] == [1, 1, 1]
+            assert v.witness["strict_crossings"] is False
+            _, _, info = TRIPLE_CLAIMS[name](g.n, lp.length, fake)
+            assert info.items() <= v.witness.items()
+        # 2*4 < 3*2 + 1 + 3 and 13 > 4 + 6; lemma22's right side is 0.
+        assert violated == {"conj_Z", "lemma21", "lemma23", "thm1"}
+
+
+class TestCheckTripleBoundary:
+    def test_unknown_claim(self):
+        g, lp, t = star_setup()
+        with pytest.raises(ValueError):
+            check_triple("prop1", g, t, longest_paths=lp)
+
+    def test_non_longest_rejected(self):
+        g = cycle_graph(5)
+        t = PathTriple.make(g, (0, 1), (1, 2), (2, 3))
+        with pytest.raises(ValueError):
+            check_triple("thm1", g, t)
+
+    def test_enumerates_when_not_given(self):
+        g, lp, t = star_setup()
+        assert check_triple("conj4", g, t) == check_triple("conj4", g, t, longest_paths=lp)
 
 
 class TestCorpusSweep:
@@ -220,8 +297,8 @@ class TestCorpusSweep:
                 t = PathTriple(combo)
                 ana = analyze_triple(g, t)
                 statuses = {}
-                for chk in CHECKERS:
-                    v = chk(g, t, longest_paths=lp, analysis=ana)
+                for name in TRIPLE_CLAIMS:
+                    v = check_triple(name, g, t, longest_paths=lp, analysis=ana)
                     assert v.status in (HOLDS, VACUOUS), (v.claim, v.witness)
                     statuses[v.claim] = v.status
                 if statuses.get("lemma23") == VIOLATED:
@@ -247,8 +324,8 @@ class TestCorpusSweep:
                 for idxs in sorted(picks):
                     t = PathTriple(tuple(paths[i] for i in idxs))
                     ana = analyze_triple(g, t)
-                    for chk in CHECKERS:
-                        v = chk(g, t, longest_paths=lp, analysis=ana)
+                    for name in TRIPLE_CLAIMS:
+                        v = check_triple(name, g, t, longest_paths=lp, analysis=ana)
                         assert v.status in (HOLDS, VACUOUS), (v.claim, v.witness)
 
 
@@ -288,35 +365,6 @@ class TestGallaiVertexSet:
         lp = enumerate_longest_paths(g, cap=2)
         with pytest.raises(TruncatedEnumerationError):
             gallai_vertex_set(g, longest_paths=lp)
-
-
-class TestHypotraceable:
-    def test_star_is_not(self):
-        # Deleting the centre disconnects the leaves.
-        assert not is_hypotraceable(star_graph(3))
-
-    def test_cycle_is_not(self):
-        assert not is_hypotraceable(cycle_graph(5))
-
-    def test_path_is_not(self):
-        assert not is_hypotraceable(path_graph(4))
-
-    def test_petersen_is_not(self):
-        assert not is_hypotraceable(petersen_graph())
-
-    def test_none_in_small_corpus(self):
-        # The smallest graphs with the property are far larger than this.
-        for g in corpus_up_to(5):
-            assert not is_hypotraceable(g)
-
-    def test_size_limit(self):
-        g = from_edge_list(35, [(i, i + 1) for i in range(34)])
-        with pytest.raises(ValueError):
-            is_hypotraceable(g)
-
-    def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            is_hypotraceable(star_graph(3), budget_s=-1.0)
 
 
 class TestClaimRegistry:

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import star_graph
+from conftest import complete_graph, star_graph
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
+from gallai.paths import enumerate_longest_paths
 
 
 def run(capsys, *argv):
@@ -162,6 +163,24 @@ class TestSubdivide:
         rebuilt = parse_edge_list(out)
         assert rebuilt.n == 7 + 2 * 6
 
+    def test_triple_index_on_k6(self, tmp_path, capsys):
+        # K6 has 360 longest paths and so 7711320 triples, too many to list.
+        src = tmp_path / "k6.g6"
+        src.write_text(to_graph6(complete_graph(6)) + "\n")
+        last = [list(p.vertices) for p in enumerate_longest_paths(complete_graph(6)).paths[-3:]]
+        for index, status in (("0", "ok"), ("7711319", "ok"), ("7711320", "vacuous")):
+            code, out, _ = run(
+                capsys, "subdivide", "--input", str(src), "--t", "0", "--triple", index
+            )
+            assert code == 0
+            payload = json.loads(out)[0]
+            assert payload["status"] == status
+        assert payload["triples_total"] == 7711320
+        code, out, _ = run(
+            capsys, "subdivide", "--input", str(src), "--t", "0", "--triple", "7711319"
+        )
+        assert json.loads(out)[0]["triple"] == last
+
     def test_vacuous_when_too_few_triples(self, tmp_path, capsys):
         src = tmp_path / "path.g6"
         src.write_text("Bg\n")
@@ -177,6 +196,14 @@ class TestVerifyProp:
         payload = json.loads(out)
         assert payload["violations"] == []
         assert payload["instances"] > 200
+
+    def test_sweep_output_is_byte_deterministic(self, capsys):
+        code1, out1, err1 = run(capsys, "verify-prop", "--n", "4", "--t", "1")
+        code2, out2, _ = run(capsys, "verify-prop", "--n", "4", "--t", "1")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert "worst_instance_s" not in json.loads(out1)
+        assert "slowest instance" in err1
 
     def test_single_graph(self, tmp_path, capsys):
         src = tmp_path / "star.g6"
@@ -206,6 +233,16 @@ class TestVerifyProp:
         payload = json.loads(out)
         assert payload["violations"] == []
         assert payload["triples_skipped"] > 0
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_malformed_input_names_its_line(tmp_path, capsys, command):
+    src = tmp_path / "bad.g6"
+    src.write_text("Bg\nBw\nZab\n")
+    code, out, err = run(capsys, command, "--input", str(src))
+    assert code == 4
+    assert out == ""
+    assert f"{src}: line 3: " in err
 
 
 class TestParser:

@@ -146,6 +146,13 @@ class TestGraph6:
         graphs = parse_graph6_lines(["Bg", "", "A_", "  "])
         assert [g.n for g in graphs] == [3, 2]
 
+    def test_parse_lines_names_the_bad_line(self):
+        # Blank lines still count towards the 1-based line number.
+        with pytest.raises(Graph6Error, match=r"^line 3: graph6 record for n=27"):
+            parse_graph6_lines(["Bg", "", "Zab"])
+        with pytest.raises(Graph6Error, match=r"^in\.g6: line 1: "):
+            parse_graph6_lines(["?"], "in.g6")
+
 
 class TestEdgeListFormat:
     def test_round_trip(self):

@@ -1,5 +1,4 @@
-"""Path objects, exact longest-path search, the unpruned oracle, and
-Hamiltonian-path testing."""
+"""Path objects, exact longest-path search, and the unpruned oracle."""
 
 import random
 import time
@@ -21,7 +20,6 @@ from gallai.paths import (
     Path,
     enumerate_all_simple_paths,
     enumerate_longest_paths,
-    has_hamiltonian_path,
     longest_path_length,
     subpath,
 )
@@ -137,6 +135,13 @@ class TestLongestPathLength:
             bigger = from_edge_list(n, edges + [extra])
             assert longest_path_length(bigger) >= longest_path_length(g)
 
+    def test_deadline_raises(self):
+        g = complete_graph(9)
+        deadline = time.monotonic() - 1.0
+        with pytest.raises(BudgetError):
+            # An already-expired deadline must abort rather than answer.
+            longest_path_length(g, deadline=deadline)
+
 
 class TestEnumerateLongestPaths:
     def test_path_graph(self):
@@ -225,28 +230,31 @@ class TestOracle:
 
 
 class TestHamiltonianPath:
+    """A graph has a Hamiltonian path exactly when its longest paths span
+    every vertex; the enumerator must find all of them or none."""
+
+    @staticmethod
+    def spanning(graph):
+        return [p for p in enumerate_longest_paths(graph).paths if len(p) == graph.n]
+
     def test_cycle(self):
-        assert has_hamiltonian_path(cycle_graph(5))
+        assert len(self.spanning(cycle_graph(5))) == 5
 
     def test_star_lacks_one(self):
-        assert not has_hamiltonian_path(star_graph(3))
+        assert self.spanning(star_graph(3)) == []
 
     def test_petersen(self):
-        assert has_hamiltonian_path(petersen_graph())
+        pete = petersen_graph()
+        oracle = [p for p in enumerate_all_simple_paths(pete) if len(p) == pete.n]
+        assert oracle
+        assert self.spanning(pete) == oracle
 
     def test_single_vertex(self):
-        assert has_hamiltonian_path(from_edge_list(1, []))
+        assert self.spanning(from_edge_list(1, [])) == [Path((0,))]
 
     def test_disconnected(self):
-        assert not has_hamiltonian_path(from_edge_list(3, [(0, 1)]))
+        assert self.spanning(from_edge_list(3, [(0, 1)])) == []
 
     def test_agrees_with_length(self):
         for g in corpus_up_to(5):
-            assert has_hamiltonian_path(g) == (longest_path_length(g) == g.n - 1)
-
-    def test_deadline_raises(self):
-        g = complete_graph(9)
-        deadline = time.monotonic() - 1.0
-        with pytest.raises(BudgetError):
-            # An already-expired deadline must abort rather than answer.
-            longest_path_length(g, deadline=deadline)
+            assert bool(self.spanning(g)) == (longest_path_length(g) == g.n - 1)

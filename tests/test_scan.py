@@ -297,10 +297,6 @@ class TestAnalyzeOne:
         assert sub["subdivision_prop"] == HOLDS
         assert sub["size_bound"] == HOLDS
 
-    def test_hypotraceable_flag(self):
-        res = analyze_one(star_graph(3), hypotraceable=True)
-        assert res["hypotraceable"] is False
-
     def test_triple_cap(self):
         res = analyze_one(cycle_graph(5), triple_cap=4)
         assert res["triples_examined"] == 4

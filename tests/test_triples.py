@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    complete_graph,
     corpus,
+    corpus_up_to,
     cycle_graph,
     oracle_f_value,
     path_graph,
@@ -18,6 +20,7 @@ from gallai.graphs import from_edge_list
 from gallai.paths import Path, enumerate_all_simple_paths, enumerate_longest_paths
 from gallai.triples import (
     PathTriple,
+    TripleStream,
     analyze_triple,
     distance_sum,
     exclusive_vertices,
@@ -61,6 +64,52 @@ class TestPathTriple:
         assert t.paths[0] not in rest
         with pytest.raises(IndexError):
             t.others(3)
+
+
+class TestTripleStream:
+    def test_canonical_order_and_counts(self):
+        lp = enumerate_longest_paths(complete_graph(4))
+        stream = TripleStream(lp)
+        triples = list(stream)
+        assert [t.paths for t in triples] == list(combinations(lp.paths, 3))
+        assert stream.total == stream.examined == 220
+        assert stream.skipped == 0
+
+    def test_cap_counts_skipped(self):
+        lp = enumerate_longest_paths(complete_graph(4))
+        stream = TripleStream(lp, 5)
+        assert len(list(stream)) == 5
+        assert (stream.examined, stream.skipped) == (5, 215)
+
+    def test_early_stop_counts_what_was_yielded(self):
+        stream = TripleStream(enumerate_longest_paths(cycle_graph(5)))
+        for k, _ in enumerate(stream, 1):
+            if k == 3:
+                break
+        assert (stream.total, stream.examined, stream.skipped) == (10, 3, 7)
+
+    def test_too_few_paths(self):
+        stream = TripleStream(enumerate_longest_paths(path_graph(3)))
+        assert list(stream) == []
+        assert stream.total == stream.skipped == 0
+
+    def test_indexing_agrees_with_iteration(self):
+        for g in corpus_up_to(5):
+            stream = TripleStream(enumerate_longest_paths(g))
+            assert [stream[i] for i in range(stream.total)] == list(stream)
+
+    def test_index_out_of_range(self):
+        stream = TripleStream(enumerate_longest_paths(cycle_graph(5)))
+        for bad in (-1, 10):
+            with pytest.raises(IndexError):
+                stream[bad]
+
+    def test_index_far_into_a_large_set(self):
+        # 2520 longest paths on K7, about 2.7e9 triples.
+        lp = enumerate_longest_paths(complete_graph(7))
+        stream = TripleStream(lp)
+        assert stream[stream.total - 1].paths == lp.paths[-3:]
+        assert stream[0].paths == lp.paths[:3]
 
 
 class TestDistanceSum:
