@@ -60,7 +60,6 @@ from .scan import (
 from .subdivision import (
     PendantExtension,
     SubdividedInstance,
-    VertexOrigin,
     attach_pendants,
     build_instance,
     check_size_bound,

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     format_edge_list,
     graph_key,
+    is_connected,
     parse_edge_list,
     parse_graph6_lines,
     to_graph6,
@@ -257,9 +258,11 @@ def _cmd_subdivide(args) -> int:
                 "extended": _export_graph(inst.source),
                 "subdivided": _export_graph(inst.graph),
                 "lifted_paths": [list(p.vertices) for p in inst.paths],
+                # Ids are laid out originals, pendants, then interior vertices.
                 "provenance_counts": {
-                    kind: sum(1 for o in inst.provenance if o.kind == kind)
-                    for kind in ("original", "pendant", "subdivision")
+                    "original": graph.n,
+                    "pendant": inst.source.n - graph.n,
+                    "subdivision": inst.graph.n - inst.source.n,
                 },
             }
         )
@@ -300,11 +303,19 @@ def _cmd_verify_prop(args) -> int:
     results = []
     worst_status = EXIT_OK
     for graph in graphs:
+        if not is_connected(graph):
+            results.append(
+                {"graph6": graph_key(graph), "status": "disconnected", "verdicts": []}
+            )
+            continue
         lp = enumerate_longest_paths(graph)
         verdicts: list[dict] = []
+        subdivided: dict = {}
         for triple in TripleStream(lp, args.triple_cap):
             for t in args.t:
-                v = verify_proposition(graph, triple, t, longest_paths=lp)
+                v = verify_proposition(
+                    graph, triple, t, longest_paths=lp, subdivided=subdivided
+                )
                 verdicts.append(
                     {
                         "t": t,

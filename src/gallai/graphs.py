@@ -50,9 +50,6 @@ class Graph:
     def adjacency(self) -> tuple[int, ...]:
         return self._adj
 
-    def neighbors_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def neighbors(self, v: int) -> list[int]:
         return list(iter_bits(self._adj[v]))
 
@@ -75,21 +72,6 @@ class Graph:
             for v in iter_bits(above):
                 out.append((u, v))
         return out
-
-    def delete_vertex(self, v: int) -> "Graph":
-        """The graph with vertex ``v`` removed and higher ids shifted down."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        if self.n == 1:
-            raise ValueError("cannot delete the last vertex")
-        low = (1 << v) - 1
-        adj = []
-        for u in range(self.n):
-            if u == v:
-                continue
-            mask = self._adj[u]
-            adj.append((mask & low) | (mask >> (v + 1)) << v)
-        return Graph(self.n - 1, tuple(adj))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -45,7 +45,7 @@ from .graphs import (
     parse_graph6_lines,
 )
 from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
-from .subdivision import check_size_bound, verify_proposition
+from .subdivision import DEFAULT_VERIFY_BUDGET_S, check_size_bound, verify_proposition
 from .triples import TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
@@ -257,6 +257,7 @@ def _examine_graph(
 
         checkers = [_TRIPLE_CHECKERS[c] for c in config.checks if c in _TRIPLE_CHECKERS]
         seen_pairs: set[tuple] = set()
+        subdivided: dict = {}
         for triple in triples:
             analysis = analyze_triple(graph, triple, strict_t=config.strict_t)
             record.max_f = (
@@ -275,7 +276,8 @@ def _examine_graph(
             for checker in checkers:
                 run(checker(graph, triple, lp.length, analysis))
             for t in config.subdivision_t:
-                run(verify_proposition(graph, triple, t, longest_paths=lp))
+                run(verify_proposition(
+                    graph, triple, t, longest_paths=lp, subdivided=subdivided))
                 run(check_size_bound(graph, triple, t))
         return record, violations, False
     except _ProvenClaimViolated:
@@ -459,6 +461,7 @@ def analyze_one(
         return out
     checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
     triples_out = []
+    subdivided: dict = {}
     for triple in triples:
         analysis = analyze_triple(graph, triple, strict_t=strict_t)
         entry = {
@@ -480,7 +483,8 @@ def analyze_one(
             ]
         sub = {}
         for t in subdivision_t:
-            prop = verify_proposition(graph, triple, t, longest_paths=lp)
+            prop = verify_proposition(
+                graph, triple, t, longest_paths=lp, subdivided=subdivided)
             size = check_size_bound(graph, triple, t)
             sub[str(t)] = {"subdivision_prop": prop.status, "size_bound": size.status}
         if sub:
@@ -504,8 +508,7 @@ def subdivision_sweep(
     *,
     include_proposition: bool = True,
     include_size_bound: bool = True,
-    max_vertices: int = 60,
-    budget_s: float = 120.0,
+    budget_s: float = DEFAULT_VERIFY_BUDGET_S,
     triple_cap: int | None = None,
 ) -> dict:
     """Verify the subdivision claims over the longest-path triples of every
@@ -533,6 +536,7 @@ def subdivision_sweep(
                 continue
             eligible += 1
             triples = TripleStream(lp, triple_cap)
+            subdivided: dict = {}
             for triple in triples:
                 for t in t_values:
                     t0 = time.monotonic()
@@ -544,8 +548,8 @@ def subdivision_sweep(
                                 triple,
                                 t,
                                 longest_paths=lp,
-                                max_vertices=max_vertices,
                                 budget_s=budget_s,
+                                subdivided=subdivided,
                             )
                         )
                     if include_size_bound:

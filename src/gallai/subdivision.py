@@ -7,6 +7,17 @@ neighbour at each distinct path end (between two and six new vertices),
 then replace every edge with a path of t interior vertices. The lifted
 paths gain the two pendant edges and traverse exactly the subdivided
 images of their edges.
+
+Vertex ids carry the provenance, so no per-vertex tags are kept: in a
+built instance the base graph's vertices keep their ids 0..n-1, the
+pendants follow in sorted-end order, and the interior vertices of the
+subdivided edges come last, in sorted-edge then position order.
+
+The subdivided graph depends only on the base graph, the triple's set of
+distinct ends and t, so many triples share one. Reuse of its longest-path
+enumeration is in the caller's hands: ``verify_proposition`` reads and
+fills an optional ``subdivided`` dict, which the callers keep for one
+base graph at a time.
 """
 
 from __future__ import annotations
@@ -23,30 +34,11 @@ from .claims import (
     _gate_longest,
 )
 from .graphs import Graph, from_edge_list, graph_key
-from .paths import BudgetError, DEFAULT_PATH_CAP, LongestPathSet, Path, enumerate_longest_paths
+from .paths import BudgetError, LongestPathSet, Path, enumerate_longest_paths
 from .triples import PathTriple, f_value
-
-ORIGINAL = "original"
-PENDANT = "pendant"
-SUBDIVISION = "subdivision"
 
 DEFAULT_VERIFY_MAX_VERTICES = 60
 DEFAULT_VERIFY_BUDGET_S = 120.0
-
-
-@dataclass(frozen=True)
-class VertexOrigin:
-    """Provenance tag for one vertex of a constructed graph.
-
-    ``original`` vertices come from the base graph, ``pendant`` vertices
-    record their attachment point, and ``subdivision`` vertices record the
-    source edge plus their 1-based position along it.
-    """
-
-    kind: str
-    anchor: int | None = None
-    edge: tuple[int, int] | None = None
-    position: int | None = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,6 @@ class PendantExtension:
     graph: Graph
     paths: tuple[Path, Path, Path]
     pendant_map: dict[int, int]
-    origins: tuple[VertexOrigin, ...]
 
 
 @dataclass(frozen=True)
@@ -75,13 +66,11 @@ class SubdividedInstance:
     t: int
     graph: Graph
     paths: tuple[Path, ...]
-    provenance: tuple[VertexOrigin, ...]
 
     def __post_init__(self):
         m0 = self.source.m
         assert self.graph.n == self.source.n + self.t * m0
         assert self.graph.m == (self.t + 1) * m0
-        assert len(self.provenance) == self.graph.n
         for src, lifted in zip(self.source_paths, self.paths):
             assert len(lifted) == (self.t + 1) * (len(src) - 1) + 1
 
@@ -91,7 +80,8 @@ def attach_pendants(graph: Graph, triple: PathTriple) -> PendantExtension:
 
     Ends shared between paths share their pendant, so between two and six
     vertices (and edges) are added. Every path must have at least two
-    vertices; a single-vertex path has no two ends to extend.
+    vertices; a single-vertex path has no two ends to extend. The pendants
+    get ids ``graph.n, graph.n + 1, ...`` in sorted-end order.
     """
     for p in triple.paths:
         if len(p) < 2:
@@ -100,52 +90,16 @@ def attach_pendants(graph: Graph, triple: PathTriple) -> PendantExtension:
     n = graph.n
     pendant_map = {e: n + i for i, e in enumerate(ends)}
     assert 2 <= len(pendant_map) <= 6
-    extra = [(e, pendant_map[e]) for e in ends]
-    new_graph = from_edge_list(n + len(ends), graph.edges() + extra)
+    adj = list(graph.adjacency) + [0] * len(ends)
+    for e, pendant in pendant_map.items():
+        adj[e] |= 1 << pendant
+        adj[pendant] = 1 << e
+    new_graph = Graph(len(adj), tuple(adj))
     new_paths = tuple(
         Path((pendant_map[p.vertices[0]],) + p.vertices + (pendant_map[p.vertices[-1]],))
         for p in triple.paths
     )
-    origins = tuple(
-        [VertexOrigin(ORIGINAL) for _ in range(n)]
-        + [VertexOrigin(PENDANT, anchor=e) for e in ends]
-    )
-    return PendantExtension(new_graph, new_paths, pendant_map, origins)
-
-
-# Subdividing the same graph for the same t is pure, so the structural part
-# (new graph, per-edge interior chains, subdivision origins) is memoised.
-_SUBDIV_CACHE: dict[tuple[Graph, int], tuple[Graph, dict, tuple]] = {}
-_SUBDIV_CACHE_LIMIT = 1024
-
-
-def _subdivide_structure(graph: Graph, t: int):
-    key = (graph, t)
-    hit = _SUBDIV_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = graph.n
-    edges = graph.edges()
-    adj = [0] * (n + t * len(edges))
-    chains: dict[tuple[int, int], tuple[int, ...]] = {}
-    sub_origins = []
-    nxt = n
-    for u, v in edges:
-        chain = tuple(range(nxt, nxt + t))
-        nxt += t
-        chains[(u, v)] = chain
-        run = (u,) + chain + (v,)
-        for a, b in zip(run, run[1:]):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        sub_origins.extend(
-            VertexOrigin(SUBDIVISION, edge=(u, v), position=k + 1) for k in range(t)
-        )
-    result = (Graph(len(adj), tuple(adj)), chains, tuple(sub_origins))
-    if len(_SUBDIV_CACHE) >= _SUBDIV_CACHE_LIMIT:
-        _SUBDIV_CACHE.pop(next(iter(_SUBDIV_CACHE)))
-    _SUBDIV_CACHE[key] = result
-    return result
+    return PendantExtension(new_graph, new_paths, pendant_map)
 
 
 def _lift(path: Path, chains: dict[tuple[int, int], tuple[int, ...]]) -> Path:
@@ -157,62 +111,47 @@ def _lift(path: Path, chains: dict[tuple[int, int], tuple[int, ...]]) -> Path:
     return Path(tuple(verts))
 
 
-def subdivide(
-    graph: Graph,
-    t: int,
-    paths: tuple[Path, ...] = (),
-    *,
-    origins: tuple[VertexOrigin, ...] | None = None,
-) -> SubdividedInstance:
+def subdivide(graph: Graph, t: int, paths: tuple[Path, ...] = ()) -> SubdividedInstance:
     """Replace every edge with a path of ``t`` interior vertices and lift
     the given paths edge by edge.
 
-    Source vertices keep their ids; interior vertices are appended in
-    sorted-edge then position order, so outputs are reproducible byte for
-    byte. ``t = 0`` reproduces the source graph unchanged.
+    Source vertices keep their ids; the interior vertices are appended in
+    sorted-edge then position order, so the k-th interior vertex (from 1,
+    counted from u) of the i-th edge ``(u, v)`` in ``graph.edges()`` has
+    id ``graph.n + i * t + k - 1``. Outputs are therefore reproducible
+    byte for byte, and ``t = 0`` reproduces the source graph unchanged.
     """
     if t < 0:
         raise ValueError("subdivision multiplicity must be nonnegative")
-    new_graph, chains, sub_origins = _subdivide_structure(graph, t)
-    if origins is None:
-        origins = tuple(VertexOrigin(ORIGINAL) for _ in range(graph.n))
-    if len(origins) != graph.n:
-        raise ValueError("origins must tag every source vertex")
-    lifted = tuple(_lift(p, chains) for p in paths)
+    n = graph.n
+    edges = graph.edges()
+    adj = [0] * (n + t * len(edges))
+    chains: dict[tuple[int, int], tuple[int, ...]] = {}
+    for i, (u, v) in enumerate(edges):
+        chain = tuple(range(n + i * t, n + (i + 1) * t))
+        chains[(u, v)] = chain
+        run = (u,) + chain + (v,)
+        for a, b in zip(run, run[1:]):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
     return SubdividedInstance(
         source=graph,
         source_paths=tuple(paths),
         t=t,
-        graph=new_graph,
-        paths=lifted,
-        provenance=origins + sub_origins,
+        graph=Graph(len(adj), tuple(adj)),
+        paths=tuple(_lift(p, chains) for p in paths),
     )
 
 
 def build_instance(graph: Graph, triple: PathTriple, t: int) -> SubdividedInstance:
     """Full construction chain: pendant extension, then t-fold subdivision."""
     ext = attach_pendants(graph, triple)
-    return subdivide(ext.graph, t, ext.paths, origins=ext.origins)
+    return subdivide(ext.graph, t, ext.paths)
 
 
 # ---------------------------------------------------------------------------
 # brute-force verification
 # ---------------------------------------------------------------------------
-
-_LONGEST_CACHE: dict[tuple[Graph, int], LongestPathSet] = {}
-_LONGEST_CACHE_LIMIT = 512
-
-
-def _cached_longest(graph: Graph, cap: int, deadline: float | None) -> LongestPathSet:
-    key = (graph, cap)
-    hit = _LONGEST_CACHE.get(key)
-    if hit is None:
-        hit = enumerate_longest_paths(graph, cap, deadline=deadline)
-        if len(_LONGEST_CACHE) >= _LONGEST_CACHE_LIMIT:
-            _LONGEST_CACHE.pop(next(iter(_LONGEST_CACHE)))
-        _LONGEST_CACHE[key] = hit
-    return hit
-
 
 def verify_proposition(
     graph: Graph,
@@ -222,7 +161,7 @@ def verify_proposition(
     longest_paths: LongestPathSet | None = None,
     max_vertices: int = DEFAULT_VERIFY_MAX_VERTICES,
     budget_s: float = DEFAULT_VERIFY_BUDGET_S,
-    cap: int = DEFAULT_PATH_CAP,
+    subdivided: dict[Graph, LongestPathSet] | None = None,
 ) -> ClaimVerdict:
     """Check by brute force that subdividing scales the instance exactly.
 
@@ -230,8 +169,13 @@ def verify_proposition(
     longest path there (membership in the independently enumerated
     longest-path set), the minimum distance sum equals (t + 1) times the
     base value, and some witness of the minimum is an original vertex of
-    the base graph. Instances beyond the vertex or time budget are
-    reported ``skipped_budget`` rather than guessed at.
+    the base graph (an id below ``graph.n``). Instances beyond the vertex
+    or time budget are reported ``skipped_budget`` rather than guessed at.
+
+    ``subdivided`` maps constructed graphs to their longest-path sets. It
+    is read before enumerating and filled with every enumeration that
+    finished, so triples sharing an end set enumerate once per t. Keep one
+    dict per base graph; the result does not depend on it.
     """
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, longest_paths)
     if short is not None:
@@ -245,10 +189,14 @@ def verify_proposition(
             SKIPPED_BUDGET,
             {"vertices": inst.graph.n, "max_vertices": max_vertices},
         )
-    try:
-        lp_sub = _cached_longest(inst.graph, cap, deadline)
-    except BudgetError:
-        return ClaimVerdict("subdivision_prop", SKIPPED_BUDGET, {"budget_s": budget_s})
+    lp_sub = None if subdivided is None else subdivided.get(inst.graph)
+    if lp_sub is None:
+        try:
+            lp_sub = enumerate_longest_paths(inst.graph, deadline=deadline)
+        except BudgetError:
+            return ClaimVerdict("subdivision_prop", SKIPPED_BUDGET, {"budget_s": budget_s})
+        if subdivided is not None:
+            subdivided[inst.graph] = lp_sub
     if lp_sub.truncated:
         return ClaimVerdict(
             "subdivision_prop",
@@ -258,9 +206,7 @@ def verify_proposition(
     members = [p in lp_sub for p in inst.paths]
     sub_f, sub_witnesses = f_value(inst.graph, PathTriple(inst.paths))
     expected = (t + 1) * base_f
-    original_witness = any(
-        inst.provenance[w].kind == ORIGINAL and w < graph.n for w in sub_witnesses
-    )
+    original_witness = any(w < graph.n for w in sub_witnesses)
     info = {
         "t": t,
         "base_f": base_f,

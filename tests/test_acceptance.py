@@ -7,16 +7,26 @@ the subdivision checks must hold with equality, and reports must be byte
 deterministic across parallelism settings.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from conftest import corpus, corpus_up_to
+from gallai.cli import main
 from gallai.graphs import parse_graph6, to_graph6
 from gallai.paths import enumerate_all_simple_paths, enumerate_longest_paths
 from gallai.scan import ScanConfig, emit_report, scan, subdivision_sweep
 
 EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# SHA-256 of reports that must stay byte-identical while the code beneath
+# them changes. Re-pin only with a deliberate change of report content.
+GOLDEN_DIGESTS = {
+    "scan --n 7 json": "e7707ecf13834bed882274a2f515def9893ca839ae1393270b98f14b4ed99694",
+    "scan --n 7 csv": "85afd37057c2b0f0590ba09176a9db2f1bd07ac0f30c416d901a73cdae759dbb",
+    "verify-prop --n 4 --t 1,2": "eefc30e94533f74862e0a577219dc75959fdc8460efb62086d7cfd3122a32ce3",
+}
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
@@ -140,6 +150,22 @@ def test_criterion_6_size_bounds():
         f"{result['instances']} instances up to n=5",
         ok,
     )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_report_digests(full_scan_report, capsys):
+    capsys.readouterr()
+    code = main(["verify-prop", "--n", "4", "--t", "1,2"])
+    digests = {
+        "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
+        "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
+        "verify-prop --n 4 --t 1,2": _sha256(capsys.readouterr().out),
+    }
+    assert code == 0
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_criterion_7_parallel_determinism(full_scan_report):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import gallai.subdivision as subdivision
 from conftest import complete_graph, star_graph
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import enumerate_longest_paths
+from gallai.triples import TripleStream
 
 
 def run(capsys, *argv):
@@ -215,6 +217,39 @@ class TestVerifyProp:
         payload = json.loads(out)
         statuses = {v["status"] for v in payload[0]["verdicts"]}
         assert statuses == {"holds"}
+
+    def test_disconnected_graph_is_reported(self, tmp_path, capsys):
+        # A claw plus a P3 has no distance sums; it must not cost the
+        # other graphs their verdicts.
+        src = tmp_path / "mixed.g6"
+        src.write_text(to_graph6(star_graph(3)) + "\nFs?GG\n")
+        code, out, _ = run(capsys, "verify-prop", "--input", str(src), "--t", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) == 2
+        assert {v["status"] for v in payload[0]["verdicts"]} == {"holds"}
+        assert "status" not in payload[0]
+        assert payload[1] == {"graph6": "Fs?GG", "status": "disconnected", "verdicts": []}
+
+    def test_each_subdivided_graph_enumerated_once(self, tmp_path, capsys, monkeypatch):
+        # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs.
+        g = complete_graph(4)
+        src = tmp_path / "k4.g6"
+        src.write_text(to_graph6(g) + "\n")
+        enumerated = []
+        real = subdivision.enumerate_longest_paths
+
+        def counting(graph, *args, **kwargs):
+            enumerated.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(subdivision, "enumerate_longest_paths", counting)
+        code, out, _ = run(capsys, "verify-prop", "--input", str(src), "--t", "1,2")
+        assert code == 0
+        triples = TripleStream(enumerate_longest_paths(g))
+        end_sets = {frozenset(e for p in tr.paths for e in p.ends) for tr in triples}
+        assert len(enumerated) == len(set(enumerated)) == 2 * len(end_sets) == 10
+        assert len(json.loads(out)[0]["verdicts"]) == 2 * triples.total
 
     def test_bad_t_rejected(self, capsys):
         code, _, _ = run(capsys, "verify-prop", "--n", "4", "--t", "x")

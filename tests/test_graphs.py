@@ -67,12 +67,6 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
-    def test_delete_vertex_relabels(self):
-        g = path_graph(4)
-        h = g.delete_vertex(1)
-        assert h.n == 3
-        assert h.edges() == [(1, 2)]
-
     def test_degrees_and_neighbors(self):
         g = star_graph(3)
         assert g.degree(0) == 3

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     corpus,
+    corpus_up_to,
     cycle_graph,
     oracle_isomorphic,
     path_graph,
@@ -14,13 +15,11 @@ from conftest import (
     star_graph,
     theta_graph,
 )
+import gallai.subdivision as subdivision
 from gallai.claims import HOLDS, SKIPPED_BUDGET
 from gallai.graphs import from_edge_list, is_connected
-from gallai.paths import Path, enumerate_longest_paths
+from gallai.paths import BudgetError, Path, enumerate_longest_paths
 from gallai.subdivision import (
-    ORIGINAL,
-    PENDANT,
-    SUBDIVISION,
     attach_pendants,
     build_instance,
     check_size_bound,
@@ -29,7 +28,7 @@ from gallai.subdivision import (
     subdivide,
     verify_proposition,
 )
-from gallai.triples import PathTriple, f_value
+from gallai.triples import PathTriple, TripleStream, f_value
 
 
 def star_triple():
@@ -80,18 +79,20 @@ class TestAttachPendants:
             attach_pendants(g, t)
 
     def test_origin_tags(self):
+        # Source vertices keep their ids and neighbourhoods; the pendants
+        # follow in sorted-end order, each hanging off its end.
         g, t = star_triple()
         ext = attach_pendants(g, t)
-        kinds = [o.kind for o in ext.origins]
-        assert kinds == [ORIGINAL] * 4 + [PENDANT] * 3
-        assert [o.anchor for o in ext.origins[4:]] == [1, 2, 3]
+        low = (1 << g.n) - 1
+        assert [ext.graph.adjacency[v] & low for v in range(g.n)] == list(g.adjacency)
+        assert [ext.graph.neighbors(v) for v in range(g.n, ext.graph.n)] == [[1], [2], [3]]
 
 
 class TestSubdivide:
     def test_spider_counts(self):
         g, t = star_triple()
         ext = attach_pendants(g, t)
-        inst = subdivide(ext.graph, 1, ext.paths, origins=ext.origins)
+        inst = subdivide(ext.graph, 1, ext.paths)
         assert inst.graph.n == 13
         assert inst.graph.m == 12
         assert [len(p) for p in inst.paths] == [9, 9, 9]
@@ -126,23 +127,31 @@ class TestSubdivide:
             t = PathTriple(tuple(lp.paths[:3]))
             ext = attach_pendants(g, t)
             for tt in (0, 1, 2, 3):
-                inst = subdivide(ext.graph, tt, ext.paths, origins=ext.origins)
+                inst = subdivide(ext.graph, tt, ext.paths)
                 assert inst.graph.n == ext.graph.n + tt * ext.graph.m
                 assert inst.graph.m == (tt + 1) * ext.graph.m
                 for src, lifted in zip(ext.paths, inst.paths):
                     assert len(lifted) == (tt + 1) * (len(src) - 1) + 1
 
     def test_provenance_positions(self):
-        g = path_graph(2)
-        inst = subdivide(g, 2)
-        assert [o.kind for o in inst.provenance] == [
-            ORIGINAL,
-            ORIGINAL,
-            SUBDIVISION,
-            SUBDIVISION,
-        ]
-        assert [o.position for o in inst.provenance[2:]] == [1, 2]
-        assert all(o.edge == (0, 1) for o in inst.provenance[2:])
+        # Interior vertices follow the source ids, edge by edge in sorted
+        # order and position by position from the lower end.
+        assert subdivide(path_graph(2), 2, (Path((0, 1)),)).paths[0].vertices == (0, 2, 3, 1)
+        # The claw's edges are (0, 1), (0, 2), (0, 3); leaving leaf 1
+        # walks the first chain backwards.
+        inst = subdivide(star_graph(3), 2, (Path((1, 0, 2)),))
+        assert inst.paths[0].vertices == (1, 5, 4, 0, 6, 7, 2)
+        assert inst.graph.neighbors(0) == [4, 6, 8]
+        assert inst.graph.neighbors(9) == [3, 8]
+
+    def test_instance_id_layout(self):
+        # Originals, then pendants, then the interior vertices.
+        g, t = star_triple()
+        inst = build_instance(g, t, 1)
+        assert inst.source.n == g.n + 3
+        for p in inst.paths:
+            assert p.vertices[0] in (4, 5, 6) and p.vertices[-1] in (4, 5, 6)
+            assert all(v >= inst.source.n for v in p.vertices[1::2])
 
     def test_deterministic_rebuild(self):
         g, t = star_triple()
@@ -186,6 +195,54 @@ class TestVerifyProposition:
         v = verify_proposition(g, t, 2, max_vertices=5)
         assert v.status == SKIPPED_BUDGET
         assert v.witness["vertices"] == 19
+
+
+class TestSubdividedReuse:
+    def test_same_verdicts_with_and_without_reuse(self):
+        checked = 0
+        for g in corpus_up_to(4):
+            lp = enumerate_longest_paths(g)
+            subdivided = {}
+            for triple in TripleStream(lp):
+                for tt in (0, 1, 2):
+                    plain = verify_proposition(g, triple, tt, longest_paths=lp)
+                    reused = verify_proposition(
+                        g, triple, tt, longest_paths=lp, subdivided=subdivided
+                    )
+                    assert plain == reused
+                    checked += 1
+            # One entry per distinct (end set, t).
+            end_sets = {
+                frozenset(e for p in triple.paths for e in p.ends)
+                for triple in TripleStream(lp)
+            }
+            assert len(subdivided) == 3 * len(end_sets)
+        assert checked > 0
+
+    def test_entry_is_read_instead_of_enumerating(self, monkeypatch):
+        g, t = star_triple()
+        subdivided = {}
+        first = verify_proposition(g, t, 1, subdivided=subdivided)
+        assert len(subdivided) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a graph already in the dict")
+
+        monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
+        assert verify_proposition(g, t, 1, subdivided=subdivided) == first
+
+    def test_budget_error_is_not_stored(self, monkeypatch):
+        g, t = star_triple()
+
+        def out_of_time(*args, **kwargs):
+            raise BudgetError("deadline passed")
+
+        monkeypatch.setattr(subdivision, "enumerate_longest_paths", out_of_time)
+        subdivided = {}
+        v = verify_proposition(g, t, 1, budget_s=5.0, subdivided=subdivided)
+        assert v.status == SKIPPED_BUDGET
+        assert v.witness == {"budget_s": 5.0}
+        assert subdivided == {}
 
 
 class TestRestrictToTriple:
