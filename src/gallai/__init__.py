@@ -42,10 +42,12 @@ from .paths import (
     BudgetError,
     DEFAULT_PATH_CAP,
     LongestPathSet,
+    LongestPathTable,
     Path,
     enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
+    longest_path_summary,
     subpath,
 )
 from .scan import (

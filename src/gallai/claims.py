@@ -32,7 +32,7 @@ from functools import reduce
 from typing import Any
 
 from .graphs import Graph, graph_key, is_connected
-from .paths import LongestPathSet, Path, enumerate_longest_paths
+from .paths import LongestPathSet, Path, enumerate_longest_paths, longest_path_summary
 from .triples import PathTriple, TripleAnalysis, analyze_triple
 
 HOLDS = "holds"
@@ -313,15 +313,19 @@ def gallai_vertex_set(
 ) -> frozenset[int]:
     """Vertices lying on every longest path; may be empty.
 
-    Refuses to answer from a truncated enumeration, since a missing path
-    could shrink the intersection.
+    Without ``longest_paths`` the answer comes from the longest-path
+    summary and is exact however many paths there are. Given a truncated
+    enumeration it refuses to answer, since a missing path could shrink
+    the intersection.
     """
     if not is_connected(graph):
         raise ValueError("the longest-path intersection is defined for connected graphs")
-    lp = enumerate_longest_paths(graph) if longest_paths is None else longest_paths
-    if lp.truncated:
+    if longest_paths is None:
+        _, _, mask = longest_path_summary(graph)
+    elif longest_paths.truncated:
         raise TruncatedEnumerationError(
             "longest-path enumeration was truncated; intersection unknown"
         )
-    mask = reduce(lambda acc, p: acc & p.mask, lp.paths, (1 << graph.n) - 1)
+    else:
+        mask = reduce(lambda acc, p: acc & p.mask, longest_paths.paths, (1 << graph.n) - 1)
     return frozenset(v for v in range(graph.n) if mask >> v & 1)

@@ -169,7 +169,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_scan(args) -> int:
     if args.n == 8:
-        sys.stderr.write("scan: n=8 adds 11117 graphs; expect about a minute\n")
+        sys.stderr.write("scan: n=8 adds 11117 graphs; expect 15-30s\n")
     config = ScanConfig(
         generate_n=args.n,
         input_path=args.input,
@@ -234,6 +234,10 @@ def _cmd_subdivide(args) -> int:
     results = []
     built: list[Graph | None] = []
     for graph in graphs:
+        if not is_connected(graph):
+            results.append({"graph6": graph_key(graph), "status": "disconnected"})
+            built.append(None)
+            continue
         lp = enumerate_longest_paths(graph)
         triples = TripleStream(lp)
         if args.triple >= triples.total:

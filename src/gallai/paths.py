@@ -1,11 +1,27 @@
-"""Exact longest-path search: length optimisation, full enumeration of the
-longest-path set, and a naive all-simple-paths oracle.
+"""Exact longest-path search: the length, a memoised completion table that
+counts the longest paths and intersects them, the paths themselves walked
+from that table, and a naive all-simple-paths oracle.
 
-The searcher is a depth-first extension from every start vertex with one
-admissible prune: the current length plus the number of unused vertices
-still reachable from the head can never beat the incumbent. The prune is
-lossless, and the unpruned oracle below exists to prove that on exhaustive
-small corpora.
+Three depth-first searches extend paths from every start vertex in
+ascending vertex order:
+
+* ``longest_path_length`` finds ``l`` by branch and bound: it drops a
+  partial path when its length plus the number of unused vertices still
+  reachable from its head cannot beat the best length found so far.
+* ``LongestPathTable`` searches again toward ``l`` edges, memoised on the
+  partial path's (head, vertex set). Each state stores how many ways it
+  completes and the AND of the vertex masks the completions add, so the
+  table gives the number of longest paths and their common vertices (the
+  Gallai set) without listing a single path; ``longest_path_summary``
+  returns the two with ``l``. Under a cap the search stops once more than
+  ``cap`` paths are certain, which bounds it on dense graphs.
+* ``LongestPathTable.paths`` and ``enumerate_longest_paths`` walk the
+  table, entering only branches that complete, so they list the paths in
+  sorted order and a capped listing is the ``cap`` smallest of them.
+
+Both prunes are lossless. ``enumerate_all_simple_paths`` uses neither and
+no memo; the tests hold the table and the walk to it on exhaustive small
+corpora and random graphs.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .graphs import Graph, reachable_mask
+from .graphs import Graph
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -131,6 +147,23 @@ class LongestPathSet:
         return len(self.paths)
 
 
+def _reaches(adj: tuple[int, ...], start: int, used: int, need: int) -> bool:
+    """Whether at least ``need`` vertices are reachable from the mask
+    ``start`` without entering ``used``; stops as soon as they are."""
+    seen = frontier = start
+    while seen.bit_count() < need:
+        if not frontier:
+            return False
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~used & ~seen
+        seen |= frontier
+    return True
+
+
 def _check_deadline(deadline: float | None, ticks: int) -> None:
     # Checked on the first node and every 256 thereafter.
     if deadline is not None and ticks & 255 == 0 and time.monotonic() > deadline:
@@ -156,8 +189,7 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
             return
         _check_deadline(deadline, ticks)
         ticks += 1
-        gain = reachable_mask(adj, ext, used).bit_count()
-        if length + gain <= best:
+        if not _reaches(adj, ext, used, best - length + 1):
             return
         m = ext
         while m:
@@ -165,11 +197,188 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
             m ^= low
             dfs(low.bit_length() - 1, used | low, length + 1)
 
-    for start in range(n):
-        dfs(start, 1 << start, 0)
-        if best == n - 1:
-            break
+    try:
+        for start in range(n):
+            dfs(start, 1 << start, 0)
+            if best == n - 1:
+                break
+    finally:
+        # The closure refers to itself; dropping the name frees it, and all
+        # it holds, with this call rather than at the next cyclic GC.
+        del dfs
     return best
+
+
+class LongestPathTable:
+    """One graph's longest paths, counted and intersected without being
+    listed, and listed on demand.
+
+    Construction finds ``length`` and fills the completion table: the
+    search toward ``length`` edges from every start vertex, memoised on the
+    partial path's head and vertex set. A state's entry is
+    ``(count, core)``: the number of ways to extend a path over ``used``
+    that ends at ``head`` to ``length`` edges, and the AND of the vertex
+    masks those extensions add. ``count`` is then the number of longest
+    paths (reversal-free) and ``core`` the mask of the vertices on all of
+    them.
+
+    A state's count is a lower bound on the number of directed longest
+    paths, so with a ``cap`` the fill stops as soon as more than ``cap``
+    paths are certain: ``truncated`` is set, ``count`` and ``core`` are
+    None, and the work stays bounded on dense graphs however many paths
+    they have. ``paths()`` lists up to ``cap`` paths in sorted order either
+    way.
+    """
+
+    def __init__(
+        self, graph: Graph, cap: int | None = None, *, deadline: float | None = None
+    ):
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be at least 1")
+        n = graph.n
+        self.cap = cap
+        self.length = longest_path_length(graph, deadline=deadline)
+        self.truncated = False
+        self._adj = graph.adjacency
+        self._n = n
+        self._deadline = deadline
+        self._ticks = 0
+        # Entries keyed ``used * n + head``. Every state that completes has
+        # one, and in a table that was not cut short a missing entry means
+        # no completion.
+        self._table: dict[int, tuple[int, int]] = {}
+        # Directed paths: each undirected one is counted from both ends.
+        self._limit = float("inf") if cap is None else 2 * cap
+        if self.length == 0:
+            # Every vertex is a longest path by itself.
+            count, core = n, (1 << n) - 1 if n < 2 else 0
+            self.truncated = cap is not None and n > cap
+        else:
+            directed = 0
+            core = (1 << n) - 1
+            try:
+                for start in range(n):
+                    c, k = self._fill(start, 1 << start, self.length)
+                    if c:
+                        directed += c
+                        core &= k | 1 << start
+                        if directed > self._limit:
+                            raise _StopSearch
+            except _StopSearch:
+                self.truncated = True
+            count = directed // 2
+        self.count = None if self.truncated else count
+        self.core = None if self.truncated else core
+
+    def _fill(self, head: int, used: int, need: int) -> tuple[int, int]:
+        # Raises _StopSearch once the state's count passes the limit.
+        adj = self._adj
+        ext = adj[head] & ~used
+        if need == 1:
+            count = ext.bit_count()
+            return count, ext if count == 1 else 0
+        key = used * self._n + head
+        table = self._table
+        entry = table.get(key)
+        if entry is not None:
+            return entry
+        _check_deadline(self._deadline, self._ticks)
+        self._ticks += 1
+        count = 0
+        core = -1
+        # A state with one way on takes it; at a branch, the reachability
+        # prune first checks that enough unused vertices remain to finish.
+        if ext & (ext - 1) == 0 or _reaches(adj, ext, used, need):
+            m = ext
+            while m:
+                low = m & -m
+                m ^= low
+                c, k = self._fill(low.bit_length() - 1, used | low, need - 1)
+                if c:
+                    count += c
+                    core &= k | low
+                    if count > self._limit:
+                        raise _StopSearch
+        if count:
+            entry = table[key] = (count, core)
+            return entry
+        # Most states of a sparse graph are dead ends on a chain of
+        # degree-2 vertices. Only a dead end that branches is worth an
+        # entry; a chain is cheap to follow again.
+        if ext & (ext - 1):
+            table[key] = (0, 0)
+        return 0, 0
+
+    def _completes(self, head: int, used: int, need: int) -> bool:
+        entry = self._table.get(used * self._n + head)
+        if entry is not None:
+            return entry[0] != 0
+        if not self.truncated:
+            return False
+        # The fill stopped before this state; fill it now, under the same
+        # limit, which it passes only if it completes.
+        try:
+            return self._fill(head, used, need)[0] != 0
+        except _StopSearch:
+            return True
+
+    def paths(self) -> LongestPathSet:
+        """Up to ``cap`` longest paths, in sorted order, walked from the
+        table: branches are entered in ascending vertex order, and only if
+        they complete, so a capped listing is the ``cap`` smallest paths."""
+        n = self._n
+        target = self.length
+        cap = self.cap
+        if target == 0:
+            paths = tuple(Path((v,)) for v in range(n if cap is None else min(n, cap)))
+            return LongestPathSet(0, paths, self.truncated)
+        adj = self._adj
+        deadline = self._deadline
+        completes = self._completes
+        found: list[tuple[int, ...]] = []
+
+        def walk(head: int, used: int, need: int, seq: list[int]) -> None:
+            _check_deadline(deadline, self._ticks)
+            self._ticks += 1
+            m = adj[head] & ~used
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                if need == 1:
+                    # Each undirected path completes once, from its smaller end.
+                    if seq[0] < v:
+                        found.append((*seq, v))
+                        if len(found) == cap:
+                            raise _StopSearch
+                # A state one edge short has no entry and is simply tried.
+                elif need == 2 or completes(v, used | low, need - 1):
+                    seq.append(v)
+                    walk(v, used | low, need - 1, seq)
+                    seq.pop()
+
+        try:
+            for start in range(n):
+                if target == 1 or completes(start, 1 << start, target):
+                    walk(start, 1 << start, target, [start])
+        except _StopSearch:
+            pass
+        finally:
+            del walk  # the closure cycle again, as in longest_path_length
+        return LongestPathSet(target, tuple(Path(t) for t in found), self.truncated)
+
+
+def longest_path_summary(
+    graph: Graph, *, deadline: float | None = None
+) -> tuple[int, int, int]:
+    """The longest paths in three numbers, ``(length, count, core)``: their
+    edge count, how many there are (reversal-free), and the mask of the
+    vertices lying on every one of them. Exact however many paths there
+    are, and read off the completion table without listing any; the table
+    grows with the paths' number on dense graphs, where a capped
+    ``LongestPathTable`` stops early."""
+    table = LongestPathTable(graph, deadline=deadline)
+    return table.length, table.count, table.core
 
 
 def enumerate_longest_paths(
@@ -178,66 +387,22 @@ def enumerate_longest_paths(
     *,
     deadline: float | None = None,
 ) -> LongestPathSet:
-    """All longest paths of the graph, deduplicated under reversal.
+    """All longest paths of the graph, deduplicated under reversal, in
+    sorted order.
 
-    If more than ``cap`` longest paths exist, exactly ``cap`` are returned
-    and the result is flagged ``truncated`` rather than erroring.
+    If more than ``cap`` longest paths exist, the ``cap`` smallest are
+    returned and the result is flagged ``truncated`` rather than erroring.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    n = graph.n
-    target = longest_path_length(graph, deadline=deadline)
-    if target == 0:
-        paths = tuple(Path((v,)) for v in range(min(n, cap)))
-        return LongestPathSet(0, paths, truncated=n > cap)
-
-    adj = graph.adjacency
-    found: set[tuple[int, ...]] = set()
-    ticks = 0
-
-    def dfs(head: int, used: int, seq: list[int]) -> None:
-        nonlocal ticks
-        if len(seq) - 1 == target:
-            # Each undirected path completes once, from its smaller end.
-            if seq[0] < head:
-                if len(found) == cap:
-                    raise _StopSearch
-                found.add(tuple(seq))
-            return
-        ext = adj[head] & ~used
-        if not ext:
-            return
-        _check_deadline(deadline, ticks)
-        ticks += 1
-        needed = target - (len(seq) - 1)
-        if reachable_mask(adj, ext, used).bit_count() < needed:
-            return
-        m = ext
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            seq.append(v)
-            dfs(v, used | low, seq)
-            seq.pop()
-
-    truncated = False
-    try:
-        for start in range(n):
-            dfs(start, 1 << start, [start])
-    except _StopSearch:
-        truncated = True
-    paths = tuple(sorted(Path(t) for t in found))
-    return LongestPathSet(target, paths, truncated)
+    return LongestPathTable(graph, cap, deadline=deadline).paths()
 
 
 def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:
     """Every simple path of the graph (single vertices included), canonical
     and reversal-free, in sorted order.
 
-    No pruning whatsoever; exponential in the graph size. This is the
-    independent correctness oracle for the pruned enumerator and is meant
-    for graphs of roughly ten vertices or fewer.
+    No pruning and no memo whatsoever; exponential in the graph size. This
+    is the independent correctness oracle for the completion table and the
+    paths walked from it, meant for graphs of roughly ten vertices or fewer.
     """
     adj = graph.adjacency
     out: list[tuple[int, ...]] = []
@@ -254,6 +419,9 @@ def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:
             dfs(v, used | low, seq)
             seq.pop()
 
-    for start in range(graph.n):
-        dfs(start, 1 << start, [start])
+    try:
+        for start in range(graph.n):
+            dfs(start, 1 << start, [start])
+    finally:
+        del dfs  # the closure cycle again, as in longest_path_length
     return tuple(sorted(Path(t) for t in out))

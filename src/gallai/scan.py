@@ -1,7 +1,11 @@
 """Corpus scanning, single-graph analysis, and report emission.
 
-A scan walks a corpus of connected graphs, enumerates each graph's longest
-paths, and evaluates the enabled claim checks on path pairs and triples.
+A scan walks a corpus of connected graphs and evaluates the enabled claim
+checks on longest-path pairs and triples. Each graph's record (longest-path
+length, number of longest paths, size of their common intersection) comes
+from a ``LongestPathTable``, which counts the paths without listing them
+and stops as soon as there are more than the enumeration cap; the paths are
+walked from the same table only when a pair or triple is actually examined.
 The default triple mode applies a sound shortcut: when some vertex lies on
 every longest path, every pair and triple trivially intersects there, so
 per-triple work is skipped and the graph is recorded as such. Graphs whose
@@ -25,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
+from math import comb
 from multiprocessing import get_context
 
 from .claims import (
@@ -44,7 +49,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6_lines,
 )
-from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
+from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
 from .subdivision import DEFAULT_VERIFY_BUDGET_S, check_size_bound, verify_proposition
 from .triples import TripleStream, analyze_triple
 
@@ -212,19 +217,26 @@ def _examine_graph(
         record.status = "disconnected"
         return record, violations, False
 
-    lp = enumerate_longest_paths(graph, config.enumeration_cap)
-    record.l = lp.length
-    record.num_longest = len(lp.paths)
-    record.truncated = lp.truncated
-    if lp.truncated:
+    table = LongestPathTable(graph, config.enumeration_cap)
+    record.l = table.length
+    record.truncated = table.truncated
+    if table.truncated:
+        record.num_longest = config.enumeration_cap
         record.status = "skipped_truncated"
         return record, violations, False
 
-    gallai = gallai_vertex_set(graph, longest_paths=lp)
-    record.gallai_size = len(gallai)
-    limit = None if config.triple_mode == "all" else config.triple_cap
-    triples = TripleStream(lp, limit)
-    record.triples_total = triples.total
+    record.num_longest = table.count
+    record.gallai_size = table.core.bit_count()
+    record.triples_total = comb(table.count, 3)
+    vacuous = table.count < 3
+    shortcut = not vacuous and config.triple_mode == "shortcut-first" and table.core != 0
+    pair = table.count == 2 and "prop1" in config.checks
+    # Paths are listed only for what looks at them: the test hook, a lone
+    # pair's prop1 check, or triple iteration.
+    lp = triples = None
+    if hook is not None or pair or not (vacuous or shortcut):
+        lp = table.paths()
+        triples = TripleStream(lp, None if config.triple_mode == "all" else config.triple_cap)
 
     def run(verdict: ClaimVerdict) -> None:
         claim_tally = record.tallies.setdefault(verdict.claim, {})
@@ -239,15 +251,15 @@ def _examine_graph(
             for verdict in hook(graph, lp):
                 run(verdict)
 
-        if len(lp.paths) < 3:
+        if vacuous:
             record.status = "vacuous"
             # A lone longest-path pair still gets the pairwise check.
-            if len(lp.paths) == 2 and "prop1" in config.checks:
+            if pair:
                 record.pairs_examined = 1
                 run(check_prop1(graph, lp.paths[0], lp.paths[1], longest_paths=lp))
             return record, violations, False
 
-        if config.triple_mode == "shortcut-first" and gallai:
+        if shortcut:
             # Some vertex lies on every longest path, so every pair and
             # triple meets there: every intersection claim holds with
             # f = 0 throughout.
@@ -442,13 +454,14 @@ def analyze_one(
     if not is_connected(graph):
         out["status"] = "disconnected"
         return out
-    lp = enumerate_longest_paths(graph, enumeration_cap)
-    out["l"] = lp.length
-    out["num_longest"] = len(lp.paths)
-    out["truncated"] = lp.truncated
-    if lp.truncated:
+    table = LongestPathTable(graph, enumeration_cap)
+    out["l"] = table.length
+    out["num_longest"] = enumeration_cap if table.truncated else table.count
+    out["truncated"] = table.truncated
+    if table.truncated:
         out["status"] = "skipped_truncated"
         return out
+    lp = table.paths()
     gallai = gallai_vertex_set(graph, longest_paths=lp)
     out["gallai_vertices"] = sorted(gallai)
     out["gallai_size"] = len(gallai)

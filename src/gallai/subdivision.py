@@ -248,26 +248,22 @@ def restrict_to_triple(graph: Graph, triple: PathTriple) -> tuple[Graph, tuple[i
     return from_edge_list(len(old_ids), sorted(edges)), tuple(old_ids)
 
 
-def map_triple(triple: PathTriple, remap: dict[int, int]) -> PathTriple:
-    """The same triple under a vertex relabelling."""
-    return PathTriple(
-        tuple(Path(tuple(remap[v] for v in p.vertices)) for p in triple.paths)
-    )
-
-
 def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
     """Size accounting for the restricted-and-subdivided instance.
 
     Restricts the graph to the triple's union first, so with n0 vertices
     there the union has at most 3(n0 - 1) edges and the constructed
-    subdivided graph has at most n0 + 3(n0 + 1)t + 6 vertices. Both facts
-    are checked on the actually constructed instance.
+    subdivided graph has at most n0 + 3(n0 + 1)t + 6 vertices. The
+    instance itself is not built: attaching one pendant to each of the
+    ``ends`` distinct path ends adds ``ends`` vertices and edges, and
+    subdividing adds ``t`` vertices per edge, so it has
+    ``n0 + ends + t * (m0 + ends)`` vertices, where m0 counts the union's
+    edges.
     """
-    sub, old_ids = restrict_to_triple(graph, triple)
-    remap = {old: new for new, old in enumerate(old_ids)}
-    inner = map_triple(triple, remap)
-    inst = build_instance(sub, inner, t)
+    sub, _ = restrict_to_triple(graph, triple)
     n0 = sub.n
+    ends = len({e for p in triple.paths for e in p.ends})
+    subdivided_vertices = n0 + ends + t * (sub.m + ends)
     edge_bound = 3 * (n0 - 1)
     vertex_bound = n0 + 3 * (n0 + 1) * t + 6
     info = {
@@ -275,10 +271,10 @@ def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
         "n0": n0,
         "restricted_edges": sub.m,
         "edge_bound": edge_bound,
-        "subdivided_vertices": inst.graph.n,
+        "subdivided_vertices": subdivided_vertices,
         "vertex_bound": vertex_bound,
     }
-    if sub.m <= edge_bound and inst.graph.n <= vertex_bound:
+    if sub.m <= edge_bound and subdivided_vertices <= vertex_bound:
         return ClaimVerdict("size_bound", HOLDS, info)
     info["graph"] = graph_key(graph)
     info["paths"] = [list(p.vertices) for p in triple.paths]

@@ -2,10 +2,11 @@
 bounds, and the longest-path intersection set."""
 
 from itertools import combinations
+from math import factorial
 
 import pytest
 
-from conftest import corpus, corpus_up_to, cycle_graph, star_graph
+from conftest import complete_graph, corpus, corpus_up_to, cycle_graph, star_graph
 from gallai.claims import (
     HOLDS,
     SKIPPED_TRUNCATED,
@@ -27,7 +28,7 @@ from gallai.claims import (
     triple_verdict,
 )
 from gallai.graphs import distances_from_set, from_edge_list, graph_key
-from gallai.paths import Path, enumerate_longest_paths
+from gallai.paths import DEFAULT_PATH_CAP, Path, enumerate_longest_paths, longest_path_summary
 from gallai.triples import PathTriple, TripleAnalysis, analyze_triple
 
 
@@ -365,6 +366,20 @@ class TestGallaiVertexSet:
         lp = enumerate_longest_paths(g, cap=2)
         with pytest.raises(TruncatedEnumerationError):
             gallai_vertex_set(g, longest_paths=lp)
+
+    def test_summary_agrees_with_enumeration(self):
+        for g in corpus_up_to(6):
+            lp = enumerate_longest_paths(g)
+            assert gallai_vertex_set(g) == gallai_vertex_set(g, longest_paths=lp)
+
+    def test_exact_beyond_the_cap(self):
+        # K9 with three leaves on vertex 0: each longest path runs from a
+        # leaf through all of K9, so 3 * 8! of them, more than the default
+        # enumeration cap, and none holds two leaves.
+        k9 = complete_graph(9)
+        g = from_edge_list(12, k9.edges() + [(0, 9), (0, 10), (0, 11)])
+        assert longest_path_summary(g)[1] == 3 * factorial(8) > DEFAULT_PATH_CAP
+        assert gallai_vertex_set(g) == frozenset(range(9))
 
 
 class TestClaimRegistry:

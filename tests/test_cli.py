@@ -190,6 +190,22 @@ class TestSubdivide:
         assert code == 0
         assert json.loads(out)[0]["status"] == "vacuous"
 
+    def test_disconnected_graph_reported(self, tmp_path, capsys):
+        # A claw plus a P3 has no distance sums to scale; it is reported,
+        # as verify-prop reports it, and the next graph is still built.
+        src = tmp_path / "mixed.g6"
+        src.write_text("Fs?GG\n" + to_graph6(star_graph(3)) + "\n")
+        code, out, _ = run(capsys, "subdivide", "--input", str(src), "--t", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[0] == {"graph6": "Fs?GG", "status": "disconnected"}
+        assert payload[1]["status"] == "ok"
+        code, out, _ = run(
+            capsys, "subdivide", "--input", str(src), "--t", "1", "--format", "edgelist"
+        )
+        assert code == 0
+        assert out.startswith("# Fs?GG: disconnected\n")
+
 
 class TestVerifyProp:
     def test_sweep(self, capsys):

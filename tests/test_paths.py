@@ -1,9 +1,14 @@
 """Path objects, exact longest-path search, and the unpruned oracle."""
 
+import gc
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -14,13 +19,17 @@ from conftest import (
     petersen_graph,
     star_graph,
 )
+from gallai import paths
 from gallai.graphs import from_edge_list
 from gallai.paths import (
+    DEFAULT_PATH_CAP,
     BudgetError,
+    LongestPathTable,
     Path,
     enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
+    longest_path_summary,
     subpath,
 )
 
@@ -216,17 +225,15 @@ class TestOracle:
         assert len(enumerate_all_simple_paths(complete_graph(3))) == 9
 
     def test_pruned_enumeration_matches_oracle_exhaustively(self):
-        # The pruned searcher must agree with the unpruned oracle's
-        # max-length filter on every connected graph up to five vertices
-        # (the full six-vertex corpus runs in the acceptance suite).
-        for n in range(1, 6):
-            for g in corpus(n):
-                lp = enumerate_longest_paths(g)
-                allp = enumerate_all_simple_paths(g)
-                best = max(p.length for p in allp)
-                assert lp.length == best
-                expected = sorted(p for p in allp if p.length == best)
-                assert list(lp.paths) == expected
+        # The summary and the walked paths must agree with the unpruned
+        # oracle's max-length filter on every connected graph up to seven
+        # vertices.
+        for g in corpus_up_to(7):
+            best, longest, core = oracle_longest(g)
+            assert longest_path_summary(g) == (best, len(longest), core)
+            lp = enumerate_longest_paths(g)
+            assert lp.length == best
+            assert list(lp.paths) == longest
 
 
 class TestHamiltonianPath:
@@ -258,3 +265,133 @@ class TestHamiltonianPath:
     def test_agrees_with_length(self):
         for g in corpus_up_to(5):
             assert bool(self.spanning(g)) == (longest_path_length(g) == g.n - 1)
+
+
+def oracle_longest(graph):
+    """The longest paths by filtering every simple path, and the mask of
+    the vertices they all share."""
+    allp = enumerate_all_simple_paths(graph)
+    best = max(p.length for p in allp)
+    longest = [p for p in allp if p.length == best]
+    core = (1 << graph.n) - 1
+    for p in longest:
+        core &= p.mask
+    return best, longest, core
+
+
+@st.composite
+def random_graphs(draw):
+    # At most two edges per vertex on average keeps the oracle's
+    # all-simple-paths listing small at ten vertices.
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return from_edge_list(n, edges)
+
+
+class TestCompletionTable:
+    """The summary and the walked paths against the unpruned oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graphs())
+    def test_matches_oracle_on_random_graphs(self, g):
+        # Disconnected graphs included: the maximum ranges over components.
+        best, longest, core = oracle_longest(g)
+        assert longest_path_summary(g) == (best, len(longest), core)
+        assert list(enumerate_longest_paths(g).paths) == longest
+        cap = max(1, len(longest) // 2)
+        capped = enumerate_longest_paths(g, cap=cap)
+        assert list(capped.paths) == longest[:cap]
+        assert capped.truncated == (len(longest) > cap)
+
+    def test_capped_walk_is_a_prefix(self):
+        full = enumerate_longest_paths(complete_graph(7))
+        capped = enumerate_longest_paths(complete_graph(7), cap=100)
+        assert capped.truncated
+        assert capped.paths == full.paths[:100]
+
+    def test_summary_counts_past_any_cap(self):
+        # K9 has 9!/2 Hamiltonian paths, more than the default cap.
+        summary = longest_path_summary(complete_graph(9))
+        assert summary == (8, 181440, (1 << 9) - 1)
+        assert enumerate_longest_paths(complete_graph(9)).truncated
+
+    def test_single_vertex_and_edgeless(self):
+        assert longest_path_summary(from_edge_list(1, [])) == (0, 1, 1)
+        assert longest_path_summary(from_edge_list(3, [])) == (0, 3, 0)
+
+    def test_deadline_reaches_the_table(self, monkeypatch):
+        # With the length search out of the way, the memoised search must
+        # still give up on an expired deadline rather than answer.
+        monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 8)
+        expired = time.monotonic() - 1.0
+        with pytest.raises(BudgetError):
+            longest_path_summary(complete_graph(9), deadline=expired)
+        with pytest.raises(BudgetError):
+            enumerate_longest_paths(complete_graph(9), deadline=expired)
+
+
+    def test_deadline_reaches_the_walk(self, monkeypatch):
+        # The table is filled in time; the clock then runs out while the
+        # paths are being listed.
+        table = LongestPathTable(complete_graph(8), deadline=time.monotonic() + 60)
+        monkeypatch.setattr(paths, "time", SimpleNamespace(monotonic=lambda: math.inf))
+        with pytest.raises(BudgetError):
+            table.paths()
+
+
+class TestCap:
+    """A capped table stops once more than ``cap`` paths are certain."""
+
+    def test_count_and_core_around_the_cap(self):
+        # K5 has 60 longest paths.
+        for cap in (1, 59, 60, 61):
+            table = LongestPathTable(complete_graph(5), cap)
+            assert table.truncated == (cap < 60)
+            assert (table.count, table.core) == ((None, None) if cap < 60 else (60, 31))
+
+    def test_dense_graph_fill_stays_small(self):
+        # K22 has 22!/2 longest paths over 22 * 2^21 memo states.
+        # The deadline turns a fill that does not stop into a quick failure.
+        k22 = complete_graph(22)
+        table = LongestPathTable(k22, DEFAULT_PATH_CAP, deadline=time.monotonic() + 10)
+        assert table.truncated and table.length == 21
+        assert len(table._table) < 10_000
+        lp = table.paths()
+        assert lp.truncated and len(lp.paths) == DEFAULT_PATH_CAP
+        assert lp.paths[0].vertices == tuple(range(22))
+
+    def test_capped_walk_matches_oracle_prefix(self):
+        # Caps that stop the fill in the middle of a start vertex's subtree.
+        for g in (petersen_graph(), complete_graph(6), cycle_graph(7)):
+            _, longest, _ = oracle_longest(g)
+            for cap in (1, 2, 7, len(longest) - 1, len(longest)):
+                lp = enumerate_longest_paths(g, cap)
+                assert list(lp.paths) == longest[:cap]
+                assert lp.truncated == (cap < len(longest))
+
+
+class TestNoReferenceCycles:
+    """A search frees its memo and closures when it returns, not at the
+    next cyclic collection."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            longest_path_length,
+            longest_path_summary,
+            enumerate_longest_paths,
+            lambda g: enumerate_longest_paths(g, cap=10),
+            enumerate_all_simple_paths,
+        ],
+        ids=["length", "summary", "enumerate", "enumerate_capped", "oracle"],
+    )
+    def test_search_leaves_no_cyclic_garbage(self, search):
+        g = complete_graph(7)
+        gc.collect()
+        gc.disable()
+        try:
+            search(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

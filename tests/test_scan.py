@@ -2,17 +2,20 @@
 single-graph deep dive."""
 
 import csv
+import importlib
 import io
 import json
 import random
+import signal
 from itertools import combinations
 
 import pytest
 
-from conftest import corpus_up_to, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, corpus_up_to, cycle_graph, path_graph, star_graph
 from gallai.claims import HOLDS, VIOLATED, ClaimVerdict
-from gallai.graphs import from_edge_list, to_graph6
-from gallai.paths import enumerate_longest_paths
+from gallai import paths as paths_module
+from gallai.graphs import format_edge_list, from_edge_list, to_graph6
+from gallai.paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
 from gallai.scan import (
     ALL_CHECKS,
     EXIT_CONJECTURE_VIOLATION,
@@ -25,6 +28,9 @@ from gallai.scan import (
     subdivision_sweep,
 )
 from gallai.triples import PathTriple, f_value
+
+# ``gallai.scan`` the attribute is the re-exported function, not the module.
+scan_module = importlib.import_module("gallai.scan")
 
 
 class TestScanConfig:
@@ -79,6 +85,99 @@ class TestScanGeneratedCorpus:
             assert rec.status == "vacuous"
             assert rec.pairs_examined == 1
             assert rec.tallies["prop1"] == {HOLDS: 1}
+
+
+def within_seconds(seconds, call):
+    """``call()``, failing with ``TimeoutError`` once ``seconds`` pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRecordsWithoutEnumeration:
+    """Records come from the longest-path summary; paths are listed only
+    for the pairs and triples that are examined."""
+
+    @staticmethod
+    def count_enumerations(monkeypatch):
+        listed = []
+        real = LongestPathTable.paths
+
+        def counting(table):
+            listed.append(table)
+            return real(table)
+
+        monkeypatch.setattr(LongestPathTable, "paths", counting)
+        return listed
+
+    def test_only_lone_pairs_are_listed(self, monkeypatch):
+        listed = self.count_enumerations(monkeypatch)
+        report = scan(ScanConfig(generate_n=6))
+        pairs = [r for r in report.records if r.num_longest == 2]
+        assert pairs
+        assert len(listed) == len(pairs)
+        listed.clear()
+        scan(ScanConfig(generate_n=6, checks=("conj_Z", "thm1")))
+        assert listed == []
+
+    def test_one_search_per_graph(self, monkeypatch):
+        # The paths that are listed are walked from the table the record
+        # came from, so the length search runs once per connected graph.
+        searched = []
+        real = paths_module.longest_path_length
+
+        def counting(graph, **kwargs):
+            searched.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(paths_module, "longest_path_length", counting)
+        report = scan(ScanConfig(generate_n=6, triple_mode="capped", triple_cap=1))
+        connected = [r for r in report.records if r.status != "disconnected"]
+        assert any(r.status == "checked" for r in connected)
+        assert len(searched) == len(connected)
+
+    def test_dense_graph_stops_at_the_cap(self, tmp_path):
+        # K22 has 22!/2 longest paths and a memo table of 22 * 2^21
+        # states; under the default cap the search must give up early. The
+        # alarm turns a search that does not into a quick failure rather
+        # than gigabytes of memo.
+        n = 22
+        src = tmp_path / "k22.txt"
+        src.write_text(format_edge_list(complete_graph(n)))
+        config = ScanConfig(input_path=str(src), input_format="edgelist")
+        rec = within_seconds(10, lambda: scan(config).records[0])
+        assert (rec.status, rec.l, rec.num_longest, rec.truncated) == (
+            "skipped_truncated", 21, DEFAULT_PATH_CAP, True)
+        out = within_seconds(10, lambda: analyze_one(complete_graph(n)))
+        assert (out["status"], out["num_longest"], out["truncated"]) == (
+            "skipped_truncated", DEFAULT_PATH_CAP, True)
+
+    def test_records_match_enumeration(self):
+        for rec, g in zip(scan(ScanConfig(generate_n=6)).records,
+                          sorted(corpus_up_to(6), key=to_graph6)):
+            lp = enumerate_longest_paths(g)
+            core = frozenset.intersection(*(p.vertex_set() for p in lp.paths))
+            assert (rec.l, rec.num_longest, rec.gallai_size) == (
+                lp.length, len(lp.paths), len(core))
+            assert rec.triples_total == len(lp.paths) * (len(lp.paths) - 1) * (
+                len(lp.paths) - 2) // 6
+
+    def test_cap_binds_as_before(self, tmp_path):
+        # K5 has 60 longest paths.
+        src = tmp_path / "k5.g6"
+        src.write_text(to_graph6(complete_graph(5)) + "\n")
+        for cap, status in ((59, "skipped_truncated"), (60, "shortcut")):
+            rec = scan(ScanConfig(input_path=str(src), enumeration_cap=cap)).records[0]
+            assert (rec.status, rec.num_longest, rec.truncated) == (status, cap, cap == 59)
+            assert rec.gallai_size == (None if cap == 59 else 5)
 
 
 class TestTripleIteration:

@@ -23,7 +23,6 @@ from gallai.subdivision import (
     attach_pendants,
     build_instance,
     check_size_bound,
-    map_triple,
     restrict_to_triple,
     subdivide,
     verify_proposition,
@@ -285,9 +284,10 @@ class TestRestrictToTriple:
         t = PathTriple.make(g, [1, 2, 3], [2, 3, 4], [3, 4, 5])
         sub, ids = restrict_to_triple(g, t)
         remap = {old: new for new, old in enumerate(ids)}
-        inner = map_triple(t, remap)
-        for p_old, p_new in zip(t.paths, inner.paths):
-            assert [ids[v] for v in p_new.vertices] == list(p_old.vertices)
+        for p in t.paths:
+            # Each relabelled path is a path of the restricted graph.
+            inner = Path.make(sub, [remap[v] for v in p.vertices])
+            assert [ids[v] for v in inner.vertices] == list(p.vertices)
 
 
 class TestSizeBound:
@@ -311,3 +311,28 @@ class TestSizeBound:
         t = PathTriple(tuple(lp.paths[:3]))
         for tt in (0, 1, 2):
             assert check_size_bound(g, t, tt).status == HOLDS
+
+    def test_counted_size_matches_the_built_instance(self):
+        # The vertex count is computed, not built; the built instance of the
+        # restricted triple is the reference, and so are the verdicts. Its
+        # size depends only on the restricted graph, the end set and t.
+        sizes = {}
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            for triple in TripleStream(lp):
+                sub, ids = restrict_to_triple(g, triple)
+                remap = {old: new for new, old in enumerate(ids)}
+                inner = PathTriple(tuple(
+                    Path(tuple(remap[v] for v in p.vertices)) for p in triple.paths))
+                ends = frozenset(e for p in inner.paths for e in p.ends)
+                for t in (0, 1, 2):
+                    key = (sub, ends, t)
+                    if key not in sizes:
+                        sizes[key] = build_instance(sub, inner, t).graph.n
+                    built = sizes[key]
+                    v = check_size_bound(g, triple, t)
+                    assert v.witness["subdivided_vertices"] == built
+                    assert v.witness["n0"] == sub.n
+                    assert v.witness["restricted_edges"] == sub.m
+                    holds = sub.m <= 3 * (sub.n - 1) and built <= sub.n + 3 * (sub.n + 1) * t + 6
+                    assert v.status == (HOLDS if holds else "violated")
