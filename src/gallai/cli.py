@@ -161,7 +161,7 @@ def _cmd_gen(args) -> int:
         sys.stderr.write(f"gen: --n must be within 1..{MAX_GENERATION_N}\n")
         return EXIT_CONFIG_ERROR
     if args.n == 8:
-        sys.stderr.write("gen: n=8 checks 134k candidate labellings; expect 12-16s\n")
+        sys.stderr.write("gen: n=8 checks 134k candidate labellings; expect 2-4s\n")
     lines = [to_graph6(g) for g in generate_connected_graphs(args.n)]
     _write_out("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK
@@ -169,7 +169,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_scan(args) -> int:
     if args.n == 8:
-        sys.stderr.write("scan: n=8 adds 11117 graphs; expect 15-30s\n")
+        sys.stderr.write("scan: n=8 adds 11117 graphs; expect 9-15s\n")
     config = ScanConfig(
         generate_n=args.n,
         input_path=args.input,

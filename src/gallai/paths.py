@@ -19,6 +19,9 @@ ascending vertex order:
   table, entering only branches that complete, so they list the paths in
   sorted order and a capped listing is the ``cap`` smallest of them.
 
+Each search recurses once per path edge; one that would go deeper than
+Python's recursion limit raises ``ValueError`` instead.
+
 Both prunes are lossless. ``enumerate_all_simple_paths`` uses neither and
 no memo; the tests hold the table and the walk to it on exhaustive small
 corpora and random graphs.
@@ -26,6 +29,7 @@ corpora and random graphs.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +46,12 @@ class BudgetError(RuntimeError):
 
 class _StopSearch(Exception):
     pass
+
+
+def _too_deep(n: int) -> ValueError:
+    # Raised where a search starts, so that its loops stay as they are.
+    return ValueError(f"a longest-path search on {n} vertices goes deeper than "
+                      f"Python's recursion limit ({sys.getrecursionlimit()})")
 
 
 @dataclass(frozen=True, order=True)
@@ -202,6 +212,8 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
             dfs(start, 1 << start, 0)
             if best == n - 1:
                 break
+    except RecursionError:
+        raise _too_deep(n) from None
     finally:
         # The closure refers to itself; dropping the name frees it, and all
         # it holds, with this call rather than at the next cyclic GC.
@@ -266,6 +278,8 @@ class LongestPathTable:
                             raise _StopSearch
             except _StopSearch:
                 self.truncated = True
+            except RecursionError:
+                raise _too_deep(n) from None
             count = directed // 2
         self.count = None if self.truncated else count
         self.core = None if self.truncated else core
@@ -363,6 +377,8 @@ class LongestPathTable:
                     walk(start, 1 << start, target, [start])
         except _StopSearch:
             pass
+        except RecursionError:
+            raise _too_deep(n) from None
         finally:
             del walk  # the closure cycle again, as in longest_path_length
         return LongestPathSet(target, tuple(Path(t) for t in found), self.truncated)

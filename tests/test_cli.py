@@ -296,6 +296,19 @@ def test_malformed_input_names_its_line(tmp_path, capsys, command):
     assert f"{src}: line 3: " in err
 
 
+@pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
+    # A 1,200-vertex path: the search recurses once per path edge, past
+    # Python's default limit of 1,000 frames.
+    src = tmp_path / "path.txt"
+    src.write_text("1200 1199\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, out, err = run(capsys, command, "--input", str(src), "--input-format", "edgelist")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("gallai: error: ") and "recursion limit" in err
+    assert "Traceback" not in err
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

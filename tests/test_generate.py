@@ -1,33 +1,92 @@
 """Isomorphism-free exhaustive generation of small connected graphs."""
 
+import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corpus, oracle_isomorphic
+from conftest import complete_graph, corpus, oracle_isomorphic, star_graph
 from gallai.generate import (
+    _adjacency_rows,
     _canonical_masks,
+    _is_canonical,
     _pair_bitpos,
     generate_connected_graphs,
     graph_to_mask,
     mask_to_graph,
 )
-from gallai.graphs import is_connected, to_graph6
+from gallai.graphs import Graph, from_edge_list, is_connected, to_graph6
+
+# sha256 of `gen --n 8`: the graph6 lines, each newline-terminated.
+GEN_N8_SHA256 = "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"
 
 
 def oracle_min_mask(n: int, mask: int) -> int:
     """Direct minimisation over all relabellings, reimplemented plainly."""
-    g = mask_to_graph(n, mask)
+    edges = list(mask_to_graph(n, mask).edges())
     best = mask
     for perm in permutations(range(n)):
         m = 0
-        for u, v in g.edges():
+        for u, v in edges:
             a, b = perm[u], perm[v]
             if a > b:
                 a, b = b, a
             m |= 1 << _pair_bitpos(n, a, b)
         best = min(best, m)
     return best
+
+
+def oracle_is_canonical(n: int, mask: int) -> bool:
+    """Backtracking over relabellings one vertex at a time: each unplaced
+    vertex's column is built bit by bit and compared with the candidate's,
+    with no bit-parallel compare and no twin pruning."""
+    if n == 1:
+        return True
+    npairs = n * (n - 1) // 2
+    if mask != (1 << npairs) - 1 and mask >> (npairs - 1) & 1:
+        return False
+    cols = []
+    shift = npairs
+    for k in range(1, n):
+        shift -= k
+        cols.append(mask >> shift & ((1 << k) - 1))
+    rows = mask_to_graph(n, mask).adjacency
+
+    def smaller_exists(k: int, placed: list[int], used: int) -> bool:
+        target = cols[k - 1]
+        for w in range(n):
+            if used >> w & 1:
+                continue
+            col = 0
+            for i in range(k):
+                if rows[w] >> placed[i] & 1:
+                    col |= 1 << (k - 1 - i)
+            if col < target:
+                return True
+            if col == target and k + 1 < n:
+                placed.append(w)
+                deeper = smaller_exists(k + 1, placed, used | 1 << w)
+                placed.pop()
+                if deeper:
+                    return True
+        return False
+
+    return not any(smaller_exists(1, [w0], 1 << w0) for w0 in range(n))
+
+
+def candidates(n: int):
+    """Every mask the generator tests on n vertices: each canonical
+    (n-1)-vertex mask with each appended column."""
+    for base in _canonical_masks(n - 1):
+        for col in range(1 << (n - 1)):
+            yield base << (n - 1) | col
+
+
+def is_canonical(n: int, mask: int) -> bool:
+    return _is_canonical(_adjacency_rows(mask, n))
 
 
 class TestCounts:
@@ -38,8 +97,12 @@ class TestCounts:
         assert len(corpus(n)) == count
 
     def test_connected_count_at_eight(self):
-        # The gated largest size; takes ~15s, the count pins completeness.
-        assert sum(1 for _ in generate_connected_graphs(8)) == 11117
+        # The gated largest size: the count pins completeness, the digest
+        # pins `gen --n 8` byte for byte.
+        lines = [to_graph6(g) + "\n" for g in generate_connected_graphs(8)]
+        assert len(lines) == 11117
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == GEN_N8_SHA256
+        assert len(_canonical_masks(8)) == 12346
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
     def test_all_graph_counts(self, n, count):
@@ -76,6 +139,59 @@ class TestSoundness:
         for n in range(1, 7):
             recs = [to_graph6(g) for g in corpus(n)]
             assert recs == sorted(recs)
+
+
+def relabel(n: int, mask: int, perm) -> int:
+    g = mask_to_graph(n, mask)
+    return graph_to_mask(from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()]))
+
+
+def bipartite(a: int, b: int) -> Graph:
+    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+TWIN_HEAVY_GRAPHS = {
+    "E8": from_edge_list(8, []),
+    "K8": complete_graph(8),
+    "K4,4": bipartite(4, 4),
+    "K1,7": star_graph(7),
+    "K2,6": bipartite(2, 6),
+    "2K4": from_edge_list(8, [e for k in (0, 4) for e in combinations(range(k, k + 4), 2)]),
+    "4K2": from_edge_list(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+}
+
+
+class TestCanonicityTest:
+    """The equal-set, twin-pruned search against independent oracles."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_backtracking_oracle_on_every_candidate(self, n):
+        masks = list(candidates(n))
+        if n == 7:
+            assert len(masks) == 9984
+        for mask in masks:
+            assert is_canonical(n, mask) == oracle_is_canonical(n, mask), (n, mask)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_brute_force_minimum_on_every_candidate(self, n):
+        for mask in candidates(n):
+            assert is_canonical(n, mask) == (oracle_min_mask(n, mask) == mask), (n, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, (1 << 28) - 1))
+    def test_matches_backtracking_oracle_on_random_eight_vertex_masks(self, mask):
+        assert is_canonical(8, mask) == oracle_is_canonical(8, mask)
+
+    @pytest.mark.parametrize("name", sorted(TWIN_HEAVY_GRAPHS))
+    def test_matches_backtracking_oracle_on_twin_heavy_graphs(self, name):
+        mask = graph_to_mask(TWIN_HEAVY_GRAPHS[name])
+        canonical = oracle_min_mask(8, mask)
+        rng = random.Random(name)
+        labellings = {mask, canonical}
+        labellings.update(relabel(8, mask, rng.sample(range(8), 8)) for _ in range(6))
+        for m in labellings:
+            assert is_canonical(8, m) == oracle_is_canonical(8, m), (name, m)
+        assert is_canonical(8, canonical)
 
 
 class TestCompleteness:

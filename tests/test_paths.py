@@ -340,6 +340,16 @@ class TestCompletionTable:
             table.paths()
 
 
+    def test_search_deeper_than_the_recursion_limit_is_an_error(self, monkeypatch):
+        long_path = path_graph(1200)
+        with pytest.raises(ValueError, match="recursion limit"):
+            longest_path_length(long_path)
+        # With the length search out of the way, the table fails the same way.
+        monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 1199)
+        with pytest.raises(ValueError, match="recursion limit"):
+            LongestPathTable(long_path)
+
+
 class TestCap:
     """A capped table stops once more than ``cap`` paths are certain."""
 
