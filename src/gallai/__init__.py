@@ -26,10 +26,8 @@ from .claims import (
 )
 from .generate import generate_connected_graphs
 from .graphs import (
-    DistanceVector,
     Graph,
     Graph6Error,
-    distances_from_set,
     format_edge_list,
     from_edge_list,
     graph_key,
@@ -48,7 +46,6 @@ from .paths import (
     enumerate_longest_paths,
     longest_path_length,
     longest_path_summary,
-    subpath,
 )
 from .scan import (
     ALL_CHECKS,
@@ -62,6 +59,7 @@ from .scan import (
 from .subdivision import (
     PendantExtension,
     SubdividedInstance,
+    Subdivisions,
     attach_pendants,
     build_instance,
     check_size_bound,
@@ -74,7 +72,6 @@ from .triples import (
     TripleAnalysis,
     TripleStream,
     analyze_triple,
-    distance_sum,
     exclusive_vertices,
     f_value,
     pairwise_intersection,

@@ -18,8 +18,7 @@ from .graphs import (
     format_edge_list,
     graph_key,
     is_connected,
-    parse_edge_list,
-    parse_graph6_lines,
+    parse_graph6_lines,  # wrapped by name in perfbench/spans.py:96
     to_graph6,
 )
 from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
@@ -32,10 +31,11 @@ from .scan import (
     TRIPLE_MODES,
     analyze_one,
     emit_report,
+    read_graphs,
     scan,
     subdivision_sweep,
 )
-from .subdivision import build_instance, verify_proposition
+from .subdivision import Subdivisions, build_instance, verify_proposition
 from .triples import TripleStream
 
 
@@ -53,17 +53,6 @@ def _write_out(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _read_graphs(path: str, fmt: str) -> list[Graph]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    if fmt == "graph6":
-        return parse_graph6_lines(text.splitlines(), None if path == "-" else path)
-    return [parse_edge_list(text)]
 
 
 def _parse_t_list(value: str) -> tuple[int, ...]:
@@ -188,7 +177,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    graphs = _read_graphs(args.input, args.input_format)
+    graphs = read_graphs(args.input, args.input_format)
     results = [
         analyze_one(
             g,
@@ -230,7 +219,7 @@ def _cmd_subdivide(args) -> int:
     if args.t < 0 or args.triple < 0:
         sys.stderr.write("subdivide: --t and --triple must be nonnegative\n")
         return EXIT_CONFIG_ERROR
-    graphs = _read_graphs(args.input, args.input_format)
+    graphs = read_graphs(args.input, args.input_format)
     results = []
     built: list[Graph | None] = []
     for graph in graphs:
@@ -303,7 +292,7 @@ def _cmd_verify_prop(args) -> int:
         sys.stderr.write(f"verify-prop: slowest instance took {worst_s:.3f}s\n")
         _write_out(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK if not result["violations"] else EXIT_INTERNAL_VIOLATION
-    graphs = _read_graphs(args.input, args.input_format)
+    graphs = read_graphs(args.input, args.input_format)
     results = []
     worst_status = EXIT_OK
     for graph in graphs:
@@ -314,12 +303,10 @@ def _cmd_verify_prop(args) -> int:
             continue
         lp = enumerate_longest_paths(graph)
         verdicts: list[dict] = []
-        subdivided: dict = {}
+        subdivisions = Subdivisions(graph, lp)
         for triple in TripleStream(lp, args.triple_cap):
             for t in args.t:
-                v = verify_proposition(
-                    graph, triple, t, longest_paths=lp, subdivided=subdivided
-                )
+                v = verify_proposition(subdivisions, triple, t)
                 verdicts.append(
                     {
                         "t": t,

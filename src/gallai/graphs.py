@@ -9,7 +9,6 @@ path search treats these masks as its hot-loop data structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62
@@ -282,32 +281,3 @@ def _distance_list(adj: tuple[int, ...], n: int, src_mask: int) -> list[int | No
         seen |= layer
         d += 1
     return dist
-
-
-@dataclass(frozen=True)
-class DistanceVector:
-    """Per-vertex BFS distance to the nearest source vertex.
-
-    Unreachable vertices carry the explicit sentinel ``None``, never a
-    large stand-in value.
-    """
-
-    dist: tuple[int | None, ...]
-    sources: frozenset[int]
-
-    def __getitem__(self, v: int) -> int | None:
-        return self.dist[v]
-
-
-def distances_from_set(graph: Graph, sources: Iterable[int]) -> DistanceVector:
-    """Multi-source BFS distances ``min over s in sources of d(v, s)``."""
-    src = frozenset(sources)
-    if not src:
-        raise ValueError("source set must be nonempty")
-    mask = 0
-    for s in src:
-        if not 0 <= s < graph.n:
-            raise ValueError(f"source vertex {s} out of range")
-        mask |= 1 << s
-    dist = _distance_list(graph.adjacency, graph.n, mask)
-    return DistanceVector(tuple(dist), src)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .graphs import Graph
@@ -121,18 +120,6 @@ class Path:
         return f"Path({list(self.vertices)})"
 
 
-def subpath(path: Path, u: int, v: int) -> Path:
-    """The contiguous segment of ``path`` between ``u`` and ``v`` inclusive."""
-    try:
-        i = path.vertices.index(u)
-        j = path.vertices.index(v)
-    except ValueError:
-        raise ValueError(f"vertices {u} and {v} must both lie on the path") from None
-    if i > j:
-        i, j = j, i
-    return Path(path.vertices[i:j + 1])
-
-
 @dataclass
 class LongestPathSet:
     """The exact longest-path length and every longest path, reversal-free.
@@ -145,13 +132,6 @@ class LongestPathSet:
     length: int
     paths: tuple[Path, ...]
     truncated: bool = False
-
-    @cached_property
-    def path_set(self) -> frozenset[Path]:
-        return frozenset(self.paths)
-
-    def __contains__(self, path: Path) -> bool:
-        return path in self.path_set
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -50,7 +50,7 @@ from .graphs import (
     parse_graph6_lines,
 )
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
-from .subdivision import DEFAULT_VERIFY_BUDGET_S, check_size_bound, verify_proposition
+from .subdivision import Subdivisions, check_size_bound, verify_proposition
 from .triples import TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
@@ -269,7 +269,7 @@ def _examine_graph(
 
         checkers = [_TRIPLE_CHECKERS[c] for c in config.checks if c in _TRIPLE_CHECKERS]
         seen_pairs: set[tuple] = set()
-        subdivided: dict = {}
+        subdivisions = Subdivisions(graph, lp)
         for triple in triples:
             analysis = analyze_triple(graph, triple, strict_t=config.strict_t)
             record.max_f = (
@@ -288,8 +288,7 @@ def _examine_graph(
             for checker in checkers:
                 run(checker(graph, triple, lp.length, analysis))
             for t in config.subdivision_t:
-                run(verify_proposition(
-                    graph, triple, t, longest_paths=lp, subdivided=subdivided))
+                run(verify_proposition(subdivisions, triple, t))
                 run(check_size_bound(graph, triple, t))
         return record, violations, False
     except _ProvenClaimViolated:
@@ -307,13 +306,19 @@ def _resolve_source(config: ScanConfig) -> list[Graph]:
         for n in range(1, config.generate_n + 1):
             graphs.extend(generate_connected_graphs(n))
         return graphs
-    path = config.input_path
+    return read_graphs(config.input_path, config.input_format)
+
+
+def read_graphs(path: str, fmt: str) -> list[Graph]:
+    """The graphs of a graph6 (one per line) or edge-list file, ``-`` for
+    stdin. A malformed graph6 line raises an error naming the file and the
+    line."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    if config.input_format == "graph6":
+    if fmt == "graph6":
         return parse_graph6_lines(text.splitlines(), None if path == "-" else path)
     return [parse_edge_list(text)]
 
@@ -474,7 +479,7 @@ def analyze_one(
         return out
     checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
     triples_out = []
-    subdivided: dict = {}
+    subdivisions = Subdivisions(graph, lp)
     for triple in triples:
         analysis = analyze_triple(graph, triple, strict_t=strict_t)
         entry = {
@@ -496,8 +501,7 @@ def analyze_one(
             ]
         sub = {}
         for t in subdivision_t:
-            prop = verify_proposition(
-                graph, triple, t, longest_paths=lp, subdivided=subdivided)
+            prop = verify_proposition(subdivisions, triple, t)
             size = check_size_bound(graph, triple, t)
             sub[str(t)] = {"subdivision_prop": prop.status, "size_bound": size.status}
         if sub:
@@ -521,7 +525,6 @@ def subdivision_sweep(
     *,
     include_proposition: bool = True,
     include_size_bound: bool = True,
-    budget_s: float = DEFAULT_VERIFY_BUDGET_S,
     triple_cap: int | None = None,
 ) -> dict:
     """Verify the subdivision claims over the longest-path triples of every
@@ -549,22 +552,13 @@ def subdivision_sweep(
                 continue
             eligible += 1
             triples = TripleStream(lp, triple_cap)
-            subdivided: dict = {}
+            subdivisions = Subdivisions(graph, lp)
             for triple in triples:
                 for t in t_values:
                     t0 = time.monotonic()
                     verdicts = []
                     if include_proposition:
-                        verdicts.append(
-                            verify_proposition(
-                                graph,
-                                triple,
-                                t,
-                                longest_paths=lp,
-                                budget_s=budget_s,
-                                subdivided=subdivided,
-                            )
-                        )
+                        verdicts.append(verify_proposition(subdivisions, triple, t))
                     if include_size_bound:
                         verdicts.append(check_size_bound(graph, triple, t))
                     worst_s = max(worst_s, time.monotonic() - t0)

@@ -14,10 +14,12 @@ pendants follow in sorted-end order, and the interior vertices of the
 subdivided edges come last, in sorted-edge then position order.
 
 The subdivided graph depends only on the base graph, the triple's set of
-distinct ends and t, so many triples share one. Reuse of its longest-path
-enumeration is in the caller's hands: ``verify_proposition`` reads and
-fills an optional ``subdivided`` dict, which the callers keep for one
-base graph at a time.
+distinct ends and t, so many triples share one. A ``Subdivisions`` object
+holds one base graph's memo of them, keyed on (end set, t): each is built
+and has its longest-path length searched once. Every path lifted through
+the stored edge chains is then decided against that length: a path of the
+subdivided graph (checked edge by edge) is longest exactly when it has that
+many edges, so the subdivided graph's longest paths are never listed.
 """
 
 from __future__ import annotations
@@ -25,16 +27,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .claims import (
-    HOLDS,
-    SKIPPED_BUDGET,
-    SKIPPED_TRUNCATED,
-    VIOLATED,
-    ClaimVerdict,
-    _gate_longest,
-)
+from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
 from .graphs import Graph, from_edge_list, graph_key
-from .paths import BudgetError, LongestPathSet, Path, enumerate_longest_paths
+from .paths import (
+    BudgetError,
+    LongestPathSet,
+    Path,
+    enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
+    longest_path_length,
+)
 from .triples import PathTriple, f_value
 
 DEFAULT_VERIFY_MAX_VERTICES = 60
@@ -58,7 +59,9 @@ class SubdividedInstance:
     Construction arithmetic is enforced at build time:
     ``graph.n == source.n + t * source.m`` and
     ``graph.m == (t + 1) * source.m``; every lifted path has
-    ``(t + 1) * (len(source path) - 1) + 1`` vertices.
+    ``(t + 1) * (len(source path) - 1) + 1`` vertices. ``chains`` maps each
+    source edge ``(u, v)``, ``u < v``, to its interior vertices from u on,
+    so further source paths can be lifted without building again.
     """
 
     source: Graph
@@ -66,6 +69,7 @@ class SubdividedInstance:
     t: int
     graph: Graph
     paths: tuple[Path, ...]
+    chains: dict[tuple[int, int], tuple[int, ...]]
 
     def __post_init__(self):
         m0 = self.source.m
@@ -95,11 +99,13 @@ def attach_pendants(graph: Graph, triple: PathTriple) -> PendantExtension:
         adj[e] |= 1 << pendant
         adj[pendant] = 1 << e
     new_graph = Graph(len(adj), tuple(adj))
-    new_paths = tuple(
-        Path((pendant_map[p.vertices[0]],) + p.vertices + (pendant_map[p.vertices[-1]],))
-        for p in triple.paths
-    )
+    new_paths = tuple(_extend(p, pendant_map) for p in triple.paths)
     return PendantExtension(new_graph, new_paths, pendant_map)
+
+
+def _extend(path: Path, pendant_map: dict[int, int]) -> Path:
+    vs = path.vertices
+    return Path((pendant_map[vs[0]],) + vs + (pendant_map[vs[-1]],))
 
 
 def _lift(path: Path, chains: dict[tuple[int, int], tuple[int, ...]]) -> Path:
@@ -140,6 +146,7 @@ def subdivide(graph: Graph, t: int, paths: tuple[Path, ...] = ()) -> SubdividedI
         t=t,
         graph=Graph(len(adj), tuple(adj)),
         paths=tuple(_lift(p, chains) for p in paths),
+        chains=chains,
     )
 
 
@@ -153,58 +160,74 @@ def build_instance(graph: Graph, triple: PathTriple, t: int) -> SubdividedInstan
 # brute-force verification
 # ---------------------------------------------------------------------------
 
-def verify_proposition(
-    graph: Graph,
-    triple: PathTriple,
-    t: int,
-    *,
-    longest_paths: LongestPathSet | None = None,
-    max_vertices: int = DEFAULT_VERIFY_MAX_VERTICES,
-    budget_s: float = DEFAULT_VERIFY_BUDGET_S,
-    subdivided: dict[Graph, LongestPathSet] | None = None,
-) -> ClaimVerdict:
+class Subdivisions:
+    """The subdivision checks of one base graph, sharing their built graphs.
+
+    ``longest_paths`` is the base graph's longest-path set, listed here
+    when not given. ``memo`` maps an (end set, t) pair, the end set as a
+    sorted tuple, to the pendant map, the built instance and the exact
+    longest-path length of its graph. Keep one object per base graph.
+    """
+
+    def __init__(self, graph: Graph, longest_paths: LongestPathSet | None = None):
+        self.graph = graph
+        self.longest_paths = (
+            enumerate_longest_paths(graph) if longest_paths is None else longest_paths
+        )
+        self.memo: dict[
+            tuple[tuple[int, ...], int], tuple[dict[int, int], SubdividedInstance, int]
+        ] = {}
+
+
+def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
     """Check by brute force that subdividing scales the instance exactly.
 
     Three sub-checks on the constructed graph: every lifted path is a
-    longest path there (membership in the independently enumerated
-    longest-path set), the minimum distance sum equals (t + 1) times the
-    base value, and some witness of the minimum is an original vertex of
-    the base graph (an id below ``graph.n``). Instances beyond the vertex
-    or time budget are reported ``skipped_budget`` rather than guessed at.
+    longest path there (a path of that graph, edge by edge, whose length is
+    its exactly searched longest-path length), the minimum distance sum
+    equals (t + 1) times the base value, and some witness of the minimum is
+    an original vertex of the base graph (an id below ``graph.n``).
 
-    ``subdivided`` maps constructed graphs to their longest-path sets. It
-    is read before enumerating and filled with every enumeration that
-    finished, so triples sharing an end set enumerate once per t. Keep one
-    dict per base graph; the result does not depend on it.
+    The constructed graph and its length come from the memo of
+    ``subdivisions``, built and searched on the first triple with this end
+    set and t. A graph of more than ``DEFAULT_VERIFY_MAX_VERTICES``
+    vertices, or a search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
+    ``skipped_budget`` rather than a guess, and stores nothing.
     """
-    lp, short = _gate_longest("subdivision_prop", graph, triple.paths, longest_paths)
+    graph = subdivisions.graph
+    lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
     if short is not None:
         return short
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
     base_f, _ = f_value(graph, triple)
-    inst = build_instance(graph, triple, t)
-    if inst.graph.n > max_vertices:
-        return ClaimVerdict(
-            "subdivision_prop",
-            SKIPPED_BUDGET,
-            {"vertices": inst.graph.n, "max_vertices": max_vertices},
-        )
-    lp_sub = None if subdivided is None else subdivided.get(inst.graph)
-    if lp_sub is None:
+    key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
+    entry = subdivisions.memo.get(key)
+    if entry is None:
+        ext = attach_pendants(graph, triple)
+        inst = subdivide(ext.graph, t)
+        if inst.graph.n > DEFAULT_VERIFY_MAX_VERTICES:
+            return ClaimVerdict(
+                "subdivision_prop",
+                SKIPPED_BUDGET,
+                {"vertices": inst.graph.n, "max_vertices": DEFAULT_VERIFY_MAX_VERTICES},
+            )
+        deadline = time.monotonic() + DEFAULT_VERIFY_BUDGET_S
         try:
-            lp_sub = enumerate_longest_paths(inst.graph, deadline=deadline)
+            length = longest_path_length(inst.graph, deadline=deadline)
         except BudgetError:
-            return ClaimVerdict("subdivision_prop", SKIPPED_BUDGET, {"budget_s": budget_s})
-        if subdivided is not None:
-            subdivided[inst.graph] = lp_sub
-    if lp_sub.truncated:
-        return ClaimVerdict(
-            "subdivision_prop",
-            SKIPPED_TRUNCATED,
-            {"reason": "longest-path enumeration truncated on the subdivided graph"},
-        )
-    members = [p in lp_sub for p in inst.paths]
-    sub_f, sub_witnesses = f_value(inst.graph, PathTriple(inst.paths))
+            return ClaimVerdict(
+                "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
+        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length)
+    pendant_map, inst, sub_length = entry
+    adj = inst.graph.adjacency
+    lifted = tuple(_lift(_extend(p, pendant_map), inst.chains) for p in triple.paths)
+    # Lifting builds paths of the subdivided graph; the adjacency check
+    # still holds the decision to the strength of a longest-path listing.
+    members = [
+        p.length == sub_length
+        and all(adj[a] >> b & 1 for a, b in zip(p.vertices, p.vertices[1:]))
+        for p in lifted
+    ]
+    sub_f, sub_witnesses = f_value(inst.graph, PathTriple(lifted))
     expected = (t + 1) * base_f
     original_witness = any(w < graph.n for w in sub_witnesses)
     info = {
@@ -213,7 +236,7 @@ def verify_proposition(
         "subdivided_f": sub_f,
         "expected_f": expected,
         "base_length": lp.length,
-        "subdivided_length": lp_sub.length,
+        "subdivided_length": sub_length,
         "lifted_longest": members,
         "original_witness": original_witness,
     }

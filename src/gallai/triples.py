@@ -94,27 +94,6 @@ class TripleStream:
         return PathTriple(tuple(picks))
 
 
-def distance_sum(graph: Graph, v: int, triple: PathTriple) -> int:
-    """Sum over the three paths of the BFS distance from ``v`` to the
-    nearest vertex of each path."""
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range")
-    dist = _distance_list(graph.adjacency, graph.n, 1 << v)
-    total = 0
-    for p in triple.paths:
-        best = None
-        for u in p.vertices:
-            d = dist[u]
-            if d is not None and (best is None or d < best):
-                best = d
-        if best is None:
-            raise ValueError(
-                f"vertex {v} cannot reach path {list(p.vertices)}; graph disconnected"
-            )
-        total += best
-    return total
-
-
 def f_value(graph: Graph, triple: PathTriple) -> tuple[int, frozenset[int]]:
     """The minimum distance sum over all vertices and its full argmin set.
 

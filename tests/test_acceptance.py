@@ -26,6 +26,9 @@ GOLDEN_DIGESTS = {
     "scan --n 7 json": "e7707ecf13834bed882274a2f515def9893ca839ae1393270b98f14b4ed99694",
     "scan --n 7 csv": "85afd37057c2b0f0590ba09176a9db2f1bd07ac0f30c416d901a73cdae759dbb",
     "verify-prop --n 4 --t 1,2": "eefc30e94533f74862e0a577219dc75959fdc8460efb62086d7cfd3122a32ce3",
+    # The per-verdict witnesses, which the --n summaries do not carry.
+    "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
+        "9891fa7d4bbc0f744e8b218ce8ce7eb69528a9dae62776885b4aeda8278a0c96",
 }
 
 
@@ -87,8 +90,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_subdivision_proposition():
     result = subdivision_sweep(
-        5, (1, 2), include_proposition=True, include_size_bound=False,
-        budget_s=60.0,
+        5, (1, 2), include_proposition=True, include_size_bound=False
     )
     ok = (
         result["violations"] == []
@@ -156,15 +158,23 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_golden_report_digests(full_scan_report, capsys):
+def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     capsys.readouterr()
     code = main(["verify-prop", "--n", "4", "--t", "1,2"])
+    verify_n4 = capsys.readouterr().out
+    # The same 31 lines as ``gen --n 1`` to ``gen --n 5`` concatenated.
+    corpus_file = tmp_path / "n5.g6"
+    corpus_file.write_text("".join(to_graph6(g) + "\n" for g in corpus_up_to(5)))
+    code_input = main(["verify-prop", "--input", str(corpus_file), "--t", "0,1,2",
+                       "--triple-cap", "40"])
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
-        "verify-prop --n 4 --t 1,2": _sha256(capsys.readouterr().out),
+        "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
+        "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
+            _sha256(capsys.readouterr().out),
     }
-    assert code == 0
+    assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS
 
 

@@ -27,7 +27,7 @@ from gallai.claims import (
     theorem1_inequality,
     triple_verdict,
 )
-from gallai.graphs import distances_from_set, from_edge_list, graph_key
+from gallai.graphs import _distance_list, from_edge_list, graph_key
 from gallai.paths import DEFAULT_PATH_CAP, Path, enumerate_longest_paths, longest_path_summary
 from gallai.triples import PathTriple, TripleAnalysis, analyze_triple
 
@@ -352,8 +352,8 @@ class TestGallaiVertexSet:
                     continue
                 ecc = []
                 for v in range(g.n):
-                    dv = distances_from_set(g, [v])
-                    ecc.append(max(d for d in dv.dist if d is not None))
+                    dist = _distance_list(g.adjacency, g.n, 1 << v)
+                    ecc.append(max(d for d in dist if d is not None))
                 centers = {v for v in range(g.n) if ecc[v] == min(ecc)}
                 assert centers <= gallai_vertex_set(g)
 

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,24 +251,29 @@ class TestVerifyProp:
         assert "status" not in payload[0]
         assert payload[1] == {"graph6": "Fs?GG", "status": "disconnected", "verdicts": []}
 
-    def test_each_subdivided_graph_enumerated_once(self, tmp_path, capsys, monkeypatch):
-        # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs.
+    def test_each_subdivided_graph_searched_once(self, tmp_path, capsys, monkeypatch):
+        # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs, each
+        # length-searched once and none of them enumerated.
         g = complete_graph(4)
         src = tmp_path / "k4.g6"
         src.write_text(to_graph6(g) + "\n")
-        enumerated = []
-        real = subdivision.enumerate_longest_paths
+        searched = []
+        real = subdivision.longest_path_length
 
         def counting(graph, *args, **kwargs):
-            enumerated.append(graph)
+            searched.append(graph)
             return real(graph, *args, **kwargs)
 
-        monkeypatch.setattr(subdivision, "enumerate_longest_paths", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a subdivided graph")
+
+        monkeypatch.setattr(subdivision, "longest_path_length", counting)
+        monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
         code, out, _ = run(capsys, "verify-prop", "--input", str(src), "--t", "1,2")
         assert code == 0
         triples = TripleStream(enumerate_longest_paths(g))
         end_sets = {frozenset(e for p in tr.paths for e in p.ends) for tr in triples}
-        assert len(enumerated) == len(set(enumerated)) == 2 * len(end_sets) == 10
+        assert len(searched) == len(set(searched)) == 2 * len(end_sets) == 10
         assert len(json.loads(out)[0]["verdicts"]) == 2 * triples.total
 
     def test_bad_t_rejected(self, capsys):
@@ -307,6 +316,18 @@ def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
     assert out == ""
     assert err.startswith("gallai: error: ") and "recursion limit" in err
     assert "Traceback" not in err
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/spans.py replaces functions by name in the modules that call
+    # them; a name gone from src/ fails every traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from spans import Tracer, install; install(Tracer('t'))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

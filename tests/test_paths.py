@@ -30,7 +30,6 @@ from gallai.paths import (
     enumerate_longest_paths,
     longest_path_length,
     longest_path_summary,
-    subpath,
 )
 
 
@@ -68,32 +67,6 @@ class TestPath:
         p = Path((0, 2, 3))
         assert p.mask == 0b1101
         assert p.vertex_set() == {0, 2, 3}
-
-
-class TestSubpath:
-    def test_interior_segment(self):
-        assert subpath(Path((0, 1, 2, 3)), 1, 3).vertices == (1, 2, 3)
-
-    def test_single_vertex_segment(self):
-        assert subpath(Path((0, 1, 2)), 1, 1).vertices == (1,)
-
-    def test_orientation_free(self):
-        assert subpath(Path((0, 1, 2, 3)), 3, 0).vertices == (0, 1, 2, 3)
-
-    def test_vertex_not_on_path(self):
-        with pytest.raises(ValueError):
-            subpath(Path((0, 1, 2)), 0, 5)
-
-    def test_length_matches_positions(self):
-        rng = random.Random(21)
-        for _ in range(50):
-            n = rng.randint(2, 9)
-            p = Path(tuple(rng.sample(range(20), n)))
-            u, v = rng.sample(list(p.vertices), 2)
-            seg = subpath(p, u, v)
-            iu = p.vertices.index(u)
-            iv = p.vertices.index(v)
-            assert seg.length == abs(iu - iv)
 
 
 class TestLongestPathLength:
@@ -201,8 +174,8 @@ class TestEnumerateLongestPaths:
 
     def test_membership(self):
         lp = enumerate_longest_paths(star_graph(3))
-        assert Path((1, 0, 2)) in lp
-        assert Path((0, 1)) not in lp
+        assert Path((1, 0, 2)) in lp.paths
+        assert Path((0, 1)) not in lp.paths
 
     def test_returned_paths_are_valid(self):
         for g in corpus(5):

@@ -16,10 +16,11 @@ from conftest import (
     theta_graph,
 )
 import gallai.subdivision as subdivision
-from gallai.claims import HOLDS, SKIPPED_BUDGET
+from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED
 from gallai.graphs import from_edge_list, is_connected
 from gallai.paths import BudgetError, Path, enumerate_longest_paths
 from gallai.subdivision import (
+    Subdivisions,
     attach_pendants,
     build_instance,
     check_size_bound,
@@ -164,22 +165,23 @@ class TestVerifyProposition:
     def test_star_small_multiplicities(self):
         g, t = star_triple()
         for tt in (0, 1, 2):
-            v = verify_proposition(g, t, tt)
+            v = verify_proposition(Subdivisions(g), t, tt)
             assert v.status == HOLDS, v.witness
             assert v.witness["subdivided_f"] == 0
             assert v.witness["original_witness"]
 
     def test_star_lengths(self):
         g, t = star_triple()
-        assert verify_proposition(g, t, 1).witness["subdivided_length"] == 8
-        assert verify_proposition(g, t, 2).witness["subdivided_length"] == 12
+        subs = Subdivisions(g)
+        assert verify_proposition(subs, t, 1).witness["subdivided_length"] == 8
+        assert verify_proposition(subs, t, 2).witness["subdivided_length"] == 12
 
     def test_scaling_factor_on_cycle(self):
         g = cycle_graph(5)
         lp = enumerate_longest_paths(g)
         t = PathTriple(tuple(lp.paths[:3]))
         base_f, _ = f_value(g, t)
-        v = verify_proposition(g, t, 2)
+        v = verify_proposition(Subdivisions(g, lp), t, 2)
         assert v.status == HOLDS
         assert v.witness["subdivided_f"] == 3 * base_f
 
@@ -187,13 +189,45 @@ class TestVerifyProposition:
         g = star_graph(3)
         t = PathTriple((Path((0, 1)), Path((0, 2)), Path((0, 3))))
         with pytest.raises(ValueError):
-            verify_proposition(g, t, 1)
+            verify_proposition(Subdivisions(g), t, 1)
 
     def test_budget_skip(self):
+        # Seven vertices and six edges after the pendants; t = 9 gives
+        # 7 + 9 * 6 = 61 vertices, one over the limit.
         g, t = star_triple()
-        v = verify_proposition(g, t, 2, max_vertices=5)
+        subs = Subdivisions(g)
+        v = verify_proposition(subs, t, 9)
         assert v.status == SKIPPED_BUDGET
-        assert v.witness["vertices"] == 19
+        assert v.witness == {"vertices": 61, "max_vertices": 60}
+        assert subs.memo == {}
+
+    def test_adjacency_is_checked(self):
+        # Reversing a stored chain keeps the lifted paths' lengths and vertex
+        # sets, so only the edge-by-edge check can tell they are no longer
+        # paths of the subdivided graph.
+        g, t = star_triple()
+        subs = Subdivisions(g)
+        assert verify_proposition(subs, t, 2).status == HOLDS
+        (_, inst, _), = subs.memo.values()
+        inst.chains[(0, 1)] = inst.chains[(0, 1)][::-1]
+        v = verify_proposition(subs, t, 2)
+        assert v.status == VIOLATED
+        assert False in v.witness["lifted_longest"]
+        assert v.witness["subdivided_f"] == v.witness["expected_f"]
+
+
+def oracle_subdivision(g, triple, t):
+    """The per-instance check without a memo: build the instance and look
+    the lifted paths up among the subdivided graph's listed longest paths.
+    Returns the subdivided length, the membership list and the status."""
+    base_f, _ = f_value(g, triple)
+    inst = build_instance(g, triple, t)
+    lp_sub = enumerate_longest_paths(inst.graph)
+    assert not lp_sub.truncated
+    members = [p in lp_sub.paths for p in inst.paths]
+    sub_f, witnesses = f_value(inst.graph, PathTriple(inst.paths))
+    holds = all(members) and sub_f == (t + 1) * base_f and min(witnesses) < g.n
+    return lp_sub.length, members, HOLDS if holds else VIOLATED
 
 
 class TestSubdividedReuse:
@@ -201,34 +235,35 @@ class TestSubdividedReuse:
         checked = 0
         for g in corpus_up_to(4):
             lp = enumerate_longest_paths(g)
-            subdivided = {}
+            subs = Subdivisions(g, lp)
             for triple in TripleStream(lp):
                 for tt in (0, 1, 2):
-                    plain = verify_proposition(g, triple, tt, longest_paths=lp)
-                    reused = verify_proposition(
-                        g, triple, tt, longest_paths=lp, subdivided=subdivided
-                    )
-                    assert plain == reused
+                    v = verify_proposition(subs, triple, tt)
+                    length, members, status = oracle_subdivision(g, triple, tt)
+                    assert v.witness["subdivided_length"] == length
+                    assert v.witness["lifted_longest"] == members
+                    assert v.status == status
                     checked += 1
             # One entry per distinct (end set, t).
             end_sets = {
                 frozenset(e for p in triple.paths for e in p.ends)
                 for triple in TripleStream(lp)
             }
-            assert len(subdivided) == 3 * len(end_sets)
+            assert len(subs.memo) == 3 * len(end_sets)
         assert checked > 0
 
     def test_entry_is_read_instead_of_enumerating(self, monkeypatch):
         g, t = star_triple()
-        subdivided = {}
-        first = verify_proposition(g, t, 1, subdivided=subdivided)
-        assert len(subdivided) == 1
+        subs = Subdivisions(g)
+        first = verify_proposition(subs, t, 1)
+        assert len(subs.memo) == 1
 
         def refuse(*args, **kwargs):
-            raise AssertionError("enumerated a graph already in the dict")
+            raise AssertionError("searched a graph already in the memo")
 
+        monkeypatch.setattr(subdivision, "longest_path_length", refuse)
         monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
-        assert verify_proposition(g, t, 1, subdivided=subdivided) == first
+        assert verify_proposition(subs, t, 1) == first
 
     def test_budget_error_is_not_stored(self, monkeypatch):
         g, t = star_triple()
@@ -236,12 +271,15 @@ class TestSubdividedReuse:
         def out_of_time(*args, **kwargs):
             raise BudgetError("deadline passed")
 
-        monkeypatch.setattr(subdivision, "enumerate_longest_paths", out_of_time)
-        subdivided = {}
-        v = verify_proposition(g, t, 1, budget_s=5.0, subdivided=subdivided)
+        monkeypatch.setattr(subdivision, "longest_path_length", out_of_time)
+        subs = Subdivisions(g)
+        v = verify_proposition(subs, t, 1)
         assert v.status == SKIPPED_BUDGET
-        assert v.witness == {"budget_s": 5.0}
-        assert subdivided == {}
+        assert v.witness == {"budget_s": 120.0}
+        assert subs.memo == {}
+        monkeypatch.undo()
+        assert verify_proposition(subs, t, 1).status == HOLDS
+        assert len(subs.memo) == 1
 
 
 class TestRestrictToTriple:

@@ -22,7 +22,6 @@ from gallai.triples import (
     PathTriple,
     TripleStream,
     analyze_triple,
-    distance_sum,
     exclusive_vertices,
     f_value,
     pairwise_intersection,
@@ -110,33 +109,6 @@ class TestTripleStream:
         stream = TripleStream(lp)
         assert stream[stream.total - 1].paths == lp.paths[-3:]
         assert stream[0].paths == lp.paths[:3]
-
-
-class TestDistanceSum:
-    def test_star_center(self):
-        g, t = star_triple()
-        assert distance_sum(g, 0, t) == 0
-
-    def test_star_leaf(self):
-        # A leaf lies on two of the three paths and is one step from the third.
-        g, t = star_triple()
-        assert distance_sum(g, 1, t) == 1
-
-    def test_vertex_on_all_three(self):
-        g, t = cycle_triple()
-        for v in range(5):
-            assert distance_sum(g, v, t) == 0
-
-    def test_out_of_range(self):
-        g, t = star_triple()
-        with pytest.raises(ValueError):
-            distance_sum(g, 9, t)
-
-    def test_disconnected_rejected(self):
-        g = from_edge_list(4, [(0, 1), (1, 2)])
-        t = PathTriple((Path((0, 1)), Path((1, 2)), Path((0, 1, 2))))
-        with pytest.raises(ValueError):
-            distance_sum(g, 3, t)
 
 
 class TestFValue:
