@@ -2,11 +2,12 @@
 
 The package computes, for a connected graph and a set of three longest
 paths, the minimum over vertices of the summed distances to the three
-paths, together with the supporting quantities (exclusive vertices,
-crossing counts, pairwise intersections). It checks every claim of the
-surrounding theory on exhaustive small-graph corpora and on user-supplied
-graphs, and it builds and brute-force-verifies the pendant-plus-subdivision
-construction that scales the parameter linearly.
+paths, together with the supporting quantities (exclusive-vertex counts,
+crossing counts, pairwise intersection sizes), all read off the paths'
+vertex masks. It checks every claim of the surrounding theory on
+exhaustive small-graph corpora and on user-supplied graphs, and it builds
+and brute-force-verifies the pendant-plus-subdivision construction that
+scales the parameter linearly.
 """
 
 from .claims import (
@@ -72,9 +73,7 @@ from .triples import (
     TripleAnalysis,
     TripleStream,
     analyze_triple,
-    exclusive_vertices,
     f_value,
-    pairwise_intersection,
     t_count,
 )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any
 
-from .graphs import Graph, graph_key, is_connected
+from .graphs import Graph, graph_key, is_connected, iter_bits
 from .paths import LongestPathSet, Path, enumerate_longest_paths, longest_path_summary
 from .triples import PathTriple, TripleAnalysis, analyze_triple
 
@@ -167,9 +167,9 @@ def check_prop1(
     lp, short = _gate_longest("prop1", graph, (p1, p2), longest_paths)
     if short is not None:
         return short
-    common = p1.vertex_set() & p2.vertex_set()
+    common = p1.mask & p2.mask
     if common:
-        return ClaimVerdict("prop1", HOLDS, {"common": sorted(common)})
+        return ClaimVerdict("prop1", HOLDS, {"common": list(iter_bits(common))})
     return ClaimVerdict(
         "prop1",
         VIOLATED,

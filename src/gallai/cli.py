@@ -228,6 +228,11 @@ def _cmd_subdivide(args) -> int:
             built.append(None)
             continue
         lp = enumerate_longest_paths(graph)
+        if lp.truncated:
+            # The capped listing would put another graph's triple at this index.
+            results.append({"graph6": graph_key(graph), "status": "skipped_truncated"})
+            built.append(None)
+            continue
         triples = TripleStream(lp)
         if args.triple >= triples.total:
             results.append(
@@ -302,6 +307,12 @@ def _cmd_verify_prop(args) -> int:
             )
             continue
         lp = enumerate_longest_paths(graph)
+        if lp.truncated:
+            # Every triple would be skipped: one record says so for all of them.
+            results.append(
+                {"graph6": graph_key(graph), "status": "skipped_truncated", "verdicts": []}
+            )
+            continue
         verdicts: list[dict] = []
         subdivisions = Subdivisions(graph, lp)
         for triple in TripleStream(lp, args.triple_cap):

@@ -104,9 +104,6 @@ class Path:
             m |= 1 << v
         return m
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 

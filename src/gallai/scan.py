@@ -26,7 +26,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -139,34 +139,12 @@ class GraphRecord:
     min_t: int | None = None
     tallies: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "status": self.status,
-            "l": self.l,
-            "num_longest": self.num_longest,
-            "truncated": self.truncated,
-            "gallai_size": self.gallai_size,
-            "triples_total": self.triples_total,
-            "triples_examined": self.triples_examined,
-            "triples_skipped": self.triples_skipped,
-            "pairs_examined": self.pairs_examined,
-            "max_f": self.max_f,
-            "min_t": self.min_t,
-            "tallies": self.tallies,
-        }
-
 
 @dataclass
 class ViolationRecord:
     graph6: str
     claim: str
     witness: dict
-
-    def to_json(self) -> dict:
-        return {"graph6": self.graph6, "claim": self.claim, "witness": self.witness}
 
 
 @dataclass
@@ -205,7 +183,7 @@ class _ProvenClaimViolated(Exception):
 
 
 def _examine_graph(
-    graph: Graph, config: ScanConfig, hook=None
+    graph: Graph, config: ScanConfig
 ) -> tuple[GraphRecord, list[ViolationRecord], bool]:
     """Full per-graph evaluation. Returns the record, any violations, and
     whether a proven claim was violated (an internal error)."""
@@ -231,10 +209,10 @@ def _examine_graph(
     vacuous = table.count < 3
     shortcut = not vacuous and config.triple_mode == "shortcut-first" and table.core != 0
     pair = table.count == 2 and "prop1" in config.checks
-    # Paths are listed only for what looks at them: the test hook, a lone
-    # pair's prop1 check, or triple iteration.
+    # Paths are listed only for what looks at them: a lone pair's prop1
+    # check, or triple iteration.
     lp = triples = None
-    if hook is not None or pair or not (vacuous or shortcut):
+    if pair or not (vacuous or shortcut):
         lp = table.paths()
         triples = TripleStream(lp, None if config.triple_mode == "all" else config.triple_cap)
 
@@ -247,10 +225,6 @@ def _examine_graph(
                 raise _ProvenClaimViolated
 
     try:
-        if hook is not None:
-            for verdict in hook(graph, lp):
-                run(verdict)
-
         if vacuous:
             record.status = "vacuous"
             # A lone longest-path pair still gets the pairwise check.
@@ -328,19 +302,15 @@ def _scan_worker(item):
     return _examine_graph(graph, config)
 
 
-def scan(config: ScanConfig, *, _test_hook=None) -> ScanReport:
-    """Run the configured scan over its corpus.
-
-    ``_test_hook`` lets tests inject synthetic verdicts per graph to
-    exercise the violation plumbing; it forces serial execution.
-    """
+def scan(config: ScanConfig) -> ScanReport:
+    """Run the configured scan over its corpus."""
     start = time.monotonic()
     graphs = _resolve_source(config)
     results = []
     aborted = False
-    if config.jobs == 1 or _test_hook is not None or len(graphs) < 2:
+    if config.jobs == 1 or len(graphs) < 2:
         for graph in graphs:
-            outcome = _examine_graph(graph, config, hook=_test_hook)
+            outcome = _examine_graph(graph, config)
             results.append(outcome)
             if outcome[2]:
                 aborted = True
@@ -401,8 +371,8 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "summary": report.summary(),
-            "graphs": [rec.to_json() for rec in report.records],
-            "violations": [v.to_json() for v in report.violations],
+            "graphs": [asdict(rec) for rec in report.records],
+            "violations": [asdict(v) for v in report.violations],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -413,7 +383,7 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
         for v in report.violations:
             per_graph_violations[v.graph6] = per_graph_violations.get(v.graph6, 0) + 1
         for rec in report.records:
-            row = rec.to_json()
+            row = asdict(rec)
             row["violations"] = per_graph_violations.get(rec.graph6, 0)
             writer.writerow(["" if row[c] is None else row[c] for c in _CSV_COLUMNS])
         return buf.getvalue()
@@ -488,7 +458,7 @@ def analyze_one(
             "witnesses": sorted(analysis.witnesses),
             "x_sizes": list(analysis.x_sizes),
             "t_counts": list(analysis.t_counts),
-            "pairwise_sizes": [len(s) for s in analysis.pairwise],
+            "pairwise_sizes": list(analysis.pairwise_sizes),
             "verdicts": {},
         }
         for checker in checkers:
@@ -523,8 +493,6 @@ def subdivision_sweep(
     max_n: int,
     t_values: tuple[int, ...],
     *,
-    include_proposition: bool = True,
-    include_size_bound: bool = True,
     triple_cap: int | None = None,
 ) -> dict:
     """Verify the subdivision claims over the longest-path triples of every
@@ -556,11 +524,10 @@ def subdivision_sweep(
             for triple in triples:
                 for t in t_values:
                     t0 = time.monotonic()
-                    verdicts = []
-                    if include_proposition:
-                        verdicts.append(verify_proposition(subdivisions, triple, t))
-                    if include_size_bound:
-                        verdicts.append(check_size_bound(graph, triple, t))
+                    verdicts = (
+                        verify_proposition(subdivisions, triple, t),
+                        check_size_bound(graph, triple, t),
+                    )
                     worst_s = max(worst_s, time.monotonic() - t0)
                     instances += 1
                     for v in verdicts:

@@ -1,7 +1,9 @@
 """Core parameters of a three-path set: the minimum summed distance from a
 vertex to the three paths (with its witness set), per-path exclusive
-vertices, per-path crossing counts, and pairwise intersections.
+vertex counts, per-path crossing counts, and pairwise intersection sizes.
 
+Vertex sets are the paths' bit masks throughout: the counts are ANDs and
+``bit_count()``, and only the witness set of ``f_value`` is a frozenset.
 All functions here accept arbitrary valid path triples; the claim checkers
 layer the longest-path requirement on top where it matters.
 """
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph, _distance_list
+from .graphs import Graph, _distance_list, iter_bits
 from .paths import LongestPathSet, Path
 
 
@@ -45,13 +47,6 @@ class PathTriple:
 
     def __iter__(self):
         return iter(self.paths)
-
-    def others(self, which: int) -> tuple[Path, Path]:
-        """The two paths other than ``paths[which]``."""
-        if which not in (0, 1, 2):
-            raise IndexError(f"path index {which} out of range 0..2")
-        rest = [p for i, p in enumerate(self.paths) if i != which]
-        return rest[0], rest[1]
 
 
 class TripleStream:
@@ -122,22 +117,6 @@ def f_value(graph: Graph, triple: PathTriple) -> tuple[int, frozenset[int]]:
     return best, frozenset(witnesses)
 
 
-def exclusive_vertices(triple: PathTriple, which: int) -> frozenset[int]:
-    """Vertices of the selected path lying on neither of the other two."""
-    a, b = triple.others(which)
-    return triple.paths[which].vertex_set() - a.vertex_set() - b.vertex_set()
-
-
-def pairwise_intersection(triple: PathTriple, i: int, j: int) -> frozenset[int]:
-    """Vertex intersection of two distinct paths of the triple."""
-    if i == j:
-        raise ValueError("pairwise intersection needs two distinct indices")
-    for k in (i, j):
-        if k not in (0, 1, 2):
-            raise IndexError(f"path index {k} out of range 0..2")
-    return triple.paths[i].vertex_set() & triple.paths[j].vertex_set()
-
-
 def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
     """Number of crossings of the other two paths along the selected path.
 
@@ -150,31 +129,28 @@ def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
     Runs the full quadratic scan over subpaths with incremental membership
     counters; clarity over cleverness at these sizes.
     """
-    a, b = triple.others(which)
-    set_a = a.vertex_set()
-    set_b = b.vertex_set()
+    if which not in (0, 1, 2):
+        raise IndexError(f"path index {which} out of range 0..2")
+    mask_a, mask_b = (p.mask for k, p in enumerate(triple.paths) if k != which)
     seq = triple.paths[which].vertices
     count = 0
     for i in range(len(seq)):
         in_a = 0
         in_b = 0
-        first_a = seq[i] in set_a
-        first_b = seq[i] in set_b
+        first_a = mask_a >> seq[i] & 1
+        first_b = mask_b >> seq[i] & 1
         for j in range(i, len(seq)):
             v = seq[j]
-            if v in set_a:
-                in_a += 1
-            if v in set_b:
-                in_b += 1
+            last_a = mask_a >> v & 1
+            last_b = mask_b >> v & 1
+            in_a += last_a
+            in_b += last_b
             if in_a > 1 and in_b > 1:
                 break
             if strict and i == j:
                 continue
-            if in_a == 1 and in_b == 1:
-                last_a = v in set_a
-                last_b = v in set_b
-                if (first_a and last_b) or (last_a and first_b):
-                    count += 1
+            if in_a == 1 and in_b == 1 and (first_a and last_b or last_a and first_b):
+                count += 1
     return count
 
 
@@ -182,8 +158,9 @@ def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
 class TripleAnalysis:
     """All computed parameters of one triple.
 
-    ``pairwise`` holds the vertex intersections for path pairs (0,1),
-    (0,2), (1,2) in that order. ``strict_crossings`` records which crossing
+    ``x_sizes`` counts each path's vertices on neither other path, and
+    ``pairwise_sizes`` the shared vertices of path pairs (0,1), (0,2),
+    (1,2) in that order. ``strict_crossings`` records which crossing
     convention produced ``t_counts`` so reports can flag it.
     """
 
@@ -191,7 +168,7 @@ class TripleAnalysis:
     witnesses: frozenset[int]
     x_sizes: tuple[int, int, int]
     t_counts: tuple[int, int, int]
-    pairwise: tuple[frozenset[int], frozenset[int], frozenset[int]]
+    pairwise_sizes: tuple[int, int, int]
     strict_crossings: bool = False
 
 
@@ -200,14 +177,17 @@ def analyze_triple(
 ) -> TripleAnalysis:
     """Compute every triple parameter at once."""
     f, witnesses = f_value(graph, triple)
-    x_sizes = tuple(len(exclusive_vertices(triple, k)) for k in range(3))
-    t_counts = tuple(t_count(triple, k, strict=strict_t) for k in range(3))
-    pairwise = tuple(
-        pairwise_intersection(triple, i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+    m0, m1, m2 = (p.mask for p in triple.paths)
+    x_sizes = (
+        (m0 & ~(m1 | m2)).bit_count(),
+        (m1 & ~(m0 | m2)).bit_count(),
+        (m2 & ~(m0 | m1)).bit_count(),
     )
-    common = pairwise[0] & triple.paths[2].vertex_set()
-    # f vanishes exactly when the triple has a common vertex.
+    t_counts = tuple(t_count(triple, k, strict=strict_t) for k in range(3))
+    pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
+    common = m0 & m1 & m2
+    # f vanishes exactly when the triple has a common vertex, and then
+    # every common vertex is a witness.
     assert (f == 0) == bool(common), (f, common)
-    if common:
-        assert common <= witnesses
-    return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise, strict_t)
+    assert all(v in witnesses for v in iter_bits(common))
+    return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise_sizes, strict_t)

@@ -7,6 +7,7 @@ is checked against code that shares none of its machinery.
 
 from __future__ import annotations
 
+import signal
 from functools import lru_cache
 from itertools import permutations
 
@@ -55,6 +56,21 @@ def petersen_graph() -> Graph:
 def theta_graph() -> Graph:
     """Two hubs joined by three internally disjoint two-edge routes."""
     return from_edge_list(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+
+
+def within_seconds(seconds, call):
+    """``call()``, failing with ``TimeoutError`` once ``seconds`` pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +125,18 @@ def oracle_f_value(graph: Graph, paths) -> tuple[int, set[int]]:
         elif total == best:
             argmin.add(v)
     return best, argmin
+
+
+def oracle_triple_sizes(paths) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:
+    """Exclusive-vertex counts, pairwise intersection sizes for the pairs
+    (0,1), (0,2), (1,2), and the common vertices of three paths, from
+    frozensets of their vertices rather than bit masks."""
+    sets = [frozenset(p.vertices) for p in paths]
+    x_sizes = tuple(
+        len(sets[k] - sets[(k + 1) % 3] - sets[(k + 2) % 3]) for k in range(3)
+    )
+    pairwise = tuple(len(sets[i] & sets[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return x_sizes, pairwise, sets[0] & sets[1] & sets[2]
 
 
 def oracle_isomorphic(g: Graph, h: Graph) -> bool:

@@ -29,12 +29,31 @@ GOLDEN_DIGESTS = {
     # The per-verdict witnesses, which the --n summaries do not carry.
     "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
         "9891fa7d4bbc0f744e8b218ce8ce7eb69528a9dae62776885b4aeda8278a0c96",
+    # The per-triple parameters: f, witnesses, x_sizes, t_counts and
+    # pairwise_sizes, under both crossing conventions.
+    "analyze --input <n <= 5> --t 1,2 --triple-cap 300":
+        "cd7700d289db7551489675e195b084dc6f3e22c107c2c59354f06eeb7d2a8aea",
+    "analyze --input <n <= 5> --triple-cap 300 --strict-t-convention":
+        "34eb9eed8ac75f62bec515326f1d34662c6f4dc33107831a6892f825b6adace4",
+    # A Gallai-free graph: 42 longest paths whose 11,480 triples have
+    # nonzero exclusive counts.
+    "analyze --input KhAAPWU_?_@?":
+        "dba43bc5cba3549fcd7eb7168bc59e3daec7803b08068f9b124396f72cf88821",
 }
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {description}")
     assert ok, f"criterion {number} failed: {description}"
+
+
+@pytest.fixture(scope="module")
+def subdivision_sweep_n5():
+    return subdivision_sweep(5, (0, 1, 2))
+
+
+def _claim_violations(result: dict, claim: str) -> list[dict]:
+    return [v for v in result["violations"] if v["claim"] == claim]
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +107,10 @@ def test_criterion_2_oracle_equivalence():
     )
 
 
-def test_criterion_3_subdivision_proposition():
-    result = subdivision_sweep(
-        5, (1, 2), include_proposition=True, include_size_bound=False
-    )
+def test_criterion_3_subdivision_proposition(subdivision_sweep_n5):
+    result = subdivision_sweep_n5
     ok = (
-        result["violations"] == []
+        _claim_violations(result, "subdivision_prop") == []
         and result["skipped"] == 0
         and result["instances"] > 0
         and result["worst_instance_s"] <= 60.0
@@ -140,11 +157,9 @@ def test_criterion_5_graph6_bit_exactness():
     )
 
 
-def test_criterion_6_size_bounds():
-    result = subdivision_sweep(
-        5, (0, 1, 2), include_proposition=False, include_size_bound=True
-    )
-    ok = result["violations"] == [] and result["instances"] > 0
+def test_criterion_6_size_bounds(subdivision_sweep_n5):
+    result = subdivision_sweep_n5
+    ok = _claim_violations(result, "size_bound") == [] and result["instances"] > 0
     _verdict(
         6,
         f"restricted unions stay within 3(n0-1) edges and subdivided "
@@ -167,12 +182,26 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     corpus_file.write_text("".join(to_graph6(g) + "\n" for g in corpus_up_to(5)))
     code_input = main(["verify-prop", "--input", str(corpus_file), "--t", "0,1,2",
                        "--triple-cap", "40"])
+    verify_input = capsys.readouterr().out
+    free_file = tmp_path / "gallai_free.g6"
+    free_file.write_text("KhAAPWU_?_@?\n")
+    analyze_runs = {
+        "analyze --input <n <= 5> --t 1,2 --triple-cap 300":
+            [str(corpus_file), "--t", "1,2", "--triple-cap", "300"],
+        "analyze --input <n <= 5> --triple-cap 300 --strict-t-convention":
+            [str(corpus_file), "--triple-cap", "300", "--strict-t-convention"],
+        "analyze --input KhAAPWU_?_@?": [str(free_file)],
+    }
+    analyze_digests = {}
+    for name, argv in analyze_runs.items():
+        assert main(["analyze", "--input", *argv]) == 0
+        analyze_digests[name] = _sha256(capsys.readouterr().out)
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
         "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
-        "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
-            _sha256(capsys.readouterr().out),
+        "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
+        **analyze_digests,
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS

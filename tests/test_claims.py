@@ -342,7 +342,7 @@ class TestGallaiVertexSet:
             lp = enumerate_longest_paths(g)
             gal = gallai_vertex_set(g, longest_paths=lp)
             for p in lp.paths:
-                assert gal <= p.vertex_set()
+                assert gal <= frozenset(p.vertices)
 
     def test_trees_contain_their_centers(self):
         # Eccentricity-minimal vertices of a tree lie on every longest path.

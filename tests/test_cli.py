@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gallai.subdivision as subdivision
-from conftest import complete_graph, star_graph
+from conftest import complete_graph, star_graph, within_seconds
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import enumerate_longest_paths
@@ -187,6 +187,19 @@ class TestSubdivide:
         )
         assert json.loads(out)[0]["triple"] == last
 
+    def test_truncated_graph_is_skipped(self, tmp_path, capsys):
+        # K9 has 181440 longest paths, over the default cap of 100000: the
+        # capped listing's triple 99998 is not the graph's.
+        src = tmp_path / "k9.g6"
+        src.write_text(to_graph6(complete_graph(9)) + "\n")
+        argv = ("subdivide", "--input", str(src), "--t", "0", "--triple", "99998")
+        code, out, _ = within_seconds(20, lambda: run(capsys, *argv))
+        assert code == 0
+        assert json.loads(out) == [{"graph6": "H~~~~~~", "status": "skipped_truncated"}]
+        code, out, _ = within_seconds(20, lambda: run(capsys, *argv, "--format", "edgelist"))
+        assert code == 0
+        assert out == "# H~~~~~~: skipped_truncated\n"
+
     def test_vacuous_when_too_few_triples(self, tmp_path, capsys):
         src = tmp_path / "path.g6"
         src.write_text("Bg\n")
@@ -250,6 +263,18 @@ class TestVerifyProp:
         assert {v["status"] for v in payload[0]["verdicts"]} == {"holds"}
         assert "status" not in payload[0]
         assert payload[1] == {"graph6": "Fs?GG", "status": "disconnected", "verdicts": []}
+
+    def test_truncated_graph_gets_one_record(self, tmp_path, capsys):
+        # K9's 100000 listed paths make 1.7e14 triples; none is iterated,
+        # and the next graph still gets its verdicts.
+        src = tmp_path / "k9.g6"
+        src.write_text(to_graph6(complete_graph(9)) + "\n" + to_graph6(star_graph(3)) + "\n")
+        code, out, _ = within_seconds(
+            20, lambda: run(capsys, "verify-prop", "--input", str(src), "--t", "1"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[0] == {"graph6": "H~~~~~~", "status": "skipped_truncated", "verdicts": []}
+        assert {v["status"] for v in payload[1]["verdicts"]} == {"holds"}
 
     def test_each_subdivided_graph_searched_once(self, tmp_path, capsys, monkeypatch):
         # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs, each

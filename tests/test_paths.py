@@ -20,7 +20,7 @@ from conftest import (
     star_graph,
 )
 from gallai import paths
-from gallai.graphs import from_edge_list
+from gallai.graphs import from_edge_list, iter_bits
 from gallai.paths import (
     DEFAULT_PATH_CAP,
     BudgetError,
@@ -66,7 +66,7 @@ class TestPath:
     def test_mask_and_set(self):
         p = Path((0, 2, 3))
         assert p.mask == 0b1101
-        assert p.vertex_set() == {0, 2, 3}
+        assert list(iter_bits(p.mask)) == [0, 2, 3]
 
 
 class TestLongestPathLength:

@@ -6,12 +6,18 @@ import importlib
 import io
 import json
 import random
-import signal
 from itertools import combinations
 
 import pytest
 
-from conftest import complete_graph, corpus_up_to, cycle_graph, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    corpus_up_to,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    within_seconds,
+)
 from gallai.claims import HOLDS, VIOLATED, ClaimVerdict
 from gallai import paths as paths_module
 from gallai.graphs import format_edge_list, from_edge_list, to_graph6
@@ -87,21 +93,6 @@ class TestScanGeneratedCorpus:
             assert rec.tallies["prop1"] == {HOLDS: 1}
 
 
-def within_seconds(seconds, call):
-    """``call()``, failing with ``TimeoutError`` once ``seconds`` pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return call()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestRecordsWithoutEnumeration:
     """Records come from the longest-path summary; paths are listed only
     for the pairs and triples that are examined."""
@@ -164,7 +155,7 @@ class TestRecordsWithoutEnumeration:
         for rec, g in zip(scan(ScanConfig(generate_n=6)).records,
                           sorted(corpus_up_to(6), key=to_graph6)):
             lp = enumerate_longest_paths(g)
-            core = frozenset.intersection(*(p.vertex_set() for p in lp.paths))
+            core = frozenset.intersection(*(frozenset(p.vertices) for p in lp.paths))
             assert (rec.l, rec.num_longest, rec.gallai_size) == (
                 lp.length, len(lp.paths), len(core))
             assert rec.triples_total == len(lp.paths) * (len(lp.paths) - 1) * (
@@ -288,34 +279,45 @@ class TestDeterminism:
 
 
 class TestInjectedViolations:
-    def test_conjecture_violation_exits_two(self):
-        def hook(graph, lp):
-            if graph.n == 4 and graph.m == 3 and len(lp.paths) == 3:
-                yield ClaimVerdict(
+    """Forced verdicts, patched into the checkers a scan looks up by name,
+    exercise the violation plumbing. ``triple_mode="all"`` sends every
+    graph with three longest paths through triple iteration."""
+
+    def test_conjecture_violation_exits_two(self, monkeypatch):
+        real = scan_module._TRIPLE_CHECKERS["conj_Z"]
+
+        def forced(graph, triple, l, analysis):
+            # The claw K_{1,3} is the one four-vertex graph with 3 edges and
+            # exactly three longest paths.
+            if graph.n == 4 and graph.m == 3:
+                return ClaimVerdict(
                     "conj_Z", VIOLATED, {"graph": to_graph6(graph), "forced": True}
                 )
+            return real(graph, triple, l, analysis)
 
-        report = scan(ScanConfig(generate_n=4), _test_hook=hook)
+        monkeypatch.setitem(scan_module._TRIPLE_CHECKERS, "conj_Z", forced)
+        report = scan(ScanConfig(generate_n=4, triple_mode="all"))
         assert report.exit_code == EXIT_CONJECTURE_VIOLATION
         assert len(report.violations) == 1
         assert report.violations[0].claim == "conj_Z"
         assert report.violations[0].witness["forced"]
         assert not report.aborted
 
-    def test_proven_violation_aborts_with_exit_three(self):
+    def test_proven_violation_aborts_with_exit_three(self, monkeypatch):
         hit: list[str] = []
 
-        def hook(graph, lp):
-            hit.append(graph.graph6 if hasattr(graph, "graph6") else to_graph6(graph))
-            if graph.n == 3:
-                yield ClaimVerdict("prop1", VIOLATED, {"forced": True})
+        def forced(graph, p1, p2, *, longest_paths=None):
+            hit.append(to_graph6(graph))
+            return ClaimVerdict("prop1", VIOLATED, {"forced": True})
 
-        report = scan(ScanConfig(generate_n=4), _test_hook=hook)
+        monkeypatch.setattr(scan_module, "check_prop1", forced)
+        report = scan(ScanConfig(generate_n=4, triple_mode="all"))
         assert report.exit_code == EXIT_INTERNAL_VIOLATION
         assert report.internal_violation
         assert report.aborted
-        # Nothing after the offending graph was examined.
-        assert len(hit) < 10
+        # The triangle's first pair stops the scan: no later pair and no
+        # four-vertex graph is examined.
+        assert hit == [to_graph6(cycle_graph(3))]
         serialized = emit_report(report, "json")
         assert '"forced": true' in serialized
 

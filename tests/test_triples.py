@@ -1,10 +1,12 @@
-"""Triple parameters: distance sums, witness sets, exclusive vertices,
-crossing counts, and pairwise intersections."""
+"""Triple parameters: distance sums, witness sets, exclusive-vertex counts,
+crossing counts, and pairwise intersection sizes."""
 
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -12,6 +14,7 @@ from conftest import (
     corpus_up_to,
     cycle_graph,
     oracle_f_value,
+    oracle_triple_sizes,
     path_graph,
     spider_graph,
     star_graph,
@@ -22,11 +25,19 @@ from gallai.triples import (
     PathTriple,
     TripleStream,
     analyze_triple,
-    exclusive_vertices,
     f_value,
-    pairwise_intersection,
     t_count,
 )
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on up to ten vertices plus up to 2n more edges."""
+    n = draw(st.integers(3, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return from_edge_list(n, sorted(edges))
 
 
 def star_triple():
@@ -56,13 +67,6 @@ class TestPathTriple:
         assert len(t.paths) == 3
         with pytest.raises(ValueError):
             PathTriple.make(g, [1, 0, 2], [1, 0, 3], [1, 2, 3])
-
-    def test_others(self):
-        _, t = star_triple()
-        rest = t.others(0)
-        assert t.paths[0] not in rest
-        with pytest.raises(IndexError):
-            t.others(3)
 
 
 class TestTripleStream:
@@ -178,35 +182,39 @@ class TestFValue:
             f_value(g, t)
 
 
+def meet_size(t: PathTriple) -> int:
+    return len(frozenset.intersection(*(frozenset(p.vertices) for p in t.paths)))
+
+
 class TestExclusiveVertices:
     def test_star_all_empty(self):
-        _, t = star_triple()
-        for k in range(3):
-            assert exclusive_vertices(t, k) == frozenset()
+        g, t = star_triple()
+        assert analyze_triple(g, t).x_sizes == (0, 0, 0)
 
     def test_cycle_all_empty(self):
-        _, t = cycle_triple()
-        for k in range(3):
-            assert exclusive_vertices(t, k) == frozenset()
+        g, t = cycle_triple()
+        assert analyze_triple(g, t).x_sizes == (0, 0, 0)
 
     def test_disjoint_paths_keep_everything(self):
-        t = PathTriple((Path((0, 1)), Path((3, 4)), Path((6, 7))))
-        assert exclusive_vertices(t, 0) == {0, 1}
-        assert exclusive_vertices(t, 2) == {6, 7}
+        t = PathTriple((Path((0, 1)), Path((3, 4)), Path((6, 7, 8))))
+        ana = analyze_triple(path_graph(9), t)
+        assert ana.x_sizes == (2, 2, 3)
+        assert ana.pairwise_sizes == (0, 0, 0)
 
     def test_partition_identity(self):
-        # Each path splits into exclusive vertices and shared vertices.
+        # Each path splits into exclusive vertices and vertices shared with
+        # the other two, counted by inclusion-exclusion.
         for g in corpus(5):
             lp = enumerate_longest_paths(g)
             if len(lp.paths) < 3:
                 continue
             for combo in combinations(lp.paths, 3):
                 t = PathTriple(combo)
+                ana = analyze_triple(g, t)
+                x, (p01, p02, p12), meet = ana.x_sizes, ana.pairwise_sizes, meet_size(t)
+                shared = (p01 + p02 - meet, p01 + p12 - meet, p02 + p12 - meet)
                 for k in range(3):
-                    a, b = t.others(k)
-                    shared = t.paths[k].vertex_set() & (a.vertex_set() | b.vertex_set())
-                    assert len(t.paths[k]) == len(exclusive_vertices(t, k)) + len(shared)
-                    assert len(t.paths[k]) == lp.length + 1
+                    assert len(t.paths[k]) == x[k] + shared[k] == lp.length + 1
 
     def test_inclusion_exclusion_identity(self):
         # sum |V(Pi)| = sum |X_i| + 2 * sum pairwise - 3 * |triple meet|.
@@ -216,38 +224,21 @@ class TestExclusiveVertices:
                 continue
             for combo in combinations(lp.paths, 3):
                 t = PathTriple(combo)
+                ana = analyze_triple(g, t)
                 total = sum(len(p) for p in t.paths)
-                xs = sum(len(exclusive_vertices(t, k)) for k in range(3))
-                pw = sum(
-                    len(pairwise_intersection(t, i, j))
-                    for i, j in ((0, 1), (0, 2), (1, 2))
-                )
-                meet = len(
-                    t.paths[0].vertex_set()
-                    & t.paths[1].vertex_set()
-                    & t.paths[2].vertex_set()
-                )
-                assert total == xs + 2 * pw - 3 * meet
-
-    def test_bad_index(self):
-        _, t = star_triple()
-        with pytest.raises(IndexError):
-            exclusive_vertices(t, 5)
+                xs = sum(ana.x_sizes)
+                pw = sum(ana.pairwise_sizes)
+                assert total == xs + 2 * pw - 3 * meet_size(t)
 
 
 class TestPairwiseIntersection:
     def test_star(self):
-        _, t = star_triple()
-        assert pairwise_intersection(t, 0, 1) == {0, 1}
+        g, t = star_triple()
+        assert analyze_triple(g, t).pairwise_sizes == (2, 2, 2)
 
     def test_cycle_full(self):
-        _, t = cycle_triple()
-        assert pairwise_intersection(t, 0, 2) == frozenset(range(5))
-
-    def test_same_index_rejected(self):
-        _, t = star_triple()
-        with pytest.raises(ValueError):
-            pairwise_intersection(t, 1, 1)
+        g, t = cycle_triple()
+        assert analyze_triple(g, t).pairwise_sizes == (5, 5, 5)
 
 
 class TestTCount:
@@ -296,10 +287,15 @@ class TestTCount:
             combo = rng.sample(list(lp.paths), 3)
             t = PathTriple(tuple(combo))
             for k in range(3):
-                a, b = t.others(k)
+                a, b = (p for p in t.paths if p != t.paths[k])
                 swapped = PathTriple((t.paths[k], b, a))
                 k2 = swapped.paths.index(t.paths[k])
                 assert t_count(t, k) == t_count(swapped, k2)
+
+    def test_bad_index(self):
+        _, t = star_triple()
+        with pytest.raises(IndexError):
+            t_count(t, 3)
 
     def test_at_least_one_for_longest_triples(self):
         # Crossing counts are positive whenever the triple consists of
@@ -323,7 +319,7 @@ class TestAnalyzeTriple:
         assert ana.witnesses == {0}
         assert ana.x_sizes == (0, 0, 0)
         assert ana.t_counts == (1, 1, 1)
-        assert all(len(s) >= 1 for s in ana.pairwise)
+        assert ana.pairwise_sizes == (2, 2, 2)
         assert not ana.strict_crossings
 
     def test_strict_flag_recorded(self):
@@ -340,11 +336,35 @@ class TestAnalyzeTriple:
             for combo in combinations(lp.paths, 3):
                 t = PathTriple(combo)
                 ana = analyze_triple(g, t)
-                meet = (
-                    t.paths[0].vertex_set()
-                    & t.paths[1].vertex_set()
-                    & t.paths[2].vertex_set()
-                )
+                meet = frozenset.intersection(*(frozenset(p.vertices) for p in t.paths))
                 assert (ana.f == 0) == bool(meet)
                 if meet:
                     assert ana.witnesses == meet
+
+    @staticmethod
+    def assert_sizes_match_oracle(g, t):
+        ana = analyze_triple(g, t)
+        x_sizes, pairwise, meet = oracle_triple_sizes(t.paths)
+        assert (ana.x_sizes, ana.pairwise_sizes) == (x_sizes, pairwise)
+        assert (ana.f == 0) == bool(meet)
+
+    def test_sizes_match_frozenset_oracle_on_corpus(self):
+        # Every triple where a graph has at most 300, else 300 at seeded
+        # random positions: the densest six-vertex graphs have millions.
+        rng = random.Random(7)
+        for g in corpus_up_to(6):
+            stream = TripleStream(enumerate_longest_paths(g))
+            if stream.total <= 300:
+                triples = list(stream)
+            else:
+                triples = [stream[i] for i in rng.sample(range(stream.total), 300)]
+            for t in triples:
+                self.assert_sizes_match_oracle(g, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_sizes_match_frozenset_oracle_on_random_graphs(self, g, rng):
+        stream = TripleStream(enumerate_longest_paths(g))
+        assume(stream.total > 0)
+        for i in rng.sample(range(stream.total), min(stream.total, 20)):
+            self.assert_sizes_match_oracle(g, stream[i])
