@@ -54,6 +54,7 @@ from .scan import (
     ScanReport,
     analyze_one,
     emit_report,
+    report_json,
     scan,
     subdivision_sweep,
 )

@@ -9,7 +9,6 @@ configuration or I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .generate import MAX_GENERATION_N, generate_connected_graphs
@@ -32,6 +31,7 @@ from .scan import (
     analyze_one,
     emit_report,
     read_graphs,
+    report_json,
     scan,
     subdivision_sweep,
 )
@@ -190,7 +190,7 @@ def _cmd_analyze(args) -> int:
         for g in graphs
     ]
     if args.format == "json":
-        _write_out(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
+        _write_out(report_json(results) + "\n", args.out)
     else:
         lines = []
         for res in results:
@@ -265,7 +265,7 @@ def _cmd_subdivide(args) -> int:
             }
         )
     if args.format == "json":
-        _write_out(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
+        _write_out(report_json(results) + "\n", args.out)
     else:
         chunks = []
         for res, sub in zip(results, built):
@@ -295,7 +295,7 @@ def _cmd_verify_prop(args) -> int:
         # Wall-clock time stays out of the report so that it is byte-deterministic.
         worst_s = result.pop("worst_instance_s")
         sys.stderr.write(f"verify-prop: slowest instance took {worst_s:.3f}s\n")
-        _write_out(json.dumps(result, indent=2, sort_keys=True) + "\n", args.out)
+        _write_out(report_json(result) + "\n", args.out)
         return EXIT_OK if not result["violations"] else EXIT_INTERNAL_VIOLATION
     graphs = read_graphs(args.input, args.input_format)
     results = []
@@ -329,7 +329,7 @@ def _cmd_verify_prop(args) -> int:
                 if v.status == "violated":
                     worst_status = EXIT_INTERNAL_VIOLATION
         results.append({"graph6": graph_key(graph), "verdicts": verdicts})
-    _write_out(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
+    _write_out(report_json(results) + "\n", args.out)
     return worst_status
 
 

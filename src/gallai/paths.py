@@ -14,7 +14,8 @@ ascending vertex order:
   table gives the number of longest paths and their common vertices (the
   Gallai set) without listing a single path; ``longest_path_summary``
   returns the two with ``l``. Under a cap the search stops once more than
-  ``cap`` paths are certain, which bounds it on dense graphs.
+  ``cap`` paths are certain, which bounds it on dense graphs; without a
+  cap it raises ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB).
 * ``LongestPathTable.paths`` and ``enumerate_longest_paths`` walk the
   table, entering only branches that complete, so they list the paths in
   sorted order and a capped listing is the ``cap`` smallest of them.
@@ -32,11 +33,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .graphs import Graph
 
 DEFAULT_PATH_CAP = 100_000
+MAX_UNCAPPED_STATES = 250_000
 
 
 class BudgetError(RuntimeError):
@@ -88,6 +91,13 @@ class Path:
                 raise ValueError(f"vertices {a} and {b} are not adjacent")
         return cls(vs)
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], mask: int) -> "Path":
+        # For a walk's paths: already distinct, canonically oriented, masked.
+        path = object.__new__(cls)
+        path.__dict__.update(vertices=vertices, mask=mask)
+        return path
+
     @property
     def length(self) -> int:
         """Edge count, i.e. one less than the vertex count."""
@@ -97,7 +107,7 @@ class Path:
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    @property
+    @cached_property
     def mask(self) -> int:
         m = 0
         for v in self.vertices:
@@ -273,8 +283,12 @@ class LongestPathTable:
         entry = table.get(key)
         if entry is not None:
             return entry
-        _check_deadline(self._deadline, self._ticks)
+        ticks = self._ticks
         self._ticks += 1
+        if ticks & 255 == 0:  # the first state and every 256th after it
+            _check_deadline(self._deadline, ticks)
+            if self.cap is None and ticks >= MAX_UNCAPPED_STATES:
+                raise ValueError(f"uncapped table past {MAX_UNCAPPED_STATES} states")
         count = 0
         core = -1
         # A state with one way on takes it; at a branch, the reachability
@@ -326,7 +340,7 @@ class LongestPathTable:
         adj = self._adj
         deadline = self._deadline
         completes = self._completes
-        found: list[tuple[int, ...]] = []
+        found: list[Path] = []
 
         def walk(head: int, used: int, need: int, seq: list[int]) -> None:
             _check_deadline(deadline, self._ticks)
@@ -339,7 +353,7 @@ class LongestPathTable:
                 if need == 1:
                     # Each undirected path completes once, from its smaller end.
                     if seq[0] < v:
-                        found.append((*seq, v))
+                        found.append(Path._trusted((*seq, v), used | low))
                         if len(found) == cap:
                             raise _StopSearch
                 # A state one edge short has no entry and is simply tried.
@@ -358,7 +372,7 @@ class LongestPathTable:
             raise _too_deep(n) from None
         finally:
             del walk  # the closure cycle again, as in longest_path_length
-        return LongestPathSet(target, tuple(Path(t) for t in found), self.truncated)
+        return LongestPathSet(target, tuple(found), self.truncated)
 
 
 def longest_path_summary(

@@ -29,6 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from multiprocessing import get_context
 
@@ -364,6 +365,33 @@ _CSV_COLUMNS = (
 )
 
 
+def report_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
+    per container (a list of ints in one go) rather than by ``json``'s
+    pure-Python indenting encoder, which collects every token first."""
+
+    def encode(o, pad: str) -> str:
+        if isinstance(o, str):
+            return _quote(o)
+        if type(o) is int:
+            return int.__repr__(o)
+        if not o or not isinstance(o, (list, tuple, dict)):
+            return json.dumps(o)  # other scalars, and empty containers
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(o, dict):
+            body = sep.join([
+                f"{_quote(k if isinstance(k, str) else json.dumps(k))}: {encode(v, inner)}"
+                for k, v in sorted(o.items())
+            ])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        if all(type(x) is int for x in o):
+            return f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
+        return f"[\n{inner}{sep.join([encode(x, inner) for x in o])}\n{pad}]"
+
+    return encode(obj, "")
+
+
 def emit_report(report: ScanReport, fmt: str = "json") -> str:
     """Serialise a scan report. JSON and CSV are byte-deterministic for a
     given corpus and check set; the text form adds wall-clock timing."""
@@ -374,7 +402,7 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
             "graphs": [asdict(rec) for rec in report.records],
             "violations": [asdict(v) for v in report.violations],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return report_json(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -450,6 +478,7 @@ def analyze_one(
     checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
     triples_out = []
     subdivisions = Subdivisions(graph, lp)
+    prop1: dict[tuple, str] = {}  # each pair's status, checked once
     for triple in triples:
         analysis = analyze_triple(graph, triple, strict_t=strict_t)
         entry = {
@@ -465,10 +494,12 @@ def analyze_one(
             v = checker(graph, triple, lp.length, analysis)
             entry["verdicts"][v.claim] = v.status
         if "prop1" in checks:
-            entry["verdicts"]["prop1"] = [
-                check_prop1(graph, a, b, longest_paths=lp).status
-                for a, b in combinations(triple.paths, 2)
-            ]
+            statuses = entry["verdicts"]["prop1"] = []
+            for a, b in combinations(triple.paths, 2):
+                key = (a.vertices, b.vertices)
+                if key not in prop1:
+                    prop1[key] = check_prop1(graph, a, b, longest_paths=lp).status
+                statuses.append(prop1[key])
         sub = {}
         for t in subdivision_t:
             prop = verify_proposition(subdivisions, triple, t)

@@ -166,7 +166,8 @@ class Subdivisions:
     ``longest_paths`` is the base graph's longest-path set, listed here
     when not given. ``memo`` maps an (end set, t) pair, the end set as a
     sorted tuple, to the pendant map, the built instance and the exact
-    longest-path length of its graph. Keep one object per base graph.
+    longest-path length of its graph, and ``base_f`` the last triple
+    verified with its ``f``. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathSet | None = None):
@@ -177,6 +178,7 @@ class Subdivisions:
         self.memo: dict[
             tuple[tuple[int, ...], int], tuple[dict[int, int], SubdividedInstance, int]
         ] = {}
+        self.base_f: tuple[PathTriple | None, int] = (None, 0)
 
 
 def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
@@ -198,7 +200,9 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
     if short is not None:
         return short
-    base_f, _ = f_value(graph, triple)
+    if subdivisions.base_f[0] != triple:
+        subdivisions.base_f = (triple, f_value(graph, triple)[0])
+    base_f = subdivisions.base_f[1]
     key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
     entry = subdivisions.memo.get(key)
     if entry is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
-from .graphs import Graph, _distance_list, iter_bits
+from .graphs import Graph, _distance_list
 from .paths import LongestPathSet, Path
 
 
@@ -96,25 +96,12 @@ def f_value(graph: Graph, triple: PathTriple) -> tuple[int, frozenset[int]]:
     exactly when the three paths share a vertex, in which case the witness
     set is that common intersection.
     """
-    n = graph.n
-    adj = graph.adjacency
-    dists = [_distance_list(adj, n, p.mask) for p in triple.paths]
-    best: int | None = None
-    witnesses: list[int] = []
-    for v in range(n):
-        total = 0
-        for dv in dists:
-            d = dv[v]
-            if d is None:
-                raise ValueError("graph is disconnected; distance sums are undefined")
-            total += d
-        if best is None or total < best:
-            best = total
-            witnesses = [v]
-        elif total == best:
-            witnesses.append(v)
-    assert best is not None
-    return best, frozenset(witnesses)
+    dists = [_distance_list(graph.adjacency, graph.n, p.mask) for p in triple.paths]
+    if any(None in dv for dv in dists):
+        raise ValueError("graph is disconnected; distance sums are undefined")
+    totals = [a + b + c for a, b, c in zip(*dists)]
+    best = min(totals)
+    return best, frozenset(v for v, total in enumerate(totals) if total == best)
 
 
 def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
@@ -126,31 +113,23 @@ def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
     both other paths; pass ``strict=True`` to require at least two vertices
     instead (the alternative crossing convention).
 
-    Runs the full quadratic scan over subpaths with incremental membership
-    counters; clarity over cleverness at these sizes.
+    One pass over the selected path's vertices that lie on either other
+    path: such a Q is two consecutive ones, one only on the first other
+    path and one only on the second, or one vertex on both.
     """
     if which not in (0, 1, 2):
         raise IndexError(f"path index {which} out of range 0..2")
     mask_a, mask_b = (p.mask for k, p in enumerate(triple.paths) if k != which)
-    seq = triple.paths[which].vertices
     count = 0
-    for i in range(len(seq)):
-        in_a = 0
-        in_b = 0
-        first_a = mask_a >> seq[i] & 1
-        first_b = mask_b >> seq[i] & 1
-        for j in range(i, len(seq)):
-            v = seq[j]
-            last_a = mask_a >> v & 1
-            last_b = mask_b >> v & 1
-            in_a += last_a
-            in_b += last_b
-            if in_a > 1 and in_b > 1:
-                break
-            if strict and i == j:
-                continue
-            if in_a == 1 and in_b == 1 and (first_a and last_b or last_a and first_b):
+    last = 0  # 1 only on a, 2 only on b, 3 on both
+    for v in triple.paths[which].vertices:
+        side = (mask_a >> v & 1) | (mask_b >> v & 1) << 1
+        if side:
+            if side == 3:
+                count += not strict
+            elif last ^ side == 3:
                 count += 1
+            last = side
     return count
 
 
@@ -187,7 +166,7 @@ def analyze_triple(
     pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
     common = m0 & m1 & m2
     # f vanishes exactly when the triple has a common vertex, and then
-    # every common vertex is a witness.
+    # the witnesses are the common vertices.
     assert (f == 0) == bool(common), (f, common)
-    assert all(v in witnesses for v in iter_bits(common))
+    assert f or common == sum(1 << w for w in witnesses), (witnesses, common)
     return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise_sizes, strict_t)

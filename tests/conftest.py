@@ -139,6 +139,26 @@ def oracle_triple_sizes(paths) -> tuple[tuple[int, ...], tuple[int, ...], frozen
     return x_sizes, pairwise, sets[0] & sets[1] & sets[2]
 
 
+def oracle_t_count(paths, which: int, *, strict: bool = False) -> int:
+    """Crossings along ``paths[which]`` by the quadratic scan: every
+    contiguous subpath Q is tested, with frozensets for membership, for
+    meeting each other path exactly once and in opposite ends of Q."""
+    a, b = (frozenset(p.vertices) for k, p in enumerate(paths) if k != which)
+    seq = paths[which].vertices
+    count = 0
+    for i in range(len(seq)):
+        for j in range(i, len(seq)):
+            if strict and i == j:
+                continue
+            q = seq[i : j + 1]
+            if sum(v in a for v in q) != 1 or sum(v in b for v in q) != 1:
+                continue
+            ends = (seq[i], seq[j])
+            if ends[0] in a and ends[1] in b or ends[0] in b and ends[1] in a:
+                count += 1
+    return count
+
+
 def oracle_isomorphic(g: Graph, h: Graph) -> bool:
     """Brute-force isomorphism by trying every vertex bijection."""
     if g.n != h.n or g.m != h.m:

@@ -39,6 +39,9 @@ GOLDEN_DIGESTS = {
     # nonzero exclusive counts.
     "analyze --input KhAAPWU_?_@?":
         "dba43bc5cba3549fcd7eb7168bc59e3daec7803b08068f9b124396f72cf88821",
+    # The built instances: extended and subdivided graphs, lifted paths.
+    "subdivide --input <n <= 5> --t 2 --triple 3":
+        "e406e0f74bc6ed37eeae3f14ab81558f959a68790982eb1493ffcbc0ea77c0ff",
 }
 
 
@@ -196,12 +199,15 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     for name, argv in analyze_runs.items():
         assert main(["analyze", "--input", *argv]) == 0
         analyze_digests[name] = _sha256(capsys.readouterr().out)
+    assert main(["subdivide", "--input", str(corpus_file), "--t", "2", "--triple", "3"]) == 0
+    subdivide_out = capsys.readouterr().out
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
         "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
+        "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -31,6 +33,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return from_edge_list(n, edges)
+
+
+@st.composite
+def any_graphs(draw):
+    """Any graph on 1..10 vertices: each vertex pair is drawn as an edge or not."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edge_list(n, [p for p, bit in zip(pairs, bits) if bit])
 
 
 class TestConstruction:
@@ -109,6 +120,13 @@ class TestGraph6:
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 12))
             assert parse_graph6(to_graph6(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_graphs())
+    def test_round_trip_hypothesis(self, g):
+        rec = to_graph6(g)
+        assert parse_graph6(rec) == g
+        assert to_graph6(parse_graph6(rec)) == rec
 
     def test_round_trip_near_size_limit(self):
         rng = random.Random(11)

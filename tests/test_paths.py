@@ -18,11 +18,13 @@ from conftest import (
     path_graph,
     petersen_graph,
     star_graph,
+    within_seconds,
 )
 from gallai import paths
 from gallai.graphs import from_edge_list, iter_bits
 from gallai.paths import (
     DEFAULT_PATH_CAP,
+    MAX_UNCAPPED_STATES,
     BudgetError,
     LongestPathTable,
     Path,
@@ -277,6 +279,24 @@ class TestCompletionTable:
         assert list(capped.paths) == longest[:cap]
         assert capped.truncated == (len(longest) > cap)
 
+    @staticmethod
+    def assert_walked_paths_validate(g):
+        # The walk builds its paths without the constructor's checks.
+        for p in enumerate_longest_paths(g).paths:
+            checked = Path(p.vertices)
+            assert p == checked and hash(p) == hash(checked)
+            assert (p.vertices, p.mask) == (checked.vertices, checked.mask)
+            assert type(p.vertices) is tuple
+
+    def test_walked_paths_equal_validated_paths_on_corpus(self):
+        for g in corpus_up_to(7):
+            self.assert_walked_paths_validate(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs())
+    def test_walked_paths_equal_validated_paths_on_random_graphs(self, g):
+        self.assert_walked_paths_validate(g)
+
     def test_capped_walk_is_a_prefix(self):
         full = enumerate_longest_paths(complete_graph(7))
         capped = enumerate_longest_paths(complete_graph(7), cap=100)
@@ -343,6 +363,11 @@ class TestCap:
         lp = table.paths()
         assert lp.truncated and len(lp.paths) == DEFAULT_PATH_CAP
         assert lp.paths[0].vertices == tuple(range(22))
+
+    def test_uncapped_table_is_bounded(self):
+        # K22 has 22 * 2^21 memo states, gigabytes of table uncapped.
+        with pytest.raises(ValueError, match=f"past {MAX_UNCAPPED_STATES} states"):
+            within_seconds(30, lambda: longest_path_summary(complete_graph(22)))
 
     def test_capped_walk_matches_oracle_prefix(self):
         # Caps that stop the fill in the middle of a start vertex's subtree.

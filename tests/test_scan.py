@@ -3,12 +3,16 @@ single-graph deep dive."""
 
 import csv
 import importlib
+import inspect
 import io
 import json
 import random
 from itertools import combinations
+from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -18,7 +22,7 @@ from conftest import (
     star_graph,
     within_seconds,
 )
-from gallai.claims import HOLDS, VIOLATED, ClaimVerdict
+from gallai.claims import HOLDS, VIOLATED, ClaimVerdict, check_prop1
 from gallai import paths as paths_module
 from gallai.graphs import format_edge_list, from_edge_list, to_graph6
 from gallai.paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
@@ -30,6 +34,7 @@ from gallai.scan import (
     ScanConfig,
     analyze_one,
     emit_report,
+    report_json,
     scan,
     subdivision_sweep,
 )
@@ -361,7 +366,56 @@ class TestEmitReport:
         assert report.exit_code == EXIT_OK
 
 
+# Strings with JSON escapes, non-ASCII text and the graph6 alphabet.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f[]{}?@~'),
+                          st.characters()), max_size=8)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(_TEXT, inner, max_size=5),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_same_bytes_as_json_dumps(self, doc):
+        # st.floats() draws NaN and both infinities.
+        assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_edge_values(self):
+        doc = {"": [], "a": {}, "b": (), "c": [float("nan"), float("inf"), -float("inf")],
+               "d": [True, False, None, 0, -1, 2**70, 1e300, -0.0], "é\u2603": "}\\["}
+        assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_the_only_indenting_encoder(self):
+        # Every indented JSON report goes through report_json.
+        own = inspect.getsource(scan_module.report_json)
+        for source in sorted(FilePath(scan_module.__file__).parent.glob("*.py")):
+            assert "indent=" not in source.read_text().replace(own, ""), source.name
+
+
 class TestAnalyzeOne:
+    def test_prop1_checked_once_per_pair(self, monkeypatch):
+        # C5 has five longest paths: ten pairs over ten triples.
+        pairs = []
+
+        def counted(graph, a, b, **kwargs):
+            pairs.append((a, b))
+            return check_prop1(graph, a, b, **kwargs)
+
+        monkeypatch.setattr(scan_module, "check_prop1", counted)
+        res = analyze_one(cycle_graph(5))
+        assert len(pairs) == len(set(pairs)) == 10
+        assert all(t["verdicts"]["prop1"] == [HOLDS] * 3 for t in res["triples"])
+
     def test_star(self):
         res = analyze_one(star_graph(3))
         assert res["l"] == 2

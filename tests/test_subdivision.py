@@ -265,6 +265,25 @@ class TestSubdividedReuse:
         monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
         assert verify_proposition(subs, t, 1) == first
 
+    def test_base_f_once_per_triple(self, monkeypatch):
+        # The base value is computed on a triple's first t and read on the
+        # rest; every t still computes its subdivided value.
+        g = cycle_graph(5)
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        graphs = []
+
+        def counted(graph, triple):
+            graphs.append(graph)
+            return f_value(graph, triple)
+
+        monkeypatch.setattr(subdivision, "f_value", counted)
+        for triple in list(TripleStream(lp))[:2]:
+            for tt in (0, 1, 2):
+                assert verify_proposition(subs, triple, tt).status == HOLDS
+        assert sum(graph is g for graph in graphs) == 2
+        assert len(graphs) == 2 + 6
+
     def test_budget_error_is_not_stored(self, monkeypatch):
         g, t = star_triple()
 

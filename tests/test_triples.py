@@ -2,7 +2,7 @@
 crossing counts, and pairwise intersection sizes."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,12 +14,13 @@ from conftest import (
     corpus_up_to,
     cycle_graph,
     oracle_f_value,
+    oracle_t_count,
     oracle_triple_sizes,
     path_graph,
     spider_graph,
     star_graph,
 )
-from gallai.graphs import from_edge_list
+from gallai.graphs import from_edge_list, parse_graph6
 from gallai.paths import Path, enumerate_all_simple_paths, enumerate_longest_paths
 from gallai.triples import (
     PathTriple,
@@ -296,6 +297,63 @@ class TestTCount:
         _, t = star_triple()
         with pytest.raises(IndexError):
             t_count(t, 3)
+
+    @staticmethod
+    def assert_matches_quadratic_oracle(t):
+        for k in range(3):
+            for strict in (False, True):
+                assert t_count(t, k, strict=strict) == oracle_t_count(t.paths, k, strict=strict)
+
+    @staticmethod
+    def sample(g, rng, size):
+        # Every triple of a graph with at most ``size``, else ``size`` at
+        # seeded random positions.
+        stream = TripleStream(enumerate_longest_paths(g))
+        if stream.total <= size:
+            return list(stream)
+        return [stream[i] for i in rng.sample(range(stream.total), size)]
+
+    def test_every_side_pattern_matches_quadratic_oracle(self):
+        # A count depends only on which of the other two paths each vertex
+        # of the selected path lies on. Every such pattern on up to seven
+        # vertices, so every triple of every graph with n <= 7, is checked:
+        # vertex v of the selected path 0..length-1 lies on ``a`` when bit 0
+        # of sides[v] is set and on ``b`` when bit 1 is.
+        for length in range(1, 8):
+            selected = Path(tuple(range(length)))
+            for sides in product(range(4), repeat=length):
+                # An extra vertex off the selected path keeps each path
+                # nonempty and the three distinct.
+                a = Path(tuple(v for v, s in enumerate(sides) if s & 1) + (length,))
+                b = Path(tuple(v for v, s in enumerate(sides) if s & 2) + (length + 1,))
+                t = PathTriple((selected, a, b))
+                k = t.paths.index(selected)
+                for strict in (False, True):
+                    assert t_count(t, k, strict=strict) == oracle_t_count(
+                        t.paths, k, strict=strict)
+
+    def test_matches_quadratic_oracle_on_corpus(self):
+        # The densest six-vertex graphs have millions of triples; the
+        # pattern test above covers every one of them.
+        rng = random.Random(5)
+        for n, size in ((4, 10**6), (5, 300), (6, 50), (7, 3)):
+            for g in corpus(n):
+                for t in self.sample(g, rng, size):
+                    self.assert_matches_quadratic_oracle(t)
+
+    def test_matches_quadratic_oracle_on_gallai_free_graph(self):
+        # Twelve vertices: paths longer than the pattern test reaches.
+        g = parse_graph6("KhAAPWU_?_@?")
+        for t in self.sample(g, random.Random(3), 1000):
+            self.assert_matches_quadratic_oracle(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_matches_quadratic_oracle_on_random_graphs(self, g, rng):
+        triples = self.sample(g, rng, 20)
+        assume(triples)
+        for t in triples:
+            self.assert_matches_quadratic_oracle(t)
 
     def test_at_least_one_for_longest_triples(self):
         # Crossing counts are positive whenever the triple consists of
