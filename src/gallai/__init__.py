@@ -40,13 +40,11 @@ from .graphs import (
 from .paths import (
     BudgetError,
     DEFAULT_PATH_CAP,
-    LongestPathSet,
     LongestPathTable,
     Path,
     enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
-    longest_path_summary,
 )
 from .scan import (
     ALL_CHECKS,

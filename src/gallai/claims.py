@@ -28,11 +28,10 @@ are classified separately from conjecture violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Any
 
 from .graphs import Graph, graph_key, is_connected, iter_bits
-from .paths import LongestPathSet, Path, enumerate_longest_paths, longest_path_summary
+from .paths import DEFAULT_PATH_CAP, LongestPathTable, Path
 from .triples import PathTriple, TripleAnalysis, analyze_triple
 
 HOLDS = "holds"
@@ -116,9 +115,10 @@ def _gate_longest(
     claim: str,
     graph: Graph,
     paths,
-    longest_paths: LongestPathSet | None,
-) -> tuple[LongestPathSet, ClaimVerdict | None]:
-    lp = enumerate_longest_paths(graph) if longest_paths is None else longest_paths
+    longest_paths: LongestPathTable | None,
+) -> tuple[LongestPathTable, ClaimVerdict | None]:
+    # The gate reads only the length and the flag: no path is listed.
+    lp = LongestPathTable(graph, DEFAULT_PATH_CAP) if longest_paths is None else longest_paths
     if lp.truncated:
         return lp, ClaimVerdict(
             claim,
@@ -155,7 +155,7 @@ def check_prop1(
     p1: Path,
     p2: Path,
     *,
-    longest_paths: LongestPathSet | None = None,
+    longest_paths: LongestPathTable | None = None,
 ) -> ClaimVerdict:
     """Two distinct longest paths of a connected graph share a vertex.
 
@@ -285,7 +285,7 @@ def check_triple(
     graph: Graph,
     triple: PathTriple,
     *,
-    longest_paths: LongestPathSet | None = None,
+    longest_paths: LongestPathTable | None = None,
     analysis: TripleAnalysis | None = None,
 ) -> ClaimVerdict:
     """Check one registered triple claim on caller-supplied paths.
@@ -309,23 +309,21 @@ def check_triple(
 # ---------------------------------------------------------------------------
 
 def gallai_vertex_set(
-    graph: Graph, *, longest_paths: LongestPathSet | None = None
+    graph: Graph, *, longest_paths: LongestPathTable | None = None
 ) -> frozenset[int]:
     """Vertices lying on every longest path; may be empty.
 
-    Without ``longest_paths`` the answer comes from the longest-path
-    summary and is exact however many paths there are. Given a truncated
-    enumeration it refuses to answer, since a missing path could shrink
-    the intersection.
+    The answer is the ``core`` of the longest-path table, which intersects
+    the paths without listing them. Without ``longest_paths`` an uncapped
+    table is filled, exact however many paths there are. Given a truncated
+    table it refuses to answer, since a missing path could shrink the
+    intersection.
     """
     if not is_connected(graph):
         raise ValueError("the longest-path intersection is defined for connected graphs")
-    if longest_paths is None:
-        _, _, mask = longest_path_summary(graph)
-    elif longest_paths.truncated:
+    table = LongestPathTable(graph) if longest_paths is None else longest_paths
+    if table.truncated:
         raise TruncatedEnumerationError(
             "longest-path enumeration was truncated; intersection unknown"
         )
-    else:
-        mask = reduce(lambda acc, p: acc & p.mask, longest_paths.paths, (1 << graph.n) - 1)
-    return frozenset(v for v in range(graph.n) if mask >> v & 1)
+    return frozenset(iter_bits(table.core))

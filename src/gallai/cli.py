@@ -229,7 +229,7 @@ def _cmd_subdivide(args) -> int:
             continue
         lp = enumerate_longest_paths(graph)
         if lp.truncated:
-            # The capped listing would put another graph's triple at this index.
+            # A truncated table lists no paths: not vacuous, but unknown.
             results.append({"graph6": graph_key(graph), "status": "skipped_truncated"})
             built.append(None)
             continue
@@ -308,7 +308,7 @@ def _cmd_verify_prop(args) -> int:
             continue
         lp = enumerate_longest_paths(graph)
         if lp.truncated:
-            # Every triple would be skipped: one record says so for all of them.
+            # A truncated table lists no triples; one record says why.
             results.append(
                 {"graph6": graph_key(graph), "status": "skipped_truncated", "verdicts": []}
             )

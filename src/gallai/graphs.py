@@ -87,6 +87,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _edge_problem(n: int, u: int, v: int) -> str | None:
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    return None
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
@@ -96,10 +104,9 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise ValueError("graph needs at least one vertex")
     adj = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
+        problem = _edge_problem(n, u, v)
+        if problem:
+            raise ValueError(problem)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -196,21 +203,34 @@ def graph_key(graph: Graph) -> str:
 # edge-list text format: first line "n m", then m lines "u v"
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str) -> Graph:
-    tokens = text.split()
+def parse_edge_list(text: str, source: str | None = None) -> Graph:
+    """Decode ``n m`` and then ``m`` endpoint pairs, separated by any
+    whitespace. A ``ValueError`` names the 1-based line at fault (a bad
+    pair's first, the header's for a wrong count), after ``source``."""
+    prefix = "" if source is None else f"{source}: "
+    # Every line break is whitespace, so these are the tokens of text.split().
+    tokens = [(tok, number) for number, line in enumerate(text.splitlines(), 1)
+              for tok in line.split()]
     if len(tokens) < 2:
-        raise ValueError("edge-list input needs an 'n m' header line")
-    try:
-        numbers = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError("edge-list input contains a non-integer token") from exc
+        raise ValueError(f"{prefix}edge-list input needs an 'n m' header line")
+    numbers = []
+    for tok, number in tokens:
+        try:
+            numbers.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"{prefix}line {number}: edge-list token {tok!r} is not an integer") from None
     n, m = numbers[0], numbers[1]
     if len(numbers) != 2 + 2 * m:
-        raise ValueError(
-            f"edge-list input declares {m} edges but carries "
-            f"{(len(numbers) - 2) // 2} endpoint pairs"
-        )
-    edges = [(numbers[2 + 2 * k], numbers[3 + 2 * k]) for k in range(m)]
+        raise ValueError(f"{prefix}line {tokens[1][1]}: edge-list input declares {m} "
+                         f"edges but carries {(len(numbers) - 2) // 2} endpoint pairs")
+    if n < 1:
+        raise ValueError(f"{prefix}line {tokens[0][1]}: graph needs at least one vertex")
+    edges = list(zip(numbers[2::2], numbers[3::2]))
+    for (u, v), (_, number) in zip(edges, tokens[2::2]):
+        problem = _edge_problem(n, u, v)
+        if problem:
+            raise ValueError(f"{prefix}line {number}: {problem}")
     return from_edge_list(n, edges)
 
 

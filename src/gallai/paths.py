@@ -1,8 +1,8 @@
 """Exact longest-path search: the length, a memoised completion table that
-counts the longest paths and intersects them, the paths themselves walked
-from that table, and a naive all-simple-paths oracle.
+counts the longest paths, intersects them and lists them, and a naive
+all-simple-paths oracle.
 
-Three depth-first searches extend paths from every start vertex in
+Two depth-first searches extend paths from every start vertex in
 ascending vertex order:
 
 * ``longest_path_length`` finds ``l`` by branch and bound: it drops a
@@ -12,13 +12,14 @@ ascending vertex order:
   partial path's (head, vertex set). Each state stores how many ways it
   completes and the AND of the vertex masks the completions add, so the
   table gives the number of longest paths and their common vertices (the
-  Gallai set) without listing a single path; ``longest_path_summary``
-  returns the two with ``l``. Under a cap the search stops once more than
-  ``cap`` paths are certain, which bounds it on dense graphs; without a
-  cap it raises ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB).
-* ``LongestPathTable.paths`` and ``enumerate_longest_paths`` walk the
-  table, entering only branches that complete, so they list the paths in
-  sorted order and a capped listing is the ``cap`` smallest of them.
+  Gallai set) without listing a single path. Under a cap the search stops
+  once more than ``cap`` paths are certain, which bounds it on dense
+  graphs; without a cap it raises ``ValueError`` past
+  ``MAX_UNCAPPED_STATES`` (~50 MB). Its ``paths`` walks the table on first
+  use, entering only branches that complete, so it lists the paths in
+  sorted order; a truncated table lists none, since every verdict needs
+  the complete set. ``enumerate_longest_paths`` returns a table with its
+  paths listed.
 
 Each search recurses once per path edge; one that would go deeper than
 Python's recursion limit raises ``ValueError`` instead.
@@ -127,23 +128,6 @@ class Path:
         return f"Path({list(self.vertices)})"
 
 
-@dataclass
-class LongestPathSet:
-    """The exact longest-path length and every longest path, reversal-free.
-
-    ``truncated`` is set when enumeration hit its cap; in that case exactly
-    ``cap`` paths are present and downstream consumers must refuse to draw
-    conclusions from the set.
-    """
-
-    length: int
-    paths: tuple[Path, ...]
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
 def _reaches(adj: tuple[int, ...], start: int, used: int, need: int) -> bool:
     """Whether at least ``need`` vertices are reachable from the mask
     ``start`` without entering ``used``; stops as soon as they are."""
@@ -210,7 +194,7 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
 
 class LongestPathTable:
     """One graph's longest paths, counted and intersected without being
-    listed, and listed on demand.
+    listed, and listed on first use of ``paths``.
 
     Construction finds ``length`` and fills the completion table: the
     search toward ``length`` edges from every start vertex, memoised on the
@@ -224,9 +208,8 @@ class LongestPathTable:
     A state's count is a lower bound on the number of directed longest
     paths, so with a ``cap`` the fill stops as soon as more than ``cap``
     paths are certain: ``truncated`` is set, ``count`` and ``core`` are
-    None, and the work stays bounded on dense graphs however many paths
-    they have. ``paths()`` lists up to ``cap`` paths in sorted order either
-    way.
+    None, ``paths`` is empty, and the work stays bounded on dense graphs
+    however many paths they have.
     """
 
     def __init__(
@@ -243,8 +226,8 @@ class LongestPathTable:
         self._deadline = deadline
         self._ticks = 0
         # Entries keyed ``used * n + head``. Every state that completes has
-        # one, and in a table that was not cut short a missing entry means
-        # no completion.
+        # one, so in a table that lists anything a missing entry means no
+        # completion.
         self._table: dict[int, tuple[int, int]] = {}
         # Directed paths: each undirected one is counted from both ends.
         self._limit = float("inf") if cap is None else 2 * cap
@@ -314,32 +297,20 @@ class LongestPathTable:
             table[key] = (0, 0)
         return 0, 0
 
-    def _completes(self, head: int, used: int, need: int) -> bool:
-        entry = self._table.get(used * self._n + head)
-        if entry is not None:
-            return entry[0] != 0
-        if not self.truncated:
-            return False
-        # The fill stopped before this state; fill it now, under the same
-        # limit, which it passes only if it completes.
-        try:
-            return self._fill(head, used, need)[0] != 0
-        except _StopSearch:
-            return True
-
-    def paths(self) -> LongestPathSet:
-        """Up to ``cap`` longest paths, in sorted order, walked from the
-        table: branches are entered in ascending vertex order, and only if
-        they complete, so a capped listing is the ``cap`` smallest paths."""
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        """Every longest path, in sorted order, walked from the table on
+        first use: branches are entered in ascending vertex order, and only
+        if they complete. Empty when the table is truncated."""
+        if self.truncated:
+            return ()
         n = self._n
         target = self.length
-        cap = self.cap
         if target == 0:
-            paths = tuple(Path((v,)) for v in range(n if cap is None else min(n, cap)))
-            return LongestPathSet(0, paths, self.truncated)
+            return tuple(Path((v,)) for v in range(n))
         adj = self._adj
         deadline = self._deadline
-        completes = self._completes
+        table = self._table
         found: list[Path] = []
 
         def walk(head: int, used: int, need: int, seq: list[int]) -> None:
@@ -354,53 +325,32 @@ class LongestPathTable:
                     # Each undirected path completes once, from its smaller end.
                     if seq[0] < v:
                         found.append(Path._trusted((*seq, v), used | low))
-                        if len(found) == cap:
-                            raise _StopSearch
                 # A state one edge short has no entry and is simply tried.
-                elif need == 2 or completes(v, used | low, need - 1):
+                elif need == 2 or table.get((used | low) * n + v, (0, 0))[0]:
                     seq.append(v)
                     walk(v, used | low, need - 1, seq)
                     seq.pop()
 
         try:
             for start in range(n):
-                if target == 1 or completes(start, 1 << start, target):
+                if target == 1 or table.get((1 << start) * n + start, (0, 0))[0]:
                     walk(start, 1 << start, target, [start])
-        except _StopSearch:
-            pass
         except RecursionError:
             raise _too_deep(n) from None
         finally:
             del walk  # the closure cycle again, as in longest_path_length
-        return LongestPathSet(target, tuple(found), self.truncated)
-
-
-def longest_path_summary(
-    graph: Graph, *, deadline: float | None = None
-) -> tuple[int, int, int]:
-    """The longest paths in three numbers, ``(length, count, core)``: their
-    edge count, how many there are (reversal-free), and the mask of the
-    vertices lying on every one of them. Exact however many paths there
-    are, and read off the completion table without listing any; the table
-    grows with the paths' number on dense graphs, where a capped
-    ``LongestPathTable`` stops early."""
-    table = LongestPathTable(graph, deadline=deadline)
-    return table.length, table.count, table.core
+        return tuple(found)
 
 
 def enumerate_longest_paths(
-    graph: Graph,
-    cap: int = DEFAULT_PATH_CAP,
-    *,
-    deadline: float | None = None,
-) -> LongestPathSet:
-    """All longest paths of the graph, deduplicated under reversal, in
-    sorted order.
-
-    If more than ``cap`` longest paths exist, the ``cap`` smallest are
-    returned and the result is flagged ``truncated`` rather than erroring.
-    """
-    return LongestPathTable(graph, cap, deadline=deadline).paths()
+    graph: Graph, cap: int = DEFAULT_PATH_CAP, *, deadline: float | None = None
+) -> LongestPathTable:
+    """The graph's longest-path table with its ``paths`` listed: every
+    longest path, deduplicated under reversal, in sorted order, or none
+    when more than ``cap`` exist and the table is ``truncated``."""
+    table = LongestPathTable(graph, cap, deadline=deadline)
+    table.paths  # walked here, within this call's deadline and timing
+    return table
 
 
 def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:

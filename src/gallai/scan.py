@@ -210,12 +210,10 @@ def _examine_graph(
     vacuous = table.count < 3
     shortcut = not vacuous and config.triple_mode == "shortcut-first" and table.core != 0
     pair = table.count == 2 and "prop1" in config.checks
-    # Paths are listed only for what looks at them: a lone pair's prop1
-    # check, or triple iteration.
-    lp = triples = None
-    if pair or not (vacuous or shortcut):
-        lp = table.paths()
-        triples = TripleStream(lp, None if config.triple_mode == "all" else config.triple_cap)
+    # The table walks its paths only when something reads them: a lone
+    # pair's prop1 check, or triple iteration.
+    cap = None if config.triple_mode == "all" else config.triple_cap
+    triples = None if vacuous or shortcut else TripleStream(table, cap)
 
     def run(verdict: ClaimVerdict) -> None:
         claim_tally = record.tallies.setdefault(verdict.claim, {})
@@ -231,7 +229,7 @@ def _examine_graph(
             # A lone longest-path pair still gets the pairwise check.
             if pair:
                 record.pairs_examined = 1
-                run(check_prop1(graph, lp.paths[0], lp.paths[1], longest_paths=lp))
+                run(check_prop1(graph, table.paths[0], table.paths[1], longest_paths=table))
             return record, violations, False
 
         if shortcut:
@@ -244,7 +242,7 @@ def _examine_graph(
 
         checkers = [_TRIPLE_CHECKERS[c] for c in config.checks if c in _TRIPLE_CHECKERS]
         seen_pairs: set[tuple] = set()
-        subdivisions = Subdivisions(graph, lp)
+        subdivisions = Subdivisions(graph, table)
         for triple in triples:
             analysis = analyze_triple(graph, triple, strict_t=config.strict_t)
             record.max_f = (
@@ -259,9 +257,9 @@ def _examine_graph(
                         continue
                     seen_pairs.add(key)
                     record.pairs_examined += 1
-                    run(check_prop1(graph, a, b, longest_paths=lp))
+                    run(check_prop1(graph, a, b, longest_paths=table))
             for checker in checkers:
-                run(checker(graph, triple, lp.length, analysis))
+                run(checker(graph, triple, table.length, analysis))
             for t in config.subdivision_t:
                 run(verify_proposition(subdivisions, triple, t))
                 run(check_size_bound(graph, triple, t))
@@ -286,8 +284,7 @@ def _resolve_source(config: ScanConfig) -> list[Graph]:
 
 def read_graphs(path: str, fmt: str) -> list[Graph]:
     """The graphs of a graph6 (one per line) or edge-list file, ``-`` for
-    stdin. A malformed graph6 line raises an error naming the file and the
-    line."""
+    stdin. Malformed input raises an error naming the file and the line."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -295,7 +292,7 @@ def read_graphs(path: str, fmt: str) -> list[Graph]:
             text = fh.read()
     if fmt == "graph6":
         return parse_graph6_lines(text.splitlines(), None if path == "-" else path)
-    return [parse_edge_list(text)]
+    return [parse_edge_list(text, None if path == "-" else path)]
 
 
 def _scan_worker(item):
@@ -464,12 +461,11 @@ def analyze_one(
     if table.truncated:
         out["status"] = "skipped_truncated"
         return out
-    lp = table.paths()
-    gallai = gallai_vertex_set(graph, longest_paths=lp)
+    gallai = gallai_vertex_set(graph, longest_paths=table)
     out["gallai_vertices"] = sorted(gallai)
     out["gallai_size"] = len(gallai)
     out["strict_crossings"] = strict_t
-    triples = TripleStream(lp, triple_cap)
+    triples = TripleStream(table, triple_cap)
     out["triples_total"] = triples.total
     if triples.total == 0:
         out["status"] = "vacuous"
@@ -477,7 +473,7 @@ def analyze_one(
         return out
     checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
     triples_out = []
-    subdivisions = Subdivisions(graph, lp)
+    subdivisions = Subdivisions(graph, table)
     prop1: dict[tuple, str] = {}  # each pair's status, checked once
     for triple in triples:
         analysis = analyze_triple(graph, triple, strict_t=strict_t)
@@ -491,14 +487,14 @@ def analyze_one(
             "verdicts": {},
         }
         for checker in checkers:
-            v = checker(graph, triple, lp.length, analysis)
+            v = checker(graph, triple, table.length, analysis)
             entry["verdicts"][v.claim] = v.status
         if "prop1" in checks:
             statuses = entry["verdicts"]["prop1"] = []
             for a, b in combinations(triple.paths, 2):
                 key = (a.vertices, b.vertices)
                 if key not in prop1:
-                    prop1[key] = check_prop1(graph, a, b, longest_paths=lp).status
+                    prop1[key] = check_prop1(graph, a, b, longest_paths=table).status
                 statuses.append(prop1[key])
         sub = {}
         for t in subdivision_t:
@@ -547,7 +543,7 @@ def subdivision_sweep(
         for graph in generate_connected_graphs(n):
             graphs += 1
             lp = enumerate_longest_paths(graph)
-            if len(lp.paths) < 3 or lp.truncated:
+            if len(lp.paths) < 3:  # a truncated table lists none
                 continue
             eligible += 1
             triples = TripleStream(lp, triple_cap)

@@ -31,7 +31,7 @@ from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
 from .graphs import Graph, from_edge_list, graph_key
 from .paths import (
     BudgetError,
-    LongestPathSet,
+    LongestPathTable,
     Path,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
     longest_path_length,
@@ -163,14 +163,14 @@ def build_instance(graph: Graph, triple: PathTriple, t: int) -> SubdividedInstan
 class Subdivisions:
     """The subdivision checks of one base graph, sharing their built graphs.
 
-    ``longest_paths`` is the base graph's longest-path set, listed here
+    ``longest_paths`` is the base graph's longest-path table, listed here
     when not given. ``memo`` maps an (end set, t) pair, the end set as a
     sorted tuple, to the pendant map, the built instance and the exact
     longest-path length of its graph, and ``base_f`` the last triple
     verified with its ``f``. Keep one object per base graph.
     """
 
-    def __init__(self, graph: Graph, longest_paths: LongestPathSet | None = None):
+    def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
         self.graph = graph
         self.longest_paths = (
             enumerate_longest_paths(graph) if longest_paths is None else longest_paths
@@ -192,8 +192,9 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
 
     The constructed graph and its length come from the memo of
     ``subdivisions``, built and searched on the first triple with this end
-    set and t. A graph of more than ``DEFAULT_VERIFY_MAX_VERTICES``
-    vertices, or a search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
+    set and t. A graph that would have more than
+    ``DEFAULT_VERIFY_MAX_VERTICES`` vertices (counted before it is built),
+    or a search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
     ``skipped_budget`` rather than a guess, and stores nothing.
     """
     graph = subdivisions.graph
@@ -206,14 +207,18 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
     entry = subdivisions.memo.get(key)
     if entry is None:
-        ext = attach_pendants(graph, triple)
-        inst = subdivide(ext.graph, t)
-        if inst.graph.n > DEFAULT_VERIFY_MAX_VERTICES:
+        # One pendant per distinct end, then t new vertices on every edge:
+        # the graph's size is known before it is built.
+        ends = len(key[0])
+        vertices = graph.n + ends + t * (graph.m + ends)
+        if vertices > DEFAULT_VERIFY_MAX_VERTICES:
             return ClaimVerdict(
                 "subdivision_prop",
                 SKIPPED_BUDGET,
-                {"vertices": inst.graph.n, "max_vertices": DEFAULT_VERIFY_MAX_VERTICES},
+                {"vertices": vertices, "max_vertices": DEFAULT_VERIFY_MAX_VERTICES},
             )
+        ext = attach_pendants(graph, triple)
+        inst = subdivide(ext.graph, t)
         deadline = time.monotonic() + DEFAULT_VERIFY_BUDGET_S
         try:
             length = longest_path_length(inst.graph, deadline=deadline)

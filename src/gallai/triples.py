@@ -15,7 +15,7 @@ from itertools import combinations, islice
 from math import comb
 
 from .graphs import Graph, _distance_list
-from .paths import LongestPathSet, Path
+from .paths import LongestPathTable, Path
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class TripleStream:
     far, so ``skipped`` stays right when the consumer stops early.
     """
 
-    def __init__(self, longest_paths: LongestPathSet, cap: int | None = None):
+    def __init__(self, longest_paths: LongestPathTable, cap: int | None = None):
         self.paths = longest_paths.paths
         self.total = comb(len(self.paths), 3)
         self.cap = cap

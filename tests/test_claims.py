@@ -28,7 +28,7 @@ from gallai.claims import (
     triple_verdict,
 )
 from gallai.graphs import _distance_list, from_edge_list, graph_key
-from gallai.paths import DEFAULT_PATH_CAP, Path, enumerate_longest_paths, longest_path_summary
+from gallai.paths import DEFAULT_PATH_CAP, LongestPathTable, Path, enumerate_longest_paths
 from gallai.triples import PathTriple, TripleAnalysis, analyze_triple
 
 
@@ -115,9 +115,12 @@ class TestConjectureZ:
         assert check_triple("conj_Z", g, t, longest_paths=lp).status == HOLDS
 
     def test_skipped_on_truncated_enumeration(self):
+        # A truncated table lists no paths: the triple comes from the full
+        # listing, and the verdict still refuses it.
         g = cycle_graph(5)
         lp = enumerate_longest_paths(g, cap=3)
-        t = PathTriple(tuple(lp.paths))
+        assert lp.paths == ()
+        t = PathTriple(enumerate_longest_paths(g).paths[:3])
         v = check_triple("conj_Z", g, t, longest_paths=lp)
         assert v.status == SKIPPED_TRUNCATED
 
@@ -370,7 +373,9 @@ class TestGallaiVertexSet:
     def test_summary_agrees_with_enumeration(self):
         for g in corpus_up_to(6):
             lp = enumerate_longest_paths(g)
-            assert gallai_vertex_set(g) == gallai_vertex_set(g, longest_paths=lp)
+            # Both read the table's core; the listed paths must agree.
+            listed = frozenset.intersection(*(frozenset(p.vertices) for p in lp.paths))
+            assert gallai_vertex_set(g) == gallai_vertex_set(g, longest_paths=lp) == listed
 
     def test_exact_beyond_the_cap(self):
         # K9 with three leaves on vertex 0: each longest path runs from a
@@ -378,7 +383,7 @@ class TestGallaiVertexSet:
         # enumeration cap, and none holds two leaves.
         k9 = complete_graph(9)
         g = from_edge_list(12, k9.edges() + [(0, 9), (0, 10), (0, 11)])
-        assert longest_path_summary(g)[1] == 3 * factorial(8) > DEFAULT_PATH_CAP
+        assert LongestPathTable(g).count == 3 * factorial(8) > DEFAULT_PATH_CAP
         assert gallai_vertex_set(g) == frozenset(range(9))
 
 

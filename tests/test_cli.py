@@ -12,7 +12,7 @@ import gallai.subdivision as subdivision
 from conftest import complete_graph, star_graph, within_seconds
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
-from gallai.paths import enumerate_longest_paths
+from gallai.paths import Path as GraphPath, enumerate_longest_paths
 from gallai.triples import TripleStream
 
 
@@ -188,8 +188,8 @@ class TestSubdivide:
         assert json.loads(out)[0]["triple"] == last
 
     def test_truncated_graph_is_skipped(self, tmp_path, capsys):
-        # K9 has 181440 longest paths, over the default cap of 100000: the
-        # capped listing's triple 99998 is not the graph's.
+        # K9 has 181440 longest paths, over the default cap of 100000, so its
+        # table lists none: triple 99998 is not vacuous, but unknown.
         src = tmp_path / "k9.g6"
         src.write_text(to_graph6(complete_graph(9)) + "\n")
         argv = ("subdivide", "--input", str(src), "--t", "0", "--triple", "99998")
@@ -265,8 +265,8 @@ class TestVerifyProp:
         assert payload[1] == {"graph6": "Fs?GG", "status": "disconnected", "verdicts": []}
 
     def test_truncated_graph_gets_one_record(self, tmp_path, capsys):
-        # K9's 100000 listed paths make 1.7e14 triples; none is iterated,
-        # and the next graph still gets its verdicts.
+        # K9's table stops past the cap and lists no triple; one record says
+        # so, and the next graph still gets its verdicts.
         src = tmp_path / "k9.g6"
         src.write_text(to_graph6(complete_graph(9)) + "\n" + to_graph6(star_graph(3)) + "\n")
         code, out, _ = within_seconds(
@@ -331,6 +331,39 @@ def test_malformed_input_names_its_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["scan", "analyze"])
+def test_malformed_edge_list_names_its_line(tmp_path, capsys, command):
+    src = tmp_path / "bad.txt"
+    src.write_text("3 2\n0 1\n1 3\n")
+    code, out, err = run(capsys, command, "--input", str(src), "--input-format", "edgelist")
+    assert code == 4
+    assert out == ""
+    assert f"{src}: line 3: edge (1, 3) has an endpoint outside 0..2" in err
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("verify-prop", '[\n  {\n    "graph6": "H~~~~~~",\n'
+                        '    "status": "skipped_truncated",\n    "verdicts": []\n  }\n]\n'),
+        ("subdivide", '[\n  {\n    "graph6": "H~~~~~~",\n'
+                      '    "status": "skipped_truncated"\n  }\n]\n'),
+    ],
+    ids=["verify-prop", "subdivide"],
+)
+def test_truncated_graph_walks_no_path(tmp_path, capsys, monkeypatch, command, expected):
+    # K9's 181440 longest paths are over the default cap: the table stops
+    # filling, and the record that says so is written without a path walked.
+    walked = []
+    real = GraphPath._trusted
+    monkeypatch.setattr(
+        GraphPath, "_trusted", classmethod(lambda cls, *a: walked.append(a) or real(*a)))
+    src = tmp_path / "k9.g6"
+    src.write_text("H~~~~~~\n")
+    code, out, _ = run(capsys, command, "--input", str(src), "--t", "1")
+    assert (code, out, len(walked)) == (0, expected, 0)
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze"])
 def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
     # A 1,200-vertex path: the search recurses once per path edge, past
     # Python's default limit of 1,000 frames.
@@ -353,6 +386,18 @@ def test_benchmark_tracer_installs():
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke_run_passes():
+    # Every workload on a tiny load, its output checked: a src/ change that
+    # breaks a workload's output fails here before the benchmark runs.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestParser:

@@ -183,6 +183,29 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("3 one\n0 1\n")
 
+    # Malformed lists name the line of the token at fault, and the file
+    # when one is given, as graph6 records do.
+
+    def test_non_integer_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^in\.txt: line 3: edge-list token 'x' is not"):
+            parse_edge_list("3 2\n0 1\n1 x\n", "in.txt")
+
+    def test_endpoint_out_of_range_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^in\.txt: line 4: edge \(2, 3\) has an endpoint"):
+            parse_edge_list("3 2\n0 1\n\n2 3\n", "in.txt")
+
+    def test_self_loop_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: self-loop at vertex 1$"):
+            parse_edge_list("3 2\n1 1\n1 2\n")
+
+    def test_wrong_edge_count_names_the_header(self):
+        with pytest.raises(ValueError, match=r"^in\.txt: line 2: .* declares 3 edges but carries 2"):
+            parse_edge_list("\n3 3\n0 1\n1 2\n", "in.txt")
+
+    def test_tokens_may_span_lines(self):
+        # Any whitespace separates tokens, as before lines were tracked.
+        assert parse_edge_list("3\t2 0\n1\r\n1 \x0c 2") == path_graph(3)
+
 
 class TestConnectivity:
     def test_path_connected(self):

@@ -31,7 +31,6 @@ from gallai.paths import (
     enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
-    longest_path_summary,
 )
 
 
@@ -155,10 +154,10 @@ class TestEnumerateLongestPaths:
         assert lp.length == 0
         assert [p.vertices for p in lp.paths] == [(0,), (1,), (2,)]
 
-    def test_cap_truncates_to_exactly_cap(self):
+    def test_cap_truncates_to_nothing(self):
         lp = enumerate_longest_paths(cycle_graph(5), cap=3)
         assert lp.truncated
-        assert len(lp.paths) == 3
+        assert lp.paths == ()
 
     def test_cap_not_hit_when_exact(self):
         lp = enumerate_longest_paths(cycle_graph(5), cap=5)
@@ -205,7 +204,7 @@ class TestOracle:
         # vertices.
         for g in corpus_up_to(7):
             best, longest, core = oracle_longest(g)
-            assert longest_path_summary(g) == (best, len(longest), core)
+            assert summary(g) == (best, len(longest), core)
             lp = enumerate_longest_paths(g)
             assert lp.length == best
             assert list(lp.paths) == longest
@@ -242,6 +241,14 @@ class TestHamiltonianPath:
             assert bool(self.spanning(g)) == (longest_path_length(g) == g.n - 1)
 
 
+def summary(graph):
+    """The longest paths in three numbers, read off an uncapped table
+    without listing any: their length, count and common-vertex mask."""
+    table = LongestPathTable(graph)
+    assert "paths" not in vars(table)
+    return table.length, table.count, table.core
+
+
 def oracle_longest(graph):
     """The longest paths by filtering every simple path, and the mask of
     the vertices they all share."""
@@ -272,12 +279,12 @@ class TestCompletionTable:
     def test_matches_oracle_on_random_graphs(self, g):
         # Disconnected graphs included: the maximum ranges over components.
         best, longest, core = oracle_longest(g)
-        assert longest_path_summary(g) == (best, len(longest), core)
+        assert summary(g) == (best, len(longest), core)
         assert list(enumerate_longest_paths(g).paths) == longest
         cap = max(1, len(longest) // 2)
         capped = enumerate_longest_paths(g, cap=cap)
-        assert list(capped.paths) == longest[:cap]
         assert capped.truncated == (len(longest) > cap)
+        assert list(capped.paths) == ([] if capped.truncated else longest)
 
     @staticmethod
     def assert_walked_paths_validate(g):
@@ -297,21 +304,33 @@ class TestCompletionTable:
     def test_walked_paths_equal_validated_paths_on_random_graphs(self, g):
         self.assert_walked_paths_validate(g)
 
-    def test_capped_walk_is_a_prefix(self):
+    def test_capped_table_lists_all_or_nothing(self):
+        # K7 has 2520 longest paths.
         full = enumerate_longest_paths(complete_graph(7))
-        capped = enumerate_longest_paths(complete_graph(7), cap=100)
-        assert capped.truncated
-        assert capped.paths == full.paths[:100]
+        for cap, listed in ((100, ()), (2519, ()), (2520, full.paths)):
+            capped = enumerate_longest_paths(complete_graph(7), cap=cap)
+            assert capped.truncated == (cap < 2520)
+            assert capped.paths == listed
+
+    def test_paths_are_walked_once_on_first_use(self, monkeypatch):
+        walked = []
+        real = Path._trusted
+        monkeypatch.setattr(
+            Path, "_trusted", classmethod(lambda cls, *a: walked.append(a) or real(*a)))
+        table = LongestPathTable(cycle_graph(5))
+        assert walked == []
+        first = table.paths
+        assert len(walked) == len(first) == 5
+        assert table.paths is first and len(walked) == 5
 
     def test_summary_counts_past_any_cap(self):
         # K9 has 9!/2 Hamiltonian paths, more than the default cap.
-        summary = longest_path_summary(complete_graph(9))
-        assert summary == (8, 181440, (1 << 9) - 1)
+        assert summary(complete_graph(9)) == (8, 181440, (1 << 9) - 1)
         assert enumerate_longest_paths(complete_graph(9)).truncated
 
     def test_single_vertex_and_edgeless(self):
-        assert longest_path_summary(from_edge_list(1, [])) == (0, 1, 1)
-        assert longest_path_summary(from_edge_list(3, [])) == (0, 3, 0)
+        assert summary(from_edge_list(1, [])) == (0, 1, 1)
+        assert summary(from_edge_list(3, [])) == (0, 3, 0)
 
     def test_deadline_reaches_the_table(self, monkeypatch):
         # With the length search out of the way, the memoised search must
@@ -319,7 +338,7 @@ class TestCompletionTable:
         monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 8)
         expired = time.monotonic() - 1.0
         with pytest.raises(BudgetError):
-            longest_path_summary(complete_graph(9), deadline=expired)
+            LongestPathTable(complete_graph(9), deadline=expired)
         with pytest.raises(BudgetError):
             enumerate_longest_paths(complete_graph(9), deadline=expired)
 
@@ -330,7 +349,7 @@ class TestCompletionTable:
         table = LongestPathTable(complete_graph(8), deadline=time.monotonic() + 60)
         monkeypatch.setattr(paths, "time", SimpleNamespace(monotonic=lambda: math.inf))
         with pytest.raises(BudgetError):
-            table.paths()
+            table.paths
 
 
     def test_search_deeper_than_the_recursion_limit_is_an_error(self, monkeypatch):
@@ -360,23 +379,21 @@ class TestCap:
         table = LongestPathTable(k22, DEFAULT_PATH_CAP, deadline=time.monotonic() + 10)
         assert table.truncated and table.length == 21
         assert len(table._table) < 10_000
-        lp = table.paths()
-        assert lp.truncated and len(lp.paths) == DEFAULT_PATH_CAP
-        assert lp.paths[0].vertices == tuple(range(22))
+        assert table.paths == ()
 
     def test_uncapped_table_is_bounded(self):
         # K22 has 22 * 2^21 memo states, gigabytes of table uncapped.
         with pytest.raises(ValueError, match=f"past {MAX_UNCAPPED_STATES} states"):
-            within_seconds(30, lambda: longest_path_summary(complete_graph(22)))
+            within_seconds(30, lambda: LongestPathTable(complete_graph(22)))
 
-    def test_capped_walk_matches_oracle_prefix(self):
+    def test_capped_walk_matches_oracle_or_lists_nothing(self):
         # Caps that stop the fill in the middle of a start vertex's subtree.
         for g in (petersen_graph(), complete_graph(6), cycle_graph(7)):
             _, longest, _ = oracle_longest(g)
             for cap in (1, 2, 7, len(longest) - 1, len(longest)):
                 lp = enumerate_longest_paths(g, cap)
-                assert list(lp.paths) == longest[:cap]
                 assert lp.truncated == (cap < len(longest))
+                assert list(lp.paths) == ([] if lp.truncated else longest)
 
 
 class TestNoReferenceCycles:
@@ -387,7 +404,7 @@ class TestNoReferenceCycles:
         "search",
         [
             longest_path_length,
-            longest_path_summary,
+            LongestPathTable,
             enumerate_longest_paths,
             lambda g: enumerate_longest_paths(g, cap=10),
             enumerate_all_simple_paths,

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import random
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path as FilePath
 
@@ -99,19 +100,21 @@ class TestScanGeneratedCorpus:
 
 
 class TestRecordsWithoutEnumeration:
-    """Records come from the longest-path summary; paths are listed only
+    """Records come from the longest-path table; paths are walked only
     for the pairs and triples that are examined."""
 
     @staticmethod
     def count_enumerations(monkeypatch):
         listed = []
-        real = LongestPathTable.paths
+        real = LongestPathTable.paths.func
 
         def counting(table):
             listed.append(table)
             return real(table)
 
-        monkeypatch.setattr(LongestPathTable, "paths", counting)
+        walked = cached_property(counting)
+        walked.__set_name__(LongestPathTable, "paths")
+        monkeypatch.setattr(LongestPathTable, "paths", walked)
         return listed
 
     def test_only_lone_pairs_are_listed(self, monkeypatch):

@@ -191,7 +191,7 @@ class TestVerifyProposition:
         with pytest.raises(ValueError):
             verify_proposition(Subdivisions(g), t, 1)
 
-    def test_budget_skip(self):
+    def test_budget_skip(self, monkeypatch):
         # Seven vertices and six edges after the pendants; t = 9 gives
         # 7 + 9 * 6 = 61 vertices, one over the limit.
         g, t = star_triple()
@@ -199,6 +199,19 @@ class TestVerifyProposition:
         v = verify_proposition(subs, t, 9)
         assert v.status == SKIPPED_BUDGET
         assert v.witness == {"vertices": 61, "max_vertices": 60}
+        assert subs.memo == {}
+        # The size is counted before anything is built, so a t whose graph
+        # would take gigabytes is skipped at once.
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-limit graph was built")
+
+        monkeypatch.setattr(subdivision, "attach_pendants", refuse)
+        monkeypatch.setattr(subdivision, "subdivide", refuse)
+        for tt, vertices in ((9, 61), (10**6, 7 + 6 * 10**6)):
+            v = verify_proposition(subs, t, tt)
+            assert v.status == SKIPPED_BUDGET
+            assert v.witness == {"vertices": vertices, "max_vertices": 60}
         assert subs.memo == {}
 
     def test_adjacency_is_checked(self):

@@ -32,12 +32,13 @@ from gallai.triples import (
 
 
 @st.composite
-def connected_graphs(draw):
-    """A random spanning tree on up to ten vertices plus up to 2n more edges."""
+def connected_graphs(draw, extra_per_vertex=2):
+    """A random spanning tree on up to ten vertices plus up to
+    ``extra_per_vertex * n`` more edges."""
     n = draw(st.integers(3, 10))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=extra_per_vertex * n)))
     return from_edge_list(n, sorted(edges))
 
 
@@ -175,6 +176,17 @@ class TestFValue:
                 f, wits = f_value(g, t)
                 of, owits = oracle_f_value(g, t.paths)
                 assert (f, set(wits)) == (of, owits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(extra_per_vertex=1), st.randoms(use_true_random=False))
+    def test_matches_oracle_on_random_graphs(self, g, rng):
+        # Three distinct arbitrary simple paths, so that f > 0 occurs, on up
+        # to ten vertices and fewer than 2n edges, which keeps the listing
+        # of every simple path small.
+        t = PathTriple(tuple(rng.sample(enumerate_all_simple_paths(g), 3)))
+        f, wits = f_value(g, t)
+        of, owits = oracle_f_value(g, t.paths)
+        assert (f, set(wits)) == (of, owits)
 
     def test_disconnected_rejected(self):
         g = from_edge_list(4, [(0, 1), (1, 2)])
