@@ -204,9 +204,10 @@ def graph_key(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_edge_list(text: str, source: str | None = None) -> Graph:
-    """Decode ``n m`` and then ``m`` endpoint pairs, separated by any
-    whitespace. A ``ValueError`` names the 1-based line at fault (a bad
-    pair's first, the header's for a wrong count), after ``source``."""
+    """Decode ``n m`` and then ``m`` distinct edges as endpoint pairs,
+    separated by any whitespace. A ``ValueError`` names the 1-based line at
+    fault (a bad or repeated pair's first, the header's for a wrong count),
+    after ``source``."""
     prefix = "" if source is None else f"{source}: "
     # Every line break is whitespace, so these are the tokens of text.split().
     tokens = [(tok, number) for number, line in enumerate(text.splitlines(), 1)
@@ -227,10 +228,15 @@ def parse_edge_list(text: str, source: str | None = None) -> Graph:
     if n < 1:
         raise ValueError(f"{prefix}line {tokens[0][1]}: graph needs at least one vertex")
     edges = list(zip(numbers[2::2], numbers[3::2]))
+    seen = set()
     for (u, v), (_, number) in zip(edges, tokens[2::2]):
         problem = _edge_problem(n, u, v)
         if problem:
             raise ValueError(f"{prefix}line {number}: {problem}")
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            raise ValueError(f"{prefix}line {number}: edge ({u}, {v}) is listed twice")
+        seen.add(edge)
     return from_edge_list(n, edges)
 
 

@@ -7,7 +7,10 @@ ascending vertex order:
 
 * ``longest_path_length`` finds ``l`` by branch and bound: it drops a
   partial path when its length plus the number of unused vertices still
-  reachable from its head cannot beat the best length found so far.
+  reachable from its head cannot beat the best length found so far. It
+  starts only at vertices that are not cut vertices, since a maximum path
+  never ends at one, and follows a head with one way on in a loop, testing
+  the bound once per branch: along such a chain the bound cannot change.
 * ``LongestPathTable`` searches again toward ``l`` edges, memoised on the
   partial path's (head, vertex set). Each state stores how many ways it
   completes and the AND of the vertex masks the completions add, so the
@@ -21,7 +24,8 @@ ascending vertex order:
   the complete set. ``enumerate_longest_paths`` returns a table with its
   paths listed.
 
-Each search recurses once per path edge; one that would go deeper than
+The length search recurses once per branching vertex on a path, the
+table and its walk once per path edge; a search that would go deeper than
 Python's recursion limit raises ``ValueError`` instead.
 
 Both prunes are lossless. ``enumerate_all_simple_paths`` uses neither and
@@ -151,6 +155,51 @@ def _check_deadline(deadline: float | None, ticks: int) -> None:
         raise BudgetError("exact path search exceeded its time budget")
 
 
+def _cut_vertices(adj: tuple[int, ...]) -> int:
+    """Mask of the cut vertices: those whose removal splits their component.
+
+    Hopcroft and Tarjan's low points, from a depth-first search kept on an
+    explicit stack. A vertex's low point may take its parent's number
+    through the tree edge; that never makes ``low >= order`` false.
+    """
+    n = len(adj)
+    order = [0] * n  # discovery number from 1; 0 while undiscovered
+    low = [0] * n
+    cuts = 0
+    count = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        children = 0
+        stack = [(root, adj[root])]
+        while stack:
+            v, rest = stack[-1]
+            if rest:
+                bit = rest & -rest
+                stack[-1] = (v, rest ^ bit)
+                w = bit.bit_length() - 1
+                if order[w]:
+                    low[v] = min(low[v], order[w])
+                else:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append((w, adj[w]))
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if u == root:
+                    children += 1
+                elif low[v] >= order[u]:
+                    cuts |= 1 << u
+        if children > 1:
+            cuts |= 1 << root
+    return cuts
+
+
 def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
     """Exact maximum edge count over all simple paths.
 
@@ -162,27 +211,38 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
     ticks = 0
 
     def dfs(head: int, used: int, length: int) -> None:
+        # Entered at a start or just past a branch. The bound is tested
+        # once, here: along a chain of forced steps the unused vertices
+        # reachable from the head and the edges needed to beat ``best``
+        # both fall by one per step, so a test further on would agree.
         nonlocal best, ticks
+        ext = adj[head] & ~used
+        if ext:
+            _check_deadline(deadline, ticks)
+            ticks += 1
+            if not _reaches(adj, ext, used, best - length + 1):
+                return
+        while ext and not ext & (ext - 1):  # one way on: take it
+            used |= ext
+            head = ext.bit_length() - 1
+            length += 1
+            ext = adj[head] & ~used
         if length > best:
             best = length
-        ext = adj[head] & ~used
-        if not ext:
-            return
-        _check_deadline(deadline, ticks)
-        ticks += 1
-        if not _reaches(adj, ext, used, best - length + 1):
-            return
-        m = ext
-        while m:
-            low = m & -m
-            m ^= low
+        while ext:
+            low = ext & -ext
+            ext ^= low
             dfs(low.bit_length() - 1, used | low, length + 1)
 
+    # A maximum path cannot end at a cut vertex: the path minus that end
+    # lies on one side of it, and a neighbour on another side extends it.
+    cuts = _cut_vertices(adj)
     try:
         for start in range(n):
-            dfs(start, 1 << start, 0)
-            if best == n - 1:
-                break
+            if not cuts >> start & 1:
+                dfs(start, 1 << start, 0)
+                if best == n - 1:
+                    break
     except RecursionError:
         raise _too_deep(n) from None
     finally:

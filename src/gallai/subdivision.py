@@ -19,7 +19,9 @@ holds one base graph's memo of them, keyed on (end set, t): each is built
 and has its longest-path length searched once. Every path lifted through
 the stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
-many edges, so the subdivided graph's longest paths are never listed.
+many edges, so the subdivided graph's longest paths are never listed. It
+also keeps each graph's BFS distance lists by path mask, so each path's
+distances are computed once per graph, the base graph's included.
 """
 
 from __future__ import annotations
@@ -166,8 +168,10 @@ class Subdivisions:
     ``longest_paths`` is the base graph's longest-path table, listed here
     when not given. ``memo`` maps an (end set, t) pair, the end set as a
     sorted tuple, to the pendant map, the built instance and the exact
-    longest-path length of its graph, and ``base_f`` the last triple
-    verified with its ``f``. Keep one object per base graph.
+    longest-path length of its graph. ``distances`` holds the base graph's
+    BFS distance lists by path mask, and ``sub_distances`` those of each
+    built graph under its memo key, so each path is searched once per
+    graph. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
@@ -178,7 +182,8 @@ class Subdivisions:
         self.memo: dict[
             tuple[tuple[int, ...], int], tuple[dict[int, int], SubdividedInstance, int]
         ] = {}
-        self.base_f: tuple[PathTriple | None, int] = (None, 0)
+        self.distances: dict[int, list[int]] = {}
+        self.sub_distances: dict[tuple[tuple[int, ...], int], dict[int, list[int]]] = {}
 
 
 def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
@@ -201,9 +206,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
     if short is not None:
         return short
-    if subdivisions.base_f[0] != triple:
-        subdivisions.base_f = (triple, f_value(graph, triple)[0])
-    base_f = subdivisions.base_f[1]
+    base_f = f_value(graph, triple, subdivisions.distances)[0]
     key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
     entry = subdivisions.memo.get(key)
     if entry is None:
@@ -226,6 +229,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
         entry = subdivisions.memo[key] = (ext.pendant_map, inst, length)
+        subdivisions.sub_distances[key] = {}
     pendant_map, inst, sub_length = entry
     adj = inst.graph.adjacency
     lifted = tuple(_lift(_extend(p, pendant_map), inst.chains) for p in triple.paths)
@@ -236,7 +240,8 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         and all(adj[a] >> b & 1 for a, b in zip(p.vertices, p.vertices[1:]))
         for p in lifted
     ]
-    sub_f, sub_witnesses = f_value(inst.graph, PathTriple(lifted))
+    sub_f, sub_witnesses = f_value(
+        inst.graph, PathTriple(lifted), subdivisions.sub_distances[key])
     expected = (t + 1) * base_f
     original_witness = any(w < graph.n for w in sub_witnesses)
     info = {

@@ -89,16 +89,29 @@ class TripleStream:
         return PathTriple(tuple(picks))
 
 
-def f_value(graph: Graph, triple: PathTriple) -> tuple[int, frozenset[int]]:
+def f_value(
+    graph: Graph, triple: PathTriple, distances: dict[int, list[int]] | None = None
+) -> tuple[int, frozenset[int]]:
     """The minimum distance sum over all vertices and its full argmin set.
 
     Computed via one multi-source BFS per path, summed per vertex. Zero
     exactly when the three paths share a vertex, in which case the witness
-    set is that common intersection.
+    set is that common intersection. ``distances`` maps a path's vertex
+    mask to its BFS distance list in ``graph``; it is read, and filled
+    with the lists computed here, so a caller that keeps one per graph
+    searches each path once.
     """
-    dists = [_distance_list(graph.adjacency, graph.n, p.mask) for p in triple.paths]
-    if any(None in dv for dv in dists):
-        raise ValueError("graph is disconnected; distance sums are undefined")
+    if distances is None:
+        distances = {}
+    dists = []
+    for p in triple.paths:
+        dv = distances.get(p.mask)
+        if dv is None:
+            dv = _distance_list(graph.adjacency, graph.n, p.mask)
+            if None in dv:
+                raise ValueError("graph is disconnected; distance sums are undefined")
+            distances[p.mask] = dv
+        dists.append(dv)
     totals = [a + b + c for a, b, c in zip(*dists)]
     best = min(totals)
     return best, frozenset(v for v, total in enumerate(totals) if total == best)

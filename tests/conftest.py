@@ -2,7 +2,9 @@
 
 The oracles here deliberately reimplement functionality from first
 principles (plain adjacency sets, no bitmasks, no pruning) so the package
-is checked against code that shares none of its machinery.
+is checked against code that shares none of its machinery. The one
+exception is ``oracle_longest_path_length``: the plain bitmask branch and
+bound, kept as the reference for the length search's shortcuts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from gallai.generate import generate_connected_graphs
 from gallai.graphs import Graph, from_edge_list
@@ -73,6 +76,17 @@ def within_seconds(seconds, call):
         signal.signal(signal.SIGALRM, previous)
 
 
+@st.composite
+def random_graphs(draw):
+    """Any graph on up to ten vertices, disconnected ones included. At most
+    two edges per vertex on average keeps an all-simple-paths listing
+    small at ten vertices."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    return from_edge_list(n, edges)
+
+
 @lru_cache(maxsize=None)
 def corpus(n: int) -> tuple[Graph, ...]:
     return tuple(generate_connected_graphs(n))
@@ -125,6 +139,47 @@ def oracle_f_value(graph: Graph, paths) -> tuple[int, set[int]]:
         elif total == best:
             argmin.add(v)
     return best, argmin
+
+
+def oracle_longest_path_length(graph: Graph) -> int:
+    """The plain branch and bound that the package's length search refines:
+    a call per path vertex from every start vertex, dropping a partial path
+    when the unused vertices reachable from its head cannot beat the best
+    length. No start rule and no forced chains; no shared code."""
+    adj = graph.adjacency
+    n = graph.n
+    best = 0
+
+    def reaches(start: int, used: int, need: int) -> bool:
+        seen = frontier = start
+        while seen.bit_count() < need:
+            if not frontier:
+                return False
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~used & ~seen
+            seen |= frontier
+        return True
+
+    def dfs(head: int, used: int, length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        ext = adj[head] & ~used
+        if not ext or not reaches(ext, used, best - length + 1):
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            dfs(low.bit_length() - 1, used | low, length + 1)
+
+    for start in range(n):
+        dfs(start, 1 << start, 0)
+        if best == n - 1:
+            break
+    return best
 
 
 def oracle_triple_sizes(paths) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:

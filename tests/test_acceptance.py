@@ -42,6 +42,10 @@ GOLDEN_DIGESTS = {
     # The built instances: extended and subdivided graphs, lifted paths.
     "subdivide --input <n <= 5> --t 2 --triple 3":
         "e406e0f74bc6ed37eeae3f14ab81558f959a68790982eb1493ffcbc0ea77c0ff",
+    # Subdivided graphs of about 41 vertices, built from the Gallai-free
+    # graph: all 300 verdicts hold.
+    "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300":
+        "ef84e7b1fd68836110a5b4122b75a85ee3f034e90f84813394ca82fec3744dbd",
 }
 
 
@@ -201,6 +205,9 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         analyze_digests[name] = _sha256(capsys.readouterr().out)
     assert main(["subdivide", "--input", str(corpus_file), "--t", "2", "--triple", "3"]) == 0
     subdivide_out = capsys.readouterr().out
+    assert main(["verify-prop", "--input", str(free_file), "--t", "1",
+                 "--triple-cap", "300"]) == 0
+    verify_free = capsys.readouterr().out
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
@@ -208,6 +215,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
         "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),
+        "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(verify_free),
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS

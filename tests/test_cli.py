@@ -340,6 +340,17 @@ def test_malformed_edge_list_names_its_line(tmp_path, capsys, command):
     assert f"{src}: line 3: edge (1, 3) has an endpoint outside 0..2" in err
 
 
+def test_repeated_edge_is_an_input_error(tmp_path, capsys):
+    # Read as the one-edge graph B_, this file would be reported
+    # "disconnected" with exit 0.
+    src = tmp_path / "twice.txt"
+    src.write_text("3 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "scan", "--input", str(src), "--input-format", "edgelist")
+    assert code == 4
+    assert out == ""
+    assert f"{src}: line 3: edge (1, 0) is listed twice" in err
+
+
 @pytest.mark.parametrize(
     "command, expected",
     [

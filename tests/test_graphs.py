@@ -202,6 +202,13 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match=r"^in\.txt: line 2: .* declares 3 edges but carries 2"):
             parse_edge_list("\n3 3\n0 1\n1 2\n", "in.txt")
 
+    def test_repeated_edge_names_its_line(self):
+        # Either orientation repeats the edge; the header's m counts edges.
+        with pytest.raises(ValueError, match=r"^in\.txt: line 3: edge \(1, 0\) is listed twice$"):
+            parse_edge_list("3 2\n0 1\n1 0\n", "in.txt")
+        with pytest.raises(ValueError, match=r"^line 4: edge \(1, 2\) is listed twice$"):
+            parse_edge_list("3 3\n1 2\n0 1\n1 2\n")
+
     def test_tokens_may_span_lines(self):
         # Any whitespace separates tokens, as before lines were tracked.
         assert parse_edge_list("3\t2 0\n1\r\n1 \x0c 2") == path_graph(3)

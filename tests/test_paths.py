@@ -8,15 +8,16 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
     corpus,
     corpus_up_to,
     cycle_graph,
+    oracle_longest_path_length,
     path_graph,
     petersen_graph,
+    random_graphs,
     star_graph,
     within_seconds,
 )
@@ -117,6 +118,36 @@ class TestLongestPathLength:
             extra = rng.choice(non_edges)
             bigger = from_edge_list(n, edges + [extra])
             assert longest_path_length(bigger) >= longest_path_length(g)
+
+    # The search starts only at vertices that are not cut vertices and
+    # follows forced chains in a loop; the plain branch and bound has
+    # neither shortcut.
+
+    def test_matches_oracle_on_corpus(self):
+        for g in corpus_up_to(7):
+            assert longest_path_length(g) == oracle_longest_path_length(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_matches_oracle_on_random_graphs(self, g):
+        # Disconnected graphs included: every component has a start.
+        assert longest_path_length(g) == oracle_longest_path_length(g)
+
+    def test_no_longest_path_ends_at_a_cut_vertex(self):
+        # The start rule: a skipped vertex never ends a longest path.
+        for g in corpus_up_to(7):
+            cuts = paths._cut_vertices(g.adjacency)
+            for p in enumerate_longest_paths(g).paths:
+                assert not cuts >> p.vertices[0] & 1 and not cuts >> p.vertices[-1] & 1
+
+    def test_cut_vertices_of_small_shapes(self):
+        assert paths._cut_vertices(path_graph(5).adjacency) == 0b01110
+        assert paths._cut_vertices(star_graph(3).adjacency) == 0b0001
+        assert paths._cut_vertices(cycle_graph(5).adjacency) == 0
+        # Two triangles sharing vertex 2, and an isolated vertex 5.
+        bowtie = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        assert paths._cut_vertices(bowtie.adjacency) == 0b000100
+        assert longest_path_length(bowtie) == 4
 
     def test_deadline_raises(self):
         g = complete_graph(9)
@@ -261,16 +292,6 @@ def oracle_longest(graph):
     return best, longest, core
 
 
-@st.composite
-def random_graphs(draw):
-    # At most two edges per vertex on average keeps the oracle's
-    # all-simple-paths listing small at ten vertices.
-    n = draw(st.integers(1, 10))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
-    return from_edge_list(n, edges)
-
-
 class TestCompletionTable:
     """The summary and the walked paths against the unpruned oracle."""
 
@@ -353,9 +374,17 @@ class TestCompletionTable:
 
 
     def test_search_deeper_than_the_recursion_limit_is_an_error(self, monkeypatch):
+        # The length search walks a chain of forced steps in a loop, so a
+        # 1,200-vertex path costs it no stack at all ...
         long_path = path_graph(1200)
+        assert longest_path_length(long_path) == 1199
+        # ... but it recurses once per branch: a comb (a 1,200-vertex spine
+        # with a leaf on every spine vertex) branches at every step.
+        spine = 1200
+        comb = from_edge_list(2 * spine, [(i, i + 1) for i in range(spine - 1)]
+                              + [(i, spine + i) for i in range(spine)])
         with pytest.raises(ValueError, match="recursion limit"):
-            longest_path_length(long_path)
+            longest_path_length(comb)
         # With the length search out of the way, the table fails the same way.
         monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 1199)
         with pytest.raises(ValueError, match="recursion limit"):

@@ -1,5 +1,6 @@
 """Cross-checks against networkx as an independent reference: its graph6
-codec for bit-exactness and its graph atlas for generator completeness.
+codec for bit-exactness, its graph atlas for generator completeness, and
+its articulation points for the cut vertices the length search skips.
 
 These oracles share no code with the package; they exist to catch
 systematic encoding or enumeration mistakes that self-consistent tests
@@ -10,11 +11,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 nx = pytest.importorskip("networkx")
 
-from conftest import corpus, corpus_up_to
+from conftest import corpus, corpus_up_to, random_graphs
 from gallai.graphs import from_edge_list, parse_graph6, to_graph6
+from gallai.paths import _cut_vertices
 
 
 def to_nx(graph) -> "nx.Graph":
@@ -97,3 +100,30 @@ class TestGeneratorAgainstAtlas:
         ours = Counter(signature_mine(g) for g in corpus(n))
         theirs = Counter(signature_nx(g) for g in atlas_connected[n])
         assert ours == theirs
+
+
+def reference_cut_vertices(graph) -> int:
+    return sum(1 << v for v in nx.articulation_points(to_nx(graph)))
+
+
+class TestCutVerticesAgainstReference:
+    def test_corpus(self):
+        for g in corpus_up_to(7):
+            assert _cut_vertices(g.adjacency) == reference_cut_vertices(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        # Disconnected graphs included: each component has its own root.
+        assert _cut_vertices(g.adjacency) == reference_cut_vertices(g)
+
+    def test_larger_sparse_graphs(self):
+        # Trees with a few chords, where most vertices are cut vertices
+        # and the explicit stack grows deep.
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(20, 80)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n // 4))]
+            g = from_edge_list(n, edges)
+            assert _cut_vertices(g.adjacency) == reference_cut_vertices(g)

@@ -4,21 +4,26 @@ verification of the scaling behaviour."""
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     corpus,
     corpus_up_to,
     cycle_graph,
     oracle_isomorphic,
+    oracle_longest_path_length,
     path_graph,
     spider_graph,
     star_graph,
     theta_graph,
 )
 import gallai.subdivision as subdivision
+import gallai.triples as triples
 from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED
-from gallai.graphs import from_edge_list, is_connected
-from gallai.paths import BudgetError, Path, enumerate_longest_paths
+from gallai.graphs import _distance_list as distance_list
+from gallai.graphs import from_edge_list, is_connected, parse_graph6
+from gallai.paths import BudgetError, Path, enumerate_longest_paths, longest_path_length
 from gallai.subdivision import (
     Subdivisions,
     attach_pendants,
@@ -278,24 +283,58 @@ class TestSubdividedReuse:
         monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
         assert verify_proposition(subs, t, 1) == first
 
-    def test_base_f_once_per_triple(self, monkeypatch):
-        # The base value is computed on a triple's first t and read on the
-        # rest; every t still computes its subdivided value.
-        g = cycle_graph(5)
+    @pytest.mark.parametrize("g6", ["E?^o", "C~"])
+    def test_one_distance_search_per_path_and_graph(self, g6, monkeypatch):
+        # Over every t, each distinct path mask gets one BFS in the base
+        # graph and one in each subdivided graph it is lifted into. The
+        # twelve longest paths of E?^o have four vertex sets, those of K4
+        # (C~) one.
+        g = parse_graph6(g6)
         lp = enumerate_longest_paths(g)
         subs = Subdivisions(g, lp)
-        graphs = []
+        calls = []
 
-        def counted(graph, triple):
-            graphs.append(graph)
-            return f_value(graph, triple)
+        def counted(adj, n, mask):
+            calls.append((adj, mask))
+            return distance_list(adj, n, mask)
 
-        monkeypatch.setattr(subdivision, "f_value", counted)
-        for triple in list(TripleStream(lp))[:2]:
+        monkeypatch.setattr(triples, "_distance_list", counted)
+        chosen = list(TripleStream(lp))[:30]
+        for triple in chosen:
             for tt in (0, 1, 2):
                 assert verify_proposition(subs, triple, tt).status == HOLDS
-        assert sum(graph is g for graph in graphs) == 2
-        assert len(graphs) == 2 + 6
+        monkeypatch.undo()
+        expected = {(g.adjacency, p.mask) for triple in chosen for p in triple.paths}
+        for triple in chosen:
+            for tt in (0, 1, 2):
+                inst = build_instance(g, triple, tt)
+                expected.update((inst.graph.adjacency, p.mask) for p in inst.paths)
+        assert sorted(calls) == sorted(expected)
+
+    def test_subdivided_lengths_match_oracle(self, monkeypatch):
+        # Every subdivided graph that subdivision_sweep(5, (1, 2)) searches:
+        # one per base graph, end set and t, built on the first triple with
+        # that end set, which is all the sweep's memo reads.
+        searched = []
+
+        def checked(graph, deadline=None):
+            length = longest_path_length(graph, deadline=deadline)
+            assert length == oracle_longest_path_length(graph)
+            searched.append(graph)
+            return length
+
+        monkeypatch.setattr(subdivision, "longest_path_length", checked)
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            subs = Subdivisions(g, lp)
+            firsts = {}
+            for triple in TripleStream(lp):
+                firsts.setdefault(frozenset(e for p in triple.paths for e in p.ends), triple)
+            for triple in firsts.values():
+                for tt in (1, 2):
+                    assert verify_proposition(subs, triple, tt).status == HOLDS
+        assert len(searched) == 306
+        assert max(graph.n for graph in searched) == 40
 
     def test_budget_error_is_not_stored(self, monkeypatch):
         g, t = star_triple()
@@ -312,6 +351,38 @@ class TestSubdividedReuse:
         monkeypatch.undo()
         assert verify_proposition(subs, t, 1).status == HOLDS
         assert len(subs.memo) == 1
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree on three to seven vertices plus up to n more
+    edges: every subdivided graph at t <= 2 stays within the vertex limit."""
+    n = draw(st.integers(3, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return from_edge_list(n, sorted(edges))
+
+
+class TestSubdivisionLaw:
+    # One Subdivisions per base graph across all examples, so later draws
+    # read memo entries and distance lists that earlier ones filled.
+    shared: dict = {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_connected_graphs(), st.integers(0, 10**6), st.integers(0, 2))
+    def test_random_triples_match_oracle(self, g, pick, t):
+        lp = enumerate_longest_paths(g)
+        stream = TripleStream(lp)
+        assume(stream.total > 0)
+        triple = stream[pick % stream.total]
+        if g not in self.shared:
+            self.shared[g] = Subdivisions(g, lp)
+        v = verify_proposition(self.shared[g], triple, t)
+        length, members, status = oracle_subdivision(g, triple, t)
+        assert v.status == status == HOLDS
+        assert v.witness["subdivided_length"] == length
+        assert v.witness["lifted_longest"] == members
 
 
 class TestRestrictToTriple:
