@@ -150,7 +150,7 @@ def _cmd_gen(args) -> int:
         sys.stderr.write(f"gen: --n must be within 1..{MAX_GENERATION_N}\n")
         return EXIT_CONFIG_ERROR
     if args.n == 8:
-        sys.stderr.write("gen: n=8 checks 134k candidate labellings; expect 2-4s\n")
+        sys.stderr.write("gen: n=8 checks 134k candidate labellings in 1044 searches; expect 1-2s\n")
     lines = [to_graph6(g) for g in generate_connected_graphs(args.n)]
     _write_out("".join(line + "\n" for line in lines), args.out)
     return EXIT_OK

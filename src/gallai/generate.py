@@ -14,19 +14,22 @@ to a canonical (k-1)-vertex mask, which shrinks the candidate space from
 all labelled graphs to a few thousand masks before the final minimality
 check.
 
-Canonicity itself is decided by backtracking over relabellings one
-position at a time, comparing the relabelled string column by column with
-the candidate's; a branch that dips below it proves the candidate not
-minimal. Two exact reductions keep the search small. Equal-set compare:
-the column of an unplaced vertex at position k is its adjacency to the k
-placed vertices, so one pass over their neighbourhood masks splits every
-unplaced vertex into below, equal and above the target at once; a branch
-above it yields only larger strings, so the search descends into the
-equal set alone. Twin pruning: twins are vertices whose rows agree outside
-the pair, and swapping them is an automorphism fixing every other vertex,
-so with the same vertices placed before, either twin placed next yields
-the same strings; at every node only the lowest unplaced member of a twin
-class is tried. Candidate rows are the base's plus the appended column.
+Canonicity is decided once per (k-1)-vertex base for all 2^(k-1) appended
+columns together: column c is bit c, its "lane", of a Python int, so one
+int holds a set of candidates, and the adjacency of any two vertices is the
+set of lanes in which they are adjacent (all lanes or none between base
+vertices, the columns' bits for the new vertex). The search backtracks over
+relabellings one position at a time, comparing the relabelled string column
+by column with each lane's candidate: lanes where it dips below are
+rejected (that candidate is not minimal), lanes where it rises above are
+dropped from the branch, and only lanes still equal descend. Twin pruning
+is exact and runs per lane: twins are vertices whose rows agree outside the
+pair, and swapping them is an automorphism fixing every other vertex, so
+with the same vertices placed before, either twin placed next yields the
+same strings; at every node a vertex is tried only in the lanes where no
+lower twin of it is unplaced. The lanes never rejected are the canonical
+candidates. At n = 8 the 1,044 searches make about 132 thousand
+expansions for the 133,632 candidates.
 """
 
 from __future__ import annotations
@@ -51,65 +54,79 @@ def _pair_bitpos(n: int, i: int, j: int) -> int:
 
 def _adjacency_rows(mask: int, n: int) -> list[int]:
     rows = [0] * n
+    pos = n * (n - 1) // 2  # walks the string from its most significant bit
     for j in range(1, n):
         for i in range(j):
-            if mask >> _pair_bitpos(n, i, j) & 1:
+            pos -= 1
+            if mask >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows
 
 
-def _smaller_exists(
-    rows: list[int], twins: list[int], placed: list[int], unplaced: int
-) -> bool:
-    # ``placed`` holds the rows of the vertices at positions 0..k-1; bit i
-    # of the candidate's row k is the target column's bit for position i.
-    k = len(placed)
-    if k == len(rows):
-        return False  # every position placed: the strings are equal
-    target = rows[k]
-    equal = unplaced
-    for i, nbrs in enumerate(placed):
-        if target >> i & 1:
-            if equal & ~nbrs:
-                return True  # a 0 under the target's 1
-            equal &= nbrs
-        else:
-            equal &= ~nbrs
-        if not equal:
-            return False
-    while equal:
-        low = equal & -equal
-        equal ^= low
-        w = low.bit_length() - 1
-        if twins[w] & unplaced:
-            continue
-        placed.append(rows[w])
-        deeper = _smaller_exists(rows, twins, placed, unplaced ^ low)
-        placed.pop()
-        if deeper:
-            return True
-    return False
+@lru_cache(maxsize=None)
+def _lane_columns(k: int) -> tuple[int, ...]:
+    # Entry v: the lanes (appended columns c, as bit c) in which vertex v is
+    # adjacent to the new vertex k, i.e. the columns with bit k-1-v set.
+    return tuple(
+        sum(1 << c for c in range(1 << k) if c >> (k - 1 - v) & 1) for v in range(k)
+    )
 
 
-def _is_canonical(rows: list[int]) -> bool:
-    """Whether no relabelling of the graph with these adjacency rows gives
-    a lexicographically smaller string."""
-    n = len(rows)
-    everyone = (1 << n) - 1
-    # twins[v]: v's lower twins, by open neighbourhood (non-adjacent) or by
-    # closed one (adjacent; complemented, so that the two keys never meet).
-    twins = []
-    seen: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        closed = ~(row | 1 << v)
-        a, b = seen.get(row, 0), seen.get(closed, 0)
-        twins.append(a | b)
-        seen[row], seen[closed] = a | 1 << v, b | 1 << v
-    for w0 in range(n):
-        if not twins[w0] and _smaller_exists(rows, twins, [rows[w0]], everyone ^ 1 << w0):
-            return False
-    return True
+def _canonical_lanes(base: int, k: int) -> int:
+    """The appended columns c, as bit c, for which ``base << k | c`` is
+    canonical on k + 1 vertices; ``base`` is any k-vertex mask."""
+    n = k + 1
+    every = (1 << (1 << k)) - 1
+    rows = _adjacency_rows(base, k)
+    new = _lane_columns(k)
+    # adj[u][v]: the lanes in which u and v are adjacent.
+    adj = [
+        [every if row >> v & 1 else 0 for v in range(k)] + [new[u]]
+        for u, row in enumerate(rows)
+    ]
+    adj.append(list(new) + [0])
+    # twins[w]: (u bit, lanes) for each u < w that agrees with w outside
+    # the pair in those lanes.
+    twins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for w in range(n):
+        for u in range(w):
+            lanes = every
+            for v in range(n):
+                if v != u and v != w:
+                    lanes &= ~(adj[u][v] ^ adj[w][v])
+            if lanes:
+                twins[w].append((1 << u, lanes))
+    rejected = 0
+
+    def descend(placed: list[int], unplaced: int, live: int) -> None:
+        # ``placed`` holds the vertices at positions 0..p-1 and ``live`` the
+        # lanes whose relabelled string still equals the candidate's.
+        nonlocal rejected
+        p = len(placed)
+        target = adj[p]
+        rest = unplaced
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            equal = live & ~rejected
+            for u, lanes in twins[w]:
+                if u & unplaced:
+                    equal &= ~lanes
+            row = adj[w]
+            for t, v in zip(target, placed):
+                x = row[v]
+                if t != x:
+                    rejected |= equal & t & ~x  # a 0 under the target's 1
+                    equal &= ~(t ^ x)
+                    if not equal:
+                        break
+            if equal and p + 1 < n:
+                descend(placed + [w], unplaced ^ low, equal)
+
+    descend([], (1 << n) - 1, every)
+    return every & ~rejected
 
 
 @lru_cache(maxsize=None)
@@ -118,19 +135,14 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0,)
     k = n - 1
-    bit = 1 << k
-    # The appended column's bit k-1-i is the pair (i, k); reversed, it is
-    # the new vertex's row.
-    new_rows = [int(f"{col:0{k}b}"[::-1], 2) for col in range(1 << k)]
     out = []
     for base in _canonical_masks(k):
-        base_rows = _adjacency_rows(base, k)
+        lanes = _canonical_lanes(base, k)
         shifted = base << k
-        for col, new_row in enumerate(new_rows):
-            rows = [row | bit if new_row >> v & 1 else row for v, row in enumerate(base_rows)]
-            rows.append(new_row)
-            if _is_canonical(rows):
-                out.append(shifted | col)
+        while lanes:
+            low = lanes & -lanes
+            lanes ^= low
+            out.append(shifted | low.bit_length() - 1)
     return tuple(out)
 
 
@@ -149,8 +161,9 @@ def generate_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on
     exactly n vertices, streamed in ascending canonical-mask order.
 
-    The largest supported size, n = 8, takes about three seconds (134
-    thousand candidate masks); everything below it is near-instant.
+    The largest supported size, n = 8, takes about a second (133,632
+    candidate masks in 1,044 searches); everything below it is
+    near-instant.
     """
     if not 1 <= n <= MAX_GENERATION_N:
         raise ValueError(f"generation supports 1 <= n <= {MAX_GENERATION_N}")

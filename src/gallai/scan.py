@@ -31,7 +31,6 @@ from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
-from multiprocessing import get_context
 
 from .claims import (
     PROVEN_CLAIMS,
@@ -314,6 +313,8 @@ def scan(config: ScanConfig) -> ScanReport:
                 aborted = True
                 break
     else:
+        from multiprocessing import get_context  # loaded only when workers run
+
         ctx = get_context("fork")
         chunk = max(1, len(graphs) // (config.jobs * 8))
         with ctx.Pool(processes=config.jobs) as pool:

@@ -111,12 +111,18 @@ def _extend(path: Path, pendant_map: dict[int, int]) -> Path:
 
 
 def _lift(path: Path, chains: dict[tuple[int, int], tuple[int, ...]]) -> Path:
+    # The chains are disjoint and hold no source vertex, so the lift is a
+    # simple path. Its ends are the source path's, whose first vertex is
+    # below its last, so it is already in canonical orientation.
     verts = [path.vertices[0]]
     for a, b in zip(path.vertices, path.vertices[1:]):
         chain = chains[(a, b)] if a < b else chains[(b, a)][::-1]
         verts.extend(chain)
         verts.append(b)
-    return Path(tuple(verts))
+    mask = 0
+    for v in verts:
+        mask |= 1 << v
+    return Path._trusted(tuple(verts), mask)
 
 
 def subdivide(graph: Graph, t: int, paths: tuple[Path, ...] = ()) -> SubdividedInstance:
@@ -295,23 +301,29 @@ def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
     ``ends`` distinct path ends adds ``ends`` vertices and edges, and
     subdividing adds ``t`` vertices per edge, so it has
     ``n0 + ends + t * (m0 + ends)`` vertices, where m0 counts the union's
-    edges.
+    edges. Both are counted from the paths, as ``restrict_to_triple``'s
+    graph would have them, without building that graph.
     """
-    sub, _ = restrict_to_triple(graph, triple)
-    n0 = sub.n
+    p0, p1, p2 = triple.paths
+    n0 = (p0.mask | p1.mask | p2.mask).bit_count()
+    m0 = len({
+        (a, b) if a < b else (b, a)
+        for p in triple.paths
+        for a, b in zip(p.vertices, p.vertices[1:])
+    })
     ends = len({e for p in triple.paths for e in p.ends})
-    subdivided_vertices = n0 + ends + t * (sub.m + ends)
+    subdivided_vertices = n0 + ends + t * (m0 + ends)
     edge_bound = 3 * (n0 - 1)
     vertex_bound = n0 + 3 * (n0 + 1) * t + 6
     info = {
         "t": t,
         "n0": n0,
-        "restricted_edges": sub.m,
+        "restricted_edges": m0,
         "edge_bound": edge_bound,
         "subdivided_vertices": subdivided_vertices,
         "vertex_bound": vertex_bound,
     }
-    if sub.m <= edge_bound and subdivided_vertices <= vertex_bound:
+    if m0 <= edge_bound and subdivided_vertices <= vertex_bound:
         return ClaimVerdict("size_bound", HOLDS, info)
     info["graph"] = graph_key(graph)
     info["paths"] = [list(p.vertices) for p in triple.paths]

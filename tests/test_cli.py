@@ -387,6 +387,20 @@ def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Worker pools exist only for --jobs > 1; a serial run must not pay for
+    # importing multiprocessing (and with it pickle and socket) at start-up.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gallai.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_benchmark_tracer_installs():
     # perfbench/spans.py replaces functions by name in the modules that call
     # them; a name gone from src/ fails every traced benchmark run.

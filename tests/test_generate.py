@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, corpus, oracle_isomorphic, star_graph
 from gallai.generate import (
-    _adjacency_rows,
+    _canonical_lanes,
     _canonical_masks,
-    _is_canonical,
     _pair_bitpos,
     generate_connected_graphs,
     graph_to_mask,
@@ -85,8 +85,15 @@ def candidates(n: int):
             yield base << (n - 1) | col
 
 
+# Candidates sharing a base share one search.
+canonical_lanes = lru_cache(maxsize=None)(_canonical_lanes)
+
+
 def is_canonical(n: int, mask: int) -> bool:
-    return _is_canonical(_adjacency_rows(mask, n))
+    """The lane search on the mask's (n-1)-vertex base, read at the lane of
+    its appended column."""
+    k = n - 1
+    return bool(canonical_lanes(mask >> k, k) >> (mask & ((1 << k) - 1)) & 1)
 
 
 class TestCounts:
@@ -104,7 +111,9 @@ class TestCounts:
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == GEN_N8_SHA256
         assert len(_canonical_masks(8)) == 12346
 
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    @pytest.mark.parametrize(
+        "n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]
+    )
     def test_all_graph_counts(self, n, count):
         # Including disconnected graphs, as used by the extension step.
         assert len(_canonical_masks(n)) == count
@@ -162,7 +171,7 @@ TWIN_HEAVY_GRAPHS = {
 
 
 class TestCanonicityTest:
-    """The equal-set, twin-pruned search against independent oracles."""
+    """The lane-parallel, twin-pruned search against independent oracles."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_backtracking_oracle_on_every_candidate(self, n):
@@ -181,6 +190,16 @@ class TestCanonicityTest:
     @given(st.integers(0, (1 << 28) - 1))
     def test_matches_backtracking_oracle_on_random_eight_vertex_masks(self, mask):
         assert is_canonical(8, mask) == oracle_is_canonical(8, mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, (1 << 15) - 1))
+    def test_every_lane_of_any_six_vertex_base(self, base):
+        # One search decides all 64 columns; each lane must match the
+        # oracle on its own candidate, whatever the other lanes hold.
+        lanes = _canonical_lanes(base, 6)
+        for col in range(1 << 6):
+            mask = base << 6 | col
+            assert bool(lanes >> col & 1) == oracle_is_canonical(7, mask), (base, col)
 
     @pytest.mark.parametrize("name", sorted(TWIN_HEAVY_GRAPHS))
     def test_matches_backtracking_oracle_on_twin_heavy_graphs(self, name):

@@ -138,6 +138,38 @@ class TestSubdivide:
                 for src, lifted in zip(ext.paths, inst.paths):
                     assert len(lifted) == (tt + 1) * (len(src) - 1) + 1
 
+    def test_trusted_lift_equals_the_validated_path(self):
+        # _lift skips Path's checks: each longest path with both ends in a
+        # triple's end set, extended and lifted (n <= 5, t = 1, 2), must
+        # equal the path Path(...) builds from the same vertices, mask
+        # included.
+        def reference(path, chains):
+            verts = [path.vertices[0]]
+            for a, b in zip(path.vertices, path.vertices[1:]):
+                verts.extend(chains[(a, b)] if a < b else chains[(b, a)][::-1])
+                verts.append(b)
+            return Path(tuple(verts))
+
+        checked = 0
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            end_sets = {frozenset(e for p in tr.paths for e in p.ends): tr for tr in TripleStream(lp)}
+            for triple in end_sets.values():
+                ext = attach_pendants(g, triple)
+                extended = [
+                    subdivision._extend(p, ext.pendant_map) for p in lp.paths
+                    if all(e in ext.pendant_map for e in p.ends)
+                ]
+                for t in (1, 2):
+                    chains = subdivide(ext.graph, t).chains
+                    for p in extended:
+                        lifted = subdivision._lift(p, chains)
+                        ref = reference(p, chains)
+                        assert lifted.vertices == ref.vertices
+                        assert lifted.mask == ref.mask
+                        checked += 1
+        assert checked > 1000, checked
+
     def test_provenance_positions(self):
         # Interior vertices follow the source ids, edge by edge in sorted
         # order and position by position from the lower end.
