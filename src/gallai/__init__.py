@@ -42,7 +42,6 @@ from .paths import (
     DEFAULT_PATH_CAP,
     LongestPathTable,
     Path,
-    enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
 )
@@ -70,6 +69,7 @@ from .subdivision import (
 from .triples import (
     PathTriple,
     TripleAnalysis,
+    TripleAnalyzer,
     TripleStream,
     analyze_triple,
     f_value,

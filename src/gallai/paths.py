@@ -1,6 +1,5 @@
-"""Exact longest-path search: the length, a memoised completion table that
-counts the longest paths, intersects them and lists them, and a naive
-all-simple-paths oracle.
+"""Exact longest-path search: the length, and a memoised completion table
+that counts the longest paths, intersects them and lists them.
 
 Two depth-first searches extend paths from every start vertex in
 ascending vertex order:
@@ -28,9 +27,9 @@ The length search recurses once per branching vertex on a path, the
 table and its walk once per path edge; a search that would go deeper than
 Python's recursion limit raises ``ValueError`` instead.
 
-Both prunes are lossless. ``enumerate_all_simple_paths`` uses neither and
-no memo; the tests hold the table and the walk to it on exhaustive small
-corpora and random graphs.
+Both prunes are lossless. The tests hold the table and the walk to an
+all-simple-paths oracle with neither prune and no memo, on exhaustive
+small corpora and random graphs.
 """
 
 from __future__ import annotations
@@ -411,34 +410,3 @@ def enumerate_longest_paths(
     table = LongestPathTable(graph, cap, deadline=deadline)
     table.paths  # walked here, within this call's deadline and timing
     return table
-
-
-def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:
-    """Every simple path of the graph (single vertices included), canonical
-    and reversal-free, in sorted order.
-
-    No pruning and no memo whatsoever; exponential in the graph size. This
-    is the independent correctness oracle for the completion table and the
-    paths walked from it, meant for graphs of roughly ten vertices or fewer.
-    """
-    adj = graph.adjacency
-    out: list[tuple[int, ...]] = []
-
-    def dfs(head: int, used: int, seq: list[int]) -> None:
-        if seq[0] <= head:
-            out.append(tuple(seq))
-        m = adj[head] & ~used
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            seq.append(v)
-            dfs(v, used | low, seq)
-            seq.pop()
-
-    try:
-        for start in range(graph.n):
-            dfs(start, 1 << start, [start])
-    finally:
-        del dfs  # the closure cycle again, as in longest_path_length
-    return tuple(sorted(Path(t) for t in out))

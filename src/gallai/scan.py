@@ -12,6 +12,11 @@ per-triple work is skipped and the graph is recorded as such. Graphs whose
 longest paths have empty common intersection (none exist at these corpus
 sizes) fall through to explicit triple iteration.
 
+Triple iteration, in a scan and in ``analyze_one`` alike, runs through one
+``_TripleClaims`` per graph, built only once the graph reaches it: it
+computes each parameter once per distinct input and decides the claim
+statuses once per ``(f, x_sizes, t_counts)``.
+
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
 carries no timing or worker-count information, so runs with different
@@ -51,7 +56,8 @@ from .graphs import (
 )
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
 from .subdivision import Subdivisions, check_size_bound, verify_proposition
-from .triples import TripleStream, analyze_triple
+# analyze_triple is not called here: perfbench/spans.py wraps it by name.
+from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
 
@@ -178,6 +184,48 @@ class ScanReport:
         }
 
 
+class _TripleClaims:
+    """The triple parameters and claim verdicts of one graph's triples.
+
+    The one per-triple path of ``scan`` and ``analyze_one``. A
+    ``TripleAnalyzer`` gives the parameters. Every claim predicate reads
+    only n, l, the crossing convention and a triple's ``f``, ``x_sizes``
+    and ``t_counts``, and the first three are fixed per graph, so the
+    statuses are decided once per ``(f, x_sizes, t_counts)`` and kept as
+    verdicts without a witness. A verdict that is violated there is checked
+    again on each triple it comes up for, so that it carries that triple's
+    own replay witness.
+    """
+
+    def __init__(
+        self, graph: Graph, l: int, checks, strict_t: bool, distances: dict[int, list[int]]
+    ):
+        self.graph = graph
+        self.l = l
+        self.analyze = TripleAnalyzer(graph, strict_t, distances)
+        self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
+        self.statuses: dict[tuple, tuple[tuple[ClaimVerdict, ...], bool]] = {}
+
+    def __call__(self, triple: PathTriple) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
+        analysis = self.analyze(triple)
+        key = (analysis.f, analysis.x_sizes, analysis.t_counts)
+        known = self.statuses.get(key)
+        if known is None:
+            verdicts = tuple(c(self.graph, triple, self.l, analysis) for c in self.checkers)
+            self.statuses[key] = (
+                tuple(ClaimVerdict(v.claim, v.status) for v in verdicts),
+                any(v.status == VIOLATED for v in verdicts),
+            )
+            return analysis, verdicts
+        verdicts, violated = known
+        if violated:
+            verdicts = tuple(
+                c(self.graph, triple, self.l, analysis) if v.status == VIOLATED else v
+                for c, v in zip(self.checkers, verdicts)
+            )
+        return analysis, verdicts
+
+
 class _ProvenClaimViolated(Exception):
     """A proven statement failed; the enclosing scan must stop."""
 
@@ -239,11 +287,12 @@ def _examine_graph(
             record.max_f = 0
             return record, violations, False
 
-        checkers = [_TRIPLE_CHECKERS[c] for c in config.checks if c in _TRIPLE_CHECKERS]
         seen_pairs: set[tuple] = set()
         subdivisions = Subdivisions(graph, table)
+        claims = _TripleClaims(
+            graph, table.length, config.checks, config.strict_t, subdivisions.distances)
         for triple in triples:
-            analysis = analyze_triple(graph, triple, strict_t=config.strict_t)
+            analysis, verdicts = claims(triple)
             record.max_f = (
                 analysis.f if record.max_f is None else max(record.max_f, analysis.f)
             )
@@ -257,8 +306,8 @@ def _examine_graph(
                     seen_pairs.add(key)
                     record.pairs_examined += 1
                     run(check_prop1(graph, a, b, longest_paths=table))
-            for checker in checkers:
-                run(checker(graph, triple, table.length, analysis))
+            for verdict in verdicts:
+                run(verdict)
             for t in config.subdivision_t:
                 run(verify_proposition(subdivisions, triple, t))
                 run(check_size_bound(graph, triple, t))
@@ -472,12 +521,12 @@ def analyze_one(
         out["status"] = "vacuous"
         out["triples"] = []
         return out
-    checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
     triples_out = []
     subdivisions = Subdivisions(graph, table)
+    claims = _TripleClaims(graph, table.length, checks, strict_t, subdivisions.distances)
     prop1: dict[tuple, str] = {}  # each pair's status, checked once
     for triple in triples:
-        analysis = analyze_triple(graph, triple, strict_t=strict_t)
+        analysis, verdicts = claims(triple)
         entry = {
             "paths": [list(p.vertices) for p in triple.paths],
             "f": analysis.f,
@@ -485,11 +534,8 @@ def analyze_one(
             "x_sizes": list(analysis.x_sizes),
             "t_counts": list(analysis.t_counts),
             "pairwise_sizes": list(analysis.pairwise_sizes),
-            "verdicts": {},
+            "verdicts": {v.claim: v.status for v in verdicts},
         }
-        for checker in checkers:
-            v = checker(graph, triple, table.length, analysis)
-            entry["verdicts"][v.claim] = v.status
         if "prop1" in checks:
             statuses = entry["verdicts"]["prop1"] = []
             for a, b in combinations(triple.paths, 2):

@@ -106,8 +106,12 @@ def attach_pendants(graph: Graph, triple: PathTriple) -> PendantExtension:
 
 
 def _extend(path: Path, pendant_map: dict[int, int]) -> Path:
+    # The pendants are new vertices numbered in sorted-end order, and the
+    # path's first end is below its last, so the extension is distinct and
+    # already in canonical orientation.
     vs = path.vertices
-    return Path((pendant_map[vs[0]],) + vs + (pendant_map[vs[-1]],))
+    first, last = pendant_map[vs[0]], pendant_map[vs[-1]]
+    return Path._trusted((first,) + vs + (last,), path.mask | 1 << first | 1 << last)
 
 
 def _lift(path: Path, chains: dict[tuple[int, int], tuple[int, ...]]) -> Path:

@@ -6,6 +6,12 @@ Vertex sets are the paths' bit masks throughout: the counts are ANDs and
 ``bit_count()``, and only the witness set of ``f_value`` is a frozenset.
 All functions here accept arbitrary valid path triples; the claim checkers
 layer the longest-path requirement on top where it matters.
+
+Everything but the crossing counts depends only on the three vertex sets,
+and a graph's longest paths share few of them (the 19,917 triples of the
+``analyze_deep`` benchmark input lie over 55 sets of three), so a
+``TripleAnalyzer`` computes those parameters once per graph and triple of
+sets. ``analyze_triple`` is a one-shot analyser.
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ class PathTriple:
         )
         return cls(paths)  # type: ignore[arg-type]
 
+    @classmethod
+    def _trusted(cls, paths: tuple[Path, Path, Path]) -> "PathTriple":
+        # For paths already sorted and distinct, as in a table's walk.
+        triple = object.__new__(cls)
+        triple.__dict__["paths"] = paths
+        return triple
+
     def __iter__(self):
         return iter(self.paths)
 
@@ -68,9 +81,11 @@ class TripleStream:
         return self.total - self.examined
 
     def __iter__(self):
+        # The table lists its paths sorted and distinct, so every
+        # combination of them is a triple in canonical order.
         for combo in islice(combinations(self.paths, 3), self.cap):
             self.examined += 1
-            yield PathTriple(combo)
+            yield PathTriple._trusted(combo)
 
     def __getitem__(self, index: int) -> PathTriple:
         """The triple at ``index`` in canonical order, found by counting
@@ -86,7 +101,7 @@ class TripleStream:
                 pos += 1
             picks.append(self.paths[pos])
             pos += 1
-        return PathTriple(tuple(picks))
+        return PathTriple._trusted(tuple(picks))
 
 
 def f_value(
@@ -133,9 +148,13 @@ def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
     if which not in (0, 1, 2):
         raise IndexError(f"path index {which} out of range 0..2")
     mask_a, mask_b = (p.mask for k, p in enumerate(triple.paths) if k != which)
+    return _crossings(triple.paths[which].vertices, mask_a, mask_b, strict)
+
+
+def _crossings(vertices: tuple[int, ...], mask_a: int, mask_b: int, strict: bool) -> int:
     count = 0
     last = 0  # 1 only on a, 2 only on b, 3 on both
-    for v in triple.paths[which].vertices:
+    for v in vertices:
         side = (mask_a >> v & 1) | (mask_b >> v & 1) << 1
         if side:
             if side == 3:
@@ -164,22 +183,66 @@ class TripleAnalysis:
     strict_crossings: bool = False
 
 
+class TripleAnalyzer:
+    """The parameters of one graph's path triples, called on a triple.
+
+    ``f``, its witnesses, ``x_sizes`` and ``pairwise_sizes`` are computed
+    once per triple of path masks, in path order, and shared by every
+    triple over the same vertex sets. A path's crossing count also reads
+    its vertex order, so it is counted once per path and pair of other
+    masks. ``distances`` is the BFS distance dict of ``f_value``: pass one
+    already kept for the graph (as ``Subdivisions.distances`` is) so that
+    each path is searched once.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        strict_t: bool = False,
+        distances: dict[int, list[int]] | None = None,
+    ):
+        self.graph = graph
+        self.strict_t = strict_t
+        self.distances = {} if distances is None else distances
+        self._by_masks: dict[tuple[int, int, int], tuple] = {}
+        self._t_counts: dict[tuple[tuple[int, ...], int, int], int] = {}
+
+    def __call__(self, triple: PathTriple) -> TripleAnalysis:
+        p0, p1, p2 = triple.paths
+        key = m0, m1, m2 = p0.mask, p1.mask, p2.mask
+        sets = self._by_masks.get(key)
+        if sets is None:
+            sets = self._by_masks[key] = self._set_parameters(triple, m0, m1, m2)
+        f, witnesses, x_sizes, pairwise_sizes = sets
+        t = self._t
+        t_counts = (t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1))
+        return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise_sizes, self.strict_t)
+
+    def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
+        key = (vertices, mask_a, mask_b)
+        count = self._t_counts.get(key)
+        if count is None:
+            count = self._t_counts[key] = _crossings(vertices, mask_a, mask_b, self.strict_t)
+        return count
+
+    def _set_parameters(self, triple: PathTriple, m0: int, m1: int, m2: int) -> tuple:
+        f, witnesses = f_value(self.graph, triple, self.distances)
+        common = m0 & m1 & m2
+        # f vanishes exactly when the triple has a common vertex, and then
+        # the witnesses are the common vertices.
+        assert (f == 0) == bool(common), (f, common)
+        assert f or common == sum(1 << w for w in witnesses), (witnesses, common)
+        x_sizes = (
+            (m0 & ~(m1 | m2)).bit_count(),
+            (m1 & ~(m0 | m2)).bit_count(),
+            (m2 & ~(m0 | m1)).bit_count(),
+        )
+        pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
+        return f, witnesses, x_sizes, pairwise_sizes
+
+
 def analyze_triple(
     graph: Graph, triple: PathTriple, *, strict_t: bool = False
 ) -> TripleAnalysis:
-    """Compute every triple parameter at once."""
-    f, witnesses = f_value(graph, triple)
-    m0, m1, m2 = (p.mask for p in triple.paths)
-    x_sizes = (
-        (m0 & ~(m1 | m2)).bit_count(),
-        (m1 & ~(m0 | m2)).bit_count(),
-        (m2 & ~(m0 | m1)).bit_count(),
-    )
-    t_counts = tuple(t_count(triple, k, strict=strict_t) for k in range(3))
-    pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
-    common = m0 & m1 & m2
-    # f vanishes exactly when the triple has a common vertex, and then
-    # the witnesses are the common vertices.
-    assert (f == 0) == bool(common), (f, common)
-    assert f or common == sum(1 << w for w in witnesses), (witnesses, common)
-    return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise_sizes, strict_t)
+    """Compute every triple parameter at once: a one-shot ``TripleAnalyzer``."""
+    return TripleAnalyzer(graph, strict_t)(triple)

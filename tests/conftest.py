@@ -2,9 +2,11 @@
 
 The oracles here deliberately reimplement functionality from first
 principles (plain adjacency sets, no bitmasks, no pruning) so the package
-is checked against code that shares none of its machinery. The one
-exception is ``oracle_longest_path_length``: the plain bitmask branch and
-bound, kept as the reference for the length search's shortcuts.
+is checked against code that shares none of its machinery. Two use
+bitmasks: ``oracle_longest_path_length``, the plain branch and bound kept
+as the reference for the length search's shortcuts, and
+``enumerate_all_simple_paths``, the DFS over every simple path that the
+longest-path table and its walk are held to.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from gallai.generate import generate_connected_graphs
 from gallai.graphs import Graph, from_edge_list
+from gallai.paths import Path
 
 
 def path_graph(n: int) -> Graph:
@@ -180,6 +183,37 @@ def oracle_longest_path_length(graph: Graph) -> int:
         if best == n - 1:
             break
     return best
+
+
+def enumerate_all_simple_paths(graph: Graph) -> tuple[Path, ...]:
+    """Every simple path of the graph (single vertices included), canonical
+    and reversal-free, in sorted order.
+
+    No pruning and no memo whatsoever; exponential in the graph size. This
+    is the independent correctness oracle for the completion table and the
+    paths walked from it, meant for graphs of roughly ten vertices or fewer.
+    """
+    adj = graph.adjacency
+    out: list[tuple[int, ...]] = []
+
+    def dfs(head: int, used: int, seq: list[int]) -> None:
+        if seq[0] <= head:
+            out.append(tuple(seq))
+        m = adj[head] & ~used
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            seq.append(v)
+            dfs(v, used | low, seq)
+            seq.pop()
+
+    try:
+        for start in range(graph.n):
+            dfs(start, 1 << start, [start])
+    finally:
+        del dfs  # the closure refers to itself; free it now, not at the next collection
+    return tuple(sorted(Path(t) for t in out))
 
 
 def oracle_triple_sizes(paths) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]:

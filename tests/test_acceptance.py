@@ -12,10 +12,10 @@ import json
 
 import pytest
 
-from conftest import corpus, corpus_up_to
+from conftest import corpus, corpus_up_to, enumerate_all_simple_paths
 from gallai.cli import main
 from gallai.graphs import parse_graph6, to_graph6
-from gallai.paths import enumerate_all_simple_paths, enumerate_longest_paths
+from gallai.paths import enumerate_longest_paths
 from gallai.scan import ScanConfig, emit_report, scan, subdivision_sweep
 
 EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -42,6 +42,10 @@ GOLDEN_DIGESTS = {
     # The built instances: extended and subdivided graphs, lifted paths.
     "subdivide --input <n <= 5> --t 2 --triple 3":
         "e406e0f74bc6ed37eeae3f14ab81558f959a68790982eb1493ffcbc0ea77c0ff",
+    # The only checked-in input that reaches the scan's triple loop: the
+    # Gallai-free graph's 11,480 triples, tallied per claim and status.
+    "scan --input KhAAPWU_?_@?":
+        "e9467ca77cd927760206805626adec688feade9b43504cf3c9565e2a1eaeb075",
     # Subdivided graphs of about 41 vertices, built from the Gallai-free
     # graph: all 300 verdicts hold.
     "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300":
@@ -203,6 +207,8 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     for name, argv in analyze_runs.items():
         assert main(["analyze", "--input", *argv]) == 0
         analyze_digests[name] = _sha256(capsys.readouterr().out)
+    assert main(["scan", "--input", str(free_file)]) == 0
+    scan_free = capsys.readouterr().out
     assert main(["subdivide", "--input", str(corpus_file), "--t", "2", "--triple", "3"]) == 0
     subdivide_out = capsys.readouterr().out
     assert main(["verify-prop", "--input", str(free_file), "--t", "1",
@@ -214,6 +220,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
+        "scan --input KhAAPWU_?_@?": _sha256(scan_free),
         "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),
         "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(verify_free),
     }

@@ -5,6 +5,8 @@ from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, corpus, corpus_up_to, cycle_graph, star_graph
 from gallai.claims import (
@@ -268,6 +270,28 @@ class TestPredicates:
             assert info.items() <= v.witness.items()
         # 2*4 < 3*2 + 1 + 3 and 13 > 4 + 6; lemma22's right side is 0.
         assert violated == {"conj_Z", "lemma21", "lemma23", "thm1"}
+
+
+class TestStatusMemoKey:
+    """A scan decides each claim once per graph and (f, x_sizes, t_counts):
+    no predicate's claim id or status may read the witnesses or the
+    pairwise sizes. n, l and the crossing convention are fixed per graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 39),
+        st.integers(0, 6),
+        st.tuples(*[st.integers(0, 12)] * 3),
+        st.tuples(*[st.integers(0, 8)] * 3),
+        st.booleans(),
+        st.lists(st.frozensets(st.integers(0, 39)), min_size=2, max_size=2),
+        st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=2, max_size=2),
+    )
+    def test_status_reads_only_the_memo_key(self, n, l, f, x, t, strict, witnesses, pairwise):
+        a, b = (TripleAnalysis(f, w, x, t, p, strict) for w, p in zip(witnesses, pairwise))
+        for name in TRIPLE_CLAIMS:
+            assert status(name, n, l, a) == status(name, n, l, b), name
 
 
 class TestCheckTripleBoundary:

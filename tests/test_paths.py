@@ -14,6 +14,7 @@ from conftest import (
     corpus,
     corpus_up_to,
     cycle_graph,
+    enumerate_all_simple_paths,
     oracle_longest_path_length,
     path_graph,
     petersen_graph,
@@ -29,7 +30,6 @@ from gallai.paths import (
     BudgetError,
     LongestPathTable,
     Path,
-    enumerate_all_simple_paths,
     enumerate_longest_paths,
     longest_path_length,
 )

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import random
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path as FilePath
@@ -23,9 +24,10 @@ from conftest import (
     star_graph,
     within_seconds,
 )
-from gallai.claims import HOLDS, VIOLATED, ClaimVerdict, check_prop1
+from gallai.claims import HOLDS, TRIPLE_CLAIMS, VIOLATED, ClaimVerdict, check_prop1, triple_verdict
 from gallai import paths as paths_module
-from gallai.graphs import format_edge_list, from_edge_list, to_graph6
+from gallai import triples as triples_module
+from gallai.graphs import format_edge_list, from_edge_list, parse_graph6, to_graph6
 from gallai.paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
 from gallai.scan import (
     ALL_CHECKS,
@@ -39,7 +41,7 @@ from gallai.scan import (
     scan,
     subdivision_sweep,
 )
-from gallai.triples import PathTriple, f_value
+from gallai.triples import PathTriple, TripleStream, analyze_triple, f_value
 
 # ``gallai.scan`` the attribute is the re-exported function, not the module.
 scan_module = importlib.import_module("gallai.scan")
@@ -328,6 +330,91 @@ class TestInjectedViolations:
         assert hit == [to_graph6(cycle_graph(3))]
         serialized = emit_report(report, "json")
         assert '"forced": true' in serialized
+
+
+class TestClaimStatusMemo:
+    """The scan and ``analyze_one`` decide each claim once per graph and
+    (f, x_sizes, t_counts), and check a violated claim again per triple.
+    A patched ``conj4`` violates on every triple whose first crossing
+    count is 2 or 5, so equal keys repeat among the violations. The first
+    60 triples of each graph of the n <= 6 corpus are examined: below
+    n = 6, ``f`` and ``x_sizes`` alone fix the crossing counts of every
+    graph's triples, and four six-vertex graphs have triples with
+    ``t_counts`` (3, 3, 3) and (5, 5, 5) under one (f, x_sizes)."""
+
+    CHECKS = tuple(TRIPLE_CLAIMS)
+    CAP = 60
+
+    @staticmethod
+    def force_violations(monkeypatch):
+        real = TRIPLE_CLAIMS["conj4"]
+
+        def predicate(n, l, a):
+            if a.t_counts[0] in (2, 5):
+                return "conj4", VIOLATED, {"forced": True}
+            return real(n, l, a)
+
+        monkeypatch.setitem(TRIPLE_CLAIMS, "conj4", predicate)
+
+    @classmethod
+    def reference(cls):
+        """Per graph: each triple's verdicts, one fresh ``triple_verdict``
+        per claim and triple."""
+        out = {}
+        for g in corpus_up_to(6):
+            table = LongestPathTable(g)
+            out[g] = [
+                [triple_verdict(name, g, t, table.length, analyze_triple(g, t))
+                 for name in cls.CHECKS]
+                for t in TripleStream(table, cls.CAP)
+            ]
+        return out
+
+    def test_scan_and_analyze_one_match_per_triple_verdicts(self, monkeypatch):
+        self.force_violations(monkeypatch)
+        expected = self.reference()
+        for g, per_triple in expected.items():
+            res = analyze_one(g, checks=self.CHECKS, triple_cap=self.CAP)
+            statuses = [t["verdicts"] for t in res.get("triples", [])]
+            assert statuses == [{v.claim: v.status for v in vs} for vs in per_triple]
+
+        report = scan(ScanConfig(
+            generate_n=6, checks=self.CHECKS, triple_mode="capped", triple_cap=self.CAP))
+        tallies = {}
+        violations = []
+        for g6, per_triple in sorted((to_graph6(g), p) for g, p in expected.items()):
+            for verdicts in per_triple:
+                for v in verdicts:
+                    claim_tally = tallies.setdefault(g6, {}).setdefault(v.claim, {})
+                    claim_tally[v.status] = claim_tally.get(v.status, 0) + 1
+                    if v.status == VIOLATED:
+                        violations.append((g6, v.claim, v.witness))
+        assert {r.graph6: r.tallies for r in report.records if r.tallies} == tallies
+        assert [(v.graph6, v.claim, v.witness) for v in report.violations] == violations
+        # Each witness names its own triple, and keys repeat among them.
+        assert len({(g6, str(w["paths"])) for g6, _, w in violations}) == len(violations)
+        keys = Counter((g6, w["f"], tuple(w["x_sizes"]), tuple(w["t_counts"]))
+                       for g6, _, w in violations)
+        assert max(keys.values()) > 1 and len(violations) > 100
+
+    def test_each_path_searched_once_per_graph(self, monkeypatch):
+        searched = Counter()
+        real = triples_module._distance_list
+
+        def counting(adj, n, mask):
+            searched[adj, mask] += 1
+            return real(adj, n, mask)
+
+        monkeypatch.setattr(triples_module, "_distance_list", counting)
+        for g in [*corpus_up_to(5), parse_graph6("KhAAPWU_?_@?")]:
+            searched.clear()
+            res = analyze_one(g, triple_cap=300, subdivision_t=(1,))
+            if res["status"] != "checked":
+                continue
+            assert max(searched.values()) == 1
+            base = {mask for adj, mask in searched if adj == g.adjacency}
+            paths = {p for t in res["triples"] for p in map(tuple, t["paths"])}
+            assert base == {sum(1 << v for v in p) for p in paths}
 
 
 class TestEmitReport:

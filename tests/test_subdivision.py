@@ -92,6 +92,21 @@ class TestAttachPendants:
         assert [ext.graph.adjacency[v] & low for v in range(g.n)] == list(g.adjacency)
         assert [ext.graph.neighbors(v) for v in range(g.n, ext.graph.n)] == [[1], [2], [3]]
 
+    def test_trusted_extension_equals_the_validated_path(self):
+        # _extend skips Path's checks: on every triple of the n <= 5
+        # corpus each extended path must equal the path Path(...) builds
+        # from the same vertices, hash and mask included.
+        checked = 0
+        for g in corpus_up_to(5):
+            for triple in TripleStream(enumerate_longest_paths(g)):
+                for p in attach_pendants(g, triple).paths:
+                    ref = Path(p.vertices)
+                    assert p.vertices == ref.vertices
+                    assert hash(p) == hash(ref) and p == ref
+                    assert p.mask == ref.mask
+                    checked += 1
+        assert checked == 3 * 45067, checked
+
 
 class TestSubdivide:
     def test_spider_counts(self):

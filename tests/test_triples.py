@@ -13,6 +13,7 @@ from conftest import (
     corpus,
     corpus_up_to,
     cycle_graph,
+    enumerate_all_simple_paths,
     oracle_f_value,
     oracle_t_count,
     oracle_triple_sizes,
@@ -21,9 +22,10 @@ from conftest import (
     star_graph,
 )
 from gallai.graphs import from_edge_list, parse_graph6
-from gallai.paths import Path, enumerate_all_simple_paths, enumerate_longest_paths
+from gallai.paths import Path, enumerate_longest_paths
 from gallai.triples import (
     PathTriple,
+    TripleAnalyzer,
     TripleStream,
     analyze_triple,
     f_value,
@@ -32,10 +34,10 @@ from gallai.triples import (
 
 
 @st.composite
-def connected_graphs(draw, extra_per_vertex=2):
-    """A random spanning tree on up to ten vertices plus up to
+def connected_graphs(draw, extra_per_vertex=2, max_n=10):
+    """A random spanning tree on up to ``max_n`` vertices plus up to
     ``extra_per_vertex * n`` more edges."""
-    n = draw(st.integers(3, 10))
+    n = draw(st.integers(3, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges.update(draw(st.lists(st.sampled_from(pairs), max_size=extra_per_vertex * n)))
@@ -102,6 +104,14 @@ class TestTripleStream:
         for g in corpus_up_to(5):
             stream = TripleStream(enumerate_longest_paths(g))
             assert [stream[i] for i in range(stream.total)] == list(stream)
+
+    def test_trusted_triples_equal_validated_ones(self):
+        # The stream skips PathTriple's sorting and distinctness checks.
+        for g in corpus_up_to(5):
+            stream = TripleStream(enumerate_longest_paths(g))
+            for t in stream:
+                ref = PathTriple(t.paths[::-1])
+                assert t.paths == ref.paths and hash(t) == hash(ref)
 
     def test_index_out_of_range(self):
         stream = TripleStream(enumerate_longest_paths(cycle_graph(5)))
@@ -438,3 +448,51 @@ class TestAnalyzeTriple:
         assume(stream.total > 0)
         for i in rng.sample(range(stream.total), min(stream.total, 20)):
             self.assert_sizes_match_oracle(g, stream[i])
+
+
+class TestTripleAnalyzer:
+    """One analyser per graph, its memos shared by all of the graph's
+    triples, against a fresh ``analyze_triple`` per triple."""
+
+    @staticmethod
+    def assert_matches_fresh_analysis(g, cap=300):
+        triples = list(TripleStream(enumerate_longest_paths(g), cap))
+        for strict in (False, True):
+            analyze = TripleAnalyzer(g, strict)
+            for t in triples:
+                assert analyze(t) == analyze_triple(g, t, strict_t=strict)
+        return len(triples)
+
+    def test_matches_fresh_analysis_on_corpus(self):
+        # The first 300 triples of each graph: neighbours in canonical
+        # order share paths and vertex sets, so the memos are hit.
+        assert sum(self.assert_matches_fresh_analysis(g) for g in corpus_up_to(6)) > 10_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(max_n=9))
+    def test_matches_fresh_analysis_on_random_graphs(self, g):
+        self.assert_matches_fresh_analysis(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs(extra_per_vertex=1, max_n=9), st.randoms(use_true_random=False))
+    def test_matches_fresh_analysis_on_arbitrary_paths(self, g, rng):
+        # Triples of any simple paths, so that f > 0 occurs; picks from a
+        # few paths make vertex sets repeat.
+        paths = enumerate_all_simple_paths(g)
+        few = rng.sample(paths, min(8, len(paths)))
+        triples = {PathTriple(tuple(rng.sample(few, 3))) for _ in range(40)}
+        for strict in (False, True):
+            analyze = TripleAnalyzer(g, strict)
+            for t in sorted(triples, key=lambda t: t.paths):
+                assert analyze(t) == analyze_triple(g, t, strict_t=strict)
+
+    def test_fills_the_distances_it_is_given(self):
+        # A triangle 3-4-5 with leaves 0, 1, 2 on vertex 5: its six longest
+        # paths, leaf-5-3-4 and leaf-5-4-3, lie on three vertex sets.
+        g = from_edge_list(6, [(0, 5), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
+        lp = enumerate_longest_paths(g)
+        distances = {}
+        for t in TripleStream(lp):
+            TripleAnalyzer(g, distances=distances)(t)
+        assert sorted(distances) == [0b111001, 0b111010, 0b111100]
+        assert len(lp.paths) == 6
