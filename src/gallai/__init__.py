@@ -51,6 +51,7 @@ from .scan import (
     ScanReport,
     analyze_one,
     emit_report,
+    report_chunks,
     report_json,
     scan,
     subdivision_sweep,

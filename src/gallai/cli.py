@@ -31,6 +31,7 @@ from .scan import (
     analyze_one,
     emit_report,
     read_graphs,
+    report_chunks,
     report_json,
     scan,
     subdivision_sweep,
@@ -47,12 +48,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(pieces: list[str], out: str | None) -> None:
+    """Write the pieces of a finished report in one go. A command builds
+    every piece before it calls this, so a failing run writes nothing."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _parse_t_list(value: str) -> tuple[int, ...]:
@@ -152,7 +155,7 @@ def _cmd_gen(args) -> int:
     if args.n == 8:
         sys.stderr.write("gen: n=8 checks 134k candidate labellings in 1044 searches; expect 1-2s\n")
     lines = [to_graph6(g) for g in generate_connected_graphs(args.n)]
-    _write_out("".join(line + "\n" for line in lines), args.out)
+    _write_out(["".join(line + "\n" for line in lines)], args.out)
     return EXIT_OK
 
 
@@ -172,13 +175,15 @@ def _cmd_scan(args) -> int:
         strict_t=args.strict_t_convention,
     )
     report = scan(config)
-    _write_out(emit_report(report, args.format), args.out)
+    _write_out([emit_report(report, args.format)], args.out)
     return report.exit_code
 
 
 def _cmd_analyze(args) -> int:
     graphs = read_graphs(args.input, args.input_format)
-    results = [
+    # Built lazily: each record is rendered, and can be freed, before the
+    # next graph is analysed.
+    results = (
         analyze_one(
             g,
             checks=args.checks,
@@ -188,9 +193,9 @@ def _cmd_analyze(args) -> int:
             strict_t=args.strict_t_convention,
         )
         for g in graphs
-    ]
+    )
     if args.format == "json":
-        _write_out(report_json(results) + "\n", args.out)
+        _write_out([*report_chunks(results), "\n"], args.out)
     else:
         lines = []
         for res in results:
@@ -202,7 +207,7 @@ def _cmd_analyze(args) -> int:
             for entry in res.get("triples", []):
                 lines.append(f"  triple {entry['paths']}: f={entry['f']} "
                              f"t_counts={entry['t_counts']} x={entry['x_sizes']}")
-        _write_out("\n".join(lines) + "\n", args.out)
+        _write_out(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -215,65 +220,57 @@ def _export_graph(graph: Graph) -> dict:
     return entry
 
 
+def _subdivided(graphs: list[Graph], t: int, index: int):
+    """Each graph's ``subdivide`` record, with its subdivided graph or None."""
+    for graph in graphs:
+        if not is_connected(graph):
+            yield {"graph6": graph_key(graph), "status": "disconnected"}, None
+            continue
+        lp = enumerate_longest_paths(graph)
+        if lp.truncated:
+            # A truncated table lists no paths: not vacuous, but unknown.
+            yield {"graph6": graph_key(graph), "status": "skipped_truncated"}, None
+            continue
+        triples = TripleStream(lp)
+        if index >= triples.total:
+            yield {
+                "graph6": graph_key(graph),
+                "status": "vacuous",
+                "triples_total": triples.total,
+            }, None
+            continue
+        triple = triples[index]
+        inst = build_instance(graph, triple, t)
+        yield {
+            "graph6": graph_key(graph),
+            "status": "ok",
+            "t": t,
+            "triple": [list(p.vertices) for p in triple.paths],
+            "extended": _export_graph(inst.source),
+            "subdivided": _export_graph(inst.graph),
+            "lifted_paths": [list(p.vertices) for p in inst.paths],
+            # Ids are laid out originals, pendants, then interior vertices.
+            "provenance_counts": {
+                "original": graph.n,
+                "pendant": inst.source.n - graph.n,
+                "subdivision": inst.graph.n - inst.source.n,
+            },
+        }, inst.graph
+
+
 def _cmd_subdivide(args) -> int:
     if args.t < 0 or args.triple < 0:
         sys.stderr.write("subdivide: --t and --triple must be nonnegative\n")
         return EXIT_CONFIG_ERROR
     graphs = read_graphs(args.input, args.input_format)
-    results = []
-    built: list[Graph | None] = []
-    for graph in graphs:
-        if not is_connected(graph):
-            results.append({"graph6": graph_key(graph), "status": "disconnected"})
-            built.append(None)
-            continue
-        lp = enumerate_longest_paths(graph)
-        if lp.truncated:
-            # A truncated table lists no paths: not vacuous, but unknown.
-            results.append({"graph6": graph_key(graph), "status": "skipped_truncated"})
-            built.append(None)
-            continue
-        triples = TripleStream(lp)
-        if args.triple >= triples.total:
-            results.append(
-                {
-                    "graph6": graph_key(graph),
-                    "status": "vacuous",
-                    "triples_total": triples.total,
-                }
-            )
-            built.append(None)
-            continue
-        triple = triples[args.triple]
-        inst = build_instance(graph, triple, args.t)
-        built.append(inst.graph)
-        results.append(
-            {
-                "graph6": graph_key(graph),
-                "status": "ok",
-                "t": args.t,
-                "triple": [list(p.vertices) for p in triple.paths],
-                "extended": _export_graph(inst.source),
-                "subdivided": _export_graph(inst.graph),
-                "lifted_paths": [list(p.vertices) for p in inst.paths],
-                # Ids are laid out originals, pendants, then interior vertices.
-                "provenance_counts": {
-                    "original": graph.n,
-                    "pendant": inst.source.n - graph.n,
-                    "subdivision": inst.graph.n - inst.source.n,
-                },
-            }
-        )
+    built = _subdivided(graphs, args.t, args.triple)
     if args.format == "json":
-        _write_out(report_json(results) + "\n", args.out)
+        _write_out([*report_chunks(res for res, _ in built), "\n"], args.out)
     else:
-        chunks = []
-        for res, sub in zip(results, built):
-            if sub is None:
-                chunks.append(f"# {res['graph6']}: {res['status']}\n")
-            else:
-                chunks.append(format_edge_list(sub))
-        _write_out("".join(chunks), args.out)
+        _write_out([
+            f"# {res['graph6']}: {res['status']}\n" if sub is None else format_edge_list(sub)
+            for res, sub in built
+        ], args.out)
     return EXIT_OK
 
 
@@ -295,41 +292,40 @@ def _cmd_verify_prop(args) -> int:
         # Wall-clock time stays out of the report so that it is byte-deterministic.
         worst_s = result.pop("worst_instance_s")
         sys.stderr.write(f"verify-prop: slowest instance took {worst_s:.3f}s\n")
-        _write_out(report_json(result) + "\n", args.out)
+        _write_out([report_json(result) + "\n"], args.out)
         return EXIT_OK if not result["violations"] else EXIT_INTERNAL_VIOLATION
     graphs = read_graphs(args.input, args.input_format)
-    results = []
     worst_status = EXIT_OK
-    for graph in graphs:
-        if not is_connected(graph):
-            results.append(
-                {"graph6": graph_key(graph), "status": "disconnected", "verdicts": []}
-            )
-            continue
-        lp = enumerate_longest_paths(graph)
-        if lp.truncated:
-            # A truncated table lists no triples; one record says why.
-            results.append(
-                {"graph6": graph_key(graph), "status": "skipped_truncated", "verdicts": []}
-            )
-            continue
-        verdicts: list[dict] = []
-        subdivisions = Subdivisions(graph, lp)
-        for triple in TripleStream(lp, args.triple_cap):
-            for t in args.t:
-                v = verify_proposition(subdivisions, triple, t)
-                verdicts.append(
-                    {
-                        "t": t,
-                        "paths": [list(p.vertices) for p in triple.paths],
-                        "status": v.status,
-                        "witness": v.witness,
-                    }
-                )
-                if v.status == "violated":
-                    worst_status = EXIT_INTERNAL_VIOLATION
-        results.append({"graph6": graph_key(graph), "verdicts": verdicts})
-    _write_out(report_json(results) + "\n", args.out)
+
+    def records():
+        nonlocal worst_status
+        for graph in graphs:
+            if not is_connected(graph):
+                yield {"graph6": graph_key(graph), "status": "disconnected", "verdicts": []}
+                continue
+            lp = enumerate_longest_paths(graph)
+            if lp.truncated:
+                # A truncated table lists no triples; one record says why.
+                yield {"graph6": graph_key(graph), "status": "skipped_truncated", "verdicts": []}
+                continue
+            verdicts: list[dict] = []
+            subdivisions = Subdivisions(graph, lp)
+            for triple in TripleStream(lp, args.triple_cap):
+                for t in args.t:
+                    v = verify_proposition(subdivisions, triple, t)
+                    verdicts.append(
+                        {
+                            "t": t,
+                            "paths": [list(p.vertices) for p in triple.paths],
+                            "status": v.status,
+                            "witness": v.witness,
+                        }
+                    )
+                    if v.status == "violated":
+                        worst_status = EXIT_INTERNAL_VIOLATION
+            yield {"graph6": graph_key(graph), "verdicts": verdicts}
+
+    _write_out([*report_chunks(records()), "\n"], args.out)
     return worst_status
 
 

@@ -30,9 +30,10 @@ class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
     Instances are immutable after construction and hashable, so they are
-    safe to share across workers and to use as cache keys. Prefer the
-    ``from_edge_list`` / ``parse_graph6`` factories, which validate input;
-    the constructor trusts its adjacency masks.
+    safe to share across workers and to use as cache keys. The constructor
+    checks its adjacency masks: every bit within ``0..n-1``, no self-loop,
+    and ``v`` in ``adj[u]`` exactly when ``u`` is in ``adj[v]``; it raises
+    ``ValueError`` otherwise. Every factory builds through it.
     """
 
     __slots__ = ("n", "_adj")
@@ -40,8 +41,23 @@ class Graph:
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
+        for u, row in enumerate(adj):
+            if not isinstance(row, int):
+                raise ValueError(f"adjacency mask of vertex {u} is not an int")
+            if row >> n or row < 0:
+                raise ValueError(f"adjacency mask of vertex {u} has a bit outside 0..{n - 1}")
+            bit = 1 << u
+            if row & bit:
+                raise ValueError(f"self-loop at vertex {u}")
+            while row:
+                low = row & -row
+                v = low.bit_length() - 1
+                if not adj[v] & bit:
+                    raise ValueError(f"edge ({u}, {v}) is missing from vertex {v}'s mask")
+                row ^= low
         self.n = n
         self._adj = adj
 
@@ -98,15 +114,15 @@ def _edge_problem(n: int, u: int, v: int) -> str | None:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
-    Raises ``ValueError`` on out-of-range endpoints or self-loops.
+    Raises ``ValueError`` on out-of-range endpoints or self-loops (the
+    constructor finds the latter).
     """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
     adj = [0] * n
     for u, v in edges:
-        problem = _edge_problem(n, u, v)
-        if problem:
-            raise ValueError(problem)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(_edge_problem(n, u, v))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
@@ -268,25 +284,19 @@ def parse_graph6_lines(lines: Iterable[str], source: str | None = None) -> list[
 # connectivity and distances
 # ---------------------------------------------------------------------------
 
-def reachable_mask(adj: tuple[int, ...], start_mask: int, blocked: int = 0) -> int:
-    """Bitmask of vertices reachable from ``start_mask`` avoiding ``blocked``."""
-    seen = start_mask & ~blocked
-    frontier = seen
+def is_connected(graph: Graph) -> bool:
+    """Whether every vertex is reachable from vertex 0."""
+    adj = graph.adjacency
+    seen = frontier = 1
     while frontier:
         nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
+        while frontier:
+            low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~blocked & ~seen
+            frontier ^= low
+        frontier = nxt & ~seen
         seen |= frontier
-    return seen
-
-
-def is_connected(graph: Graph) -> bool:
-    full = (1 << graph.n) - 1
-    return reachable_mask(graph.adjacency, 1) == full
+    return seen == (1 << graph.n) - 1
 
 
 def _distance_list(adj: tuple[int, ...], n: int, src_mask: int) -> list[int | None]:

@@ -22,6 +22,15 @@ encoding, triples iterate in canonical sorted order, and the JSON form
 carries no timing or worker-count information, so runs with different
 parallelism are byte-identical. Wall-clock timing appears only in the
 human-readable text rendering.
+
+``report_json`` is the one indenting JSON encoder. ``report_chunks`` is its
+record-by-record form: the CLI builds its per-graph records lazily and
+encodes each as soon as it is built, so a run holds the report's text but
+never all of its records; ``emit_report`` encodes a scan's graph records
+through it too. Within a record, the encoder writes each shared
+fragment (a path's vertex list, a parameter list, a verdict map) once per
+indent and reuses the text; ``analyze_one`` builds each distinct fragment
+once per graph and puts that one object in every triple entry that holds it.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
+from typing import Iterable, Iterator
 
 from .claims import (
     PROVEN_CLAIMS,
@@ -412,44 +422,113 @@ _CSV_COLUMNS = (
 )
 
 
-def report_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
-    per container (a list of ints in one go) rather than by ``json``'s
-    pure-Python indenting encoder, which collects every token first."""
+_CONTAINERS = (list, tuple, dict)
+
+
+def _encoder():
+    """A fresh encoding function ``encode(obj, pad)`` with its own fragment
+    memo.
+
+    A fragment is a container that holds no dict and no list of
+    containers: a list of scalars (a path's vertices, a parameter list), or
+    a dict of scalars and such lists (a verdict map with its ``prop1``
+    list). The memo keeps each fragment's text under ``(id, indent)``, so
+    an object placed at many positions of one document is encoded once per
+    indent. Row containers (a per-triple entry, a list of entries, a scan's
+    graph record) are not kept. A fragment that occurs only once is kept
+    all the same, for the length of the document: a scan graph record's
+    per-claim tally, a violation's witness, a ``verify-prop`` witness. So
+    the memo holds the text of every distinct fragment object in the
+    document, shared or not; ``report_chunks`` bounds that by one record,
+    and ``emit_report`` encodes each scan graph record through it. An id
+    names an object only while it is alive: use one encoder per document
+    and drop it with the document.
+    """
+    memo: dict[tuple[int, int], str] = {}
 
     def encode(o, pad: str) -> str:
         if isinstance(o, str):
             return _quote(o)
         if type(o) is int:
             return int.__repr__(o)
-        if not o or not isinstance(o, (list, tuple, dict)):
+        if not o or not isinstance(o, _CONTAINERS):
             return json.dumps(o)  # other scalars, and empty containers
+        key = (id(o), len(pad))
+        text = memo.get(key)
+        if text is not None:
+            return text
         inner = pad + "  "
         sep = ",\n" + inner
         if isinstance(o, dict):
-            body = sep.join([
-                f"{_quote(k if isinstance(k, str) else json.dumps(k))}: {encode(v, inner)}"
-                for k, v in sorted(o.items())
-            ])
-            return f"{{\n{inner}{body}\n{pad}}}"
-        if all(type(x) is int for x in o):
-            return f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
-        return f"[\n{inner}{sep.join([encode(x, inner) for x in o])}\n{pad}]"
+            # A fragment until a value is a dict or a list of containers.
+            fragment = True
+            parts = []
+            for k, v in sorted(o.items()):
+                k = _quote(k if isinstance(k, str) else json.dumps(k))
+                if type(v) is int:
+                    parts.append(f"{k}: {int.__repr__(v)}")
+                    continue
+                parts.append(f"{k}: {encode(v, inner)}")
+                if fragment and isinstance(v, _CONTAINERS):
+                    # A list is in the memo exactly when it holds scalars only.
+                    fragment = not isinstance(v, dict) and (not v or (id(v), len(inner)) in memo)
+            text = f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
+        elif type(o[0]) is int and all(type(x) is int for x in o):
+            text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
+            fragment = True
+        else:
+            text = f"[\n{inner}{sep.join([encode(x, inner) for x in o])}\n{pad}]"
+            fragment = not any(isinstance(x, _CONTAINERS) for x in o)
+        if fragment:
+            memo[key] = text
+        return text
 
-    return encode(obj, "")
+    return encode
+
+
+def report_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
+    per container (a list of ints in one go) rather than by ``json``'s
+    pure-Python indenting encoder, which collects every token first. A
+    fragment that ``obj`` holds at several positions is encoded once per
+    indent (see ``_encoder``); ``report_chunks`` encodes a list of records
+    one record at a time."""
+    return _encoder()(obj, "")
+
+
+def report_chunks(records: Iterable, pad: str = "") -> Iterator[str]:
+    """The pieces of ``report_json(list(records))``, one record at a time.
+
+    Yields ``"[\\n  "``, then each record's text with ``",\\n  "`` between
+    them, then ``"\\n]"``; ``"[]"`` alone when there are no records. Each
+    record is encoded with its own fragment memo as soon as ``records``
+    yields it, so a caller that builds records lazily holds only their
+    text, never the whole list of records. With ``pad``, the list is laid
+    out as a value at that indent (``emit_report`` puts a scan's graph
+    records under its ``"graphs"`` key this way).
+    """
+    inner = pad + "  "
+    first = sep = "[\n" + inner
+    for record in records:
+        yield sep
+        yield _encoder()(record, inner)
+        sep = ",\n" + inner
+    yield "[]" if sep is first else f"\n{pad}]"
 
 
 def emit_report(report: ScanReport, fmt: str = "json") -> str:
     """Serialise a scan report. JSON and CSV are byte-deterministic for a
     given corpus and check set; the text form adds wall-clock timing."""
     if fmt == "json":
-        payload = {
+        rest = report_json({
             "schema_version": SCHEMA_VERSION,
             "summary": report.summary(),
-            "graphs": [asdict(rec) for rec in report.records],
             "violations": [asdict(v) for v in report.violations],
-        }
-        return report_json(payload) + "\n"
+        })
+        # "graphs" sorts before the other keys. Each graph record is copied
+        # and encoded on its own, so the copies never all exist at once.
+        graphs = report_chunks((asdict(rec) for rec in report.records), "  ")
+        return "".join(['{\n  "graphs": ', *graphs, ",", rest[1:], "\n"])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -485,6 +564,11 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
 # single-graph deep dive
 # ---------------------------------------------------------------------------
 
+def _verdict_map(statuses: tuple[tuple[str, object], ...]) -> dict:
+    # The prop1 statuses come as a tuple, to be hashable; the report lists them.
+    return {claim: list(s) if claim == "prop1" else s for claim, s in statuses}
+
+
 def analyze_one(
     graph: Graph,
     *,
@@ -499,6 +583,13 @@ def analyze_one(
     Unlike a scan this never takes the common-vertex shortcut: every triple
     (up to ``triple_cap``) gets its full parameter record and verdicts.
     Disconnected input is reported, not raised.
+
+    Triple entries share their fragments: per field, one list per distinct
+    vertex tuple, parameter tuple and witness set, and one verdict map (and
+    subdivision result) per distinct set of statuses, so ``report_json``
+    encodes each once per record. Treat the record as read-only: editing a
+    shared list or map in one entry changes every entry of the record that
+    holds it in the same field.
     """
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
     if not is_connected(graph):
@@ -524,32 +615,47 @@ def analyze_one(
     triples_out = []
     subdivisions = Subdivisions(graph, table)
     claims = _TripleClaims(graph, table.length, checks, strict_t, subdivisions.distances)
+    with_prop1 = "prop1" in checks
     prop1: dict[tuple, str] = {}  # each pair's status, checked once
+    # One object per field and distinct fragment, keyed on what it is made
+    # from: an int tuple or a witness set gives a list, (claim, status)
+    # pairs a map. Different fields never share an object.
+    fragments: dict = {}
+
+    def shared(field, key, make=list):
+        value = fragments.get((field, key))
+        if value is None:
+            value = fragments[field, key] = make(key)
+        return value
+
     for triple in triples:
         analysis, verdicts = claims(triple)
-        entry = {
-            "paths": [list(p.vertices) for p in triple.paths],
-            "f": analysis.f,
-            "witnesses": sorted(analysis.witnesses),
-            "x_sizes": list(analysis.x_sizes),
-            "t_counts": list(analysis.t_counts),
-            "pairwise_sizes": list(analysis.pairwise_sizes),
-            "verdicts": {v.claim: v.status for v in verdicts},
-        }
-        if "prop1" in checks:
-            statuses = entry["verdicts"]["prop1"] = []
+        statuses = tuple([(v.claim, v.status) for v in verdicts])
+        if with_prop1:
+            pair_statuses = []
             for a, b in combinations(triple.paths, 2):
                 key = (a.vertices, b.vertices)
                 if key not in prop1:
                     prop1[key] = check_prop1(graph, a, b, longest_paths=table).status
-                statuses.append(prop1[key])
-        sub = {}
-        for t in subdivision_t:
-            prop = verify_proposition(subdivisions, triple, t)
-            size = check_size_bound(graph, triple, t)
-            sub[str(t)] = {"subdivision_prop": prop.status, "size_bound": size.status}
-        if sub:
-            entry["subdivision"] = sub
+                pair_statuses.append(prop1[key])
+            statuses += (("prop1", tuple(pair_statuses)),)
+        entry = {
+            "paths": [shared("paths", p.vertices) for p in triple.paths],
+            "f": analysis.f,
+            "witnesses": shared("witnesses", analysis.witnesses, sorted),
+            "x_sizes": shared("x_sizes", analysis.x_sizes),
+            "t_counts": shared("t_counts", analysis.t_counts),
+            "pairwise_sizes": shared("pairwise_sizes", analysis.pairwise_sizes),
+            "verdicts": shared("verdicts", statuses, _verdict_map),
+        }
+        if subdivision_t:
+            entry["subdivision"] = {
+                str(t): shared("subdivision", (
+                    ("subdivision_prop", verify_proposition(subdivisions, triple, t).status),
+                    ("size_bound", check_size_bound(graph, triple, t).status),
+                ), dict)
+                for t in subdivision_t
+            }
         triples_out.append(entry)
     out["triples_examined"] = triples.examined
     out["triples"] = triples_out

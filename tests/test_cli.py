@@ -387,6 +387,38 @@ def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, target", [
+    (["analyze"], "analyze_one"),
+    (["verify-prop", "--t", "1"], "enumerate_longest_paths"),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch, command, target, to_file):
+    # Records are built and encoded one graph at a time, but the report is
+    # written only once every graph has succeeded: here the second fails.
+    import gallai.cli as cli
+
+    src = tmp_path / "two.g6"
+    src.write_text(to_graph6(complete_graph(4)) + "\n" + to_graph6(star_graph(3)) + "\n")
+    real = getattr(cli, target)
+    calls = []
+
+    def second_fails(graph, *args, **kwargs):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise ValueError("second graph fails")
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(cli, target, second_fails)
+    out_file = tmp_path / "report.json"
+    extra = ["--out", str(out_file)] if to_file else []
+    code, out, err = run(capsys, *command, "--input", str(src), *extra)
+    assert code == 4
+    assert len(calls) == 2
+    assert out == ""
+    assert not out_file.exists()
+    assert err == "gallai: error: second graph fails\n"
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Worker pools exist only for --jobs > 1; a serial run must not pay for
     # importing multiprocessing (and with it pickle and socket) at start-up.

@@ -1,5 +1,6 @@
 """Graph construction, BFS distances, and graph6 / edge-list interchange."""
 
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,9 @@ from gallai.graphs import (
     parse_graph6_lines,
     to_graph6,
 )
+from gallai.paths import enumerate_longest_paths
+from gallai.subdivision import build_instance
+from gallai.triples import TripleStream
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -83,6 +87,51 @@ class TestConstruction:
         assert g.degree(0) == 3
         assert g.neighbors(0) == [1, 2, 3]
         assert g.neighbors(2) == [0]
+
+
+class TestConstructorChecks:
+    """``Graph(n, adj)`` checks its masks, and every factory builds
+    through it."""
+
+    def test_valid_masks_accepted(self):
+        g = Graph(3, (0b010, 0b101, 0b010))
+        assert g == path_graph(3)
+
+    @pytest.mark.parametrize("adj", [(0b100, 0b000), (0b10, 0b01 | 1 << 5), (-1, 0)])
+    def test_bit_outside_range_rejected(self, adj):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            Graph(2, adj)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            Graph(3, (0b010, 0b011, 0b000))
+
+    @pytest.mark.parametrize("adj, edge", [((0b110, 0b001, 0b000), r"\(0, 2\)"),
+                                           ((0b010, 0b001, 0b001), r"\(2, 0\)")])
+    def test_asymmetric_mask_rejected(self, adj, edge):
+        with pytest.raises(ValueError, match=rf"edge {edge} is missing"):
+            Graph(3, adj)
+
+    def test_edge_list_self_loop_rejected_by_constructor(self):
+        with pytest.raises(ValueError, match="^self-loop at vertex 2$"):
+            from_edge_list(3, [(0, 1), (2, 2)])
+
+    def test_pickle_round_trip_runs_the_checks(self):
+        g = parse_graph6("KhAAPWU_?_@?")
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert g.__reduce__()[0] is Graph
+
+    def test_factories_pass_the_checks(self):
+        # Every factory's masks pass the constructor's checks: generation,
+        # graph6, edge lists, and the extended and subdivided graphs.
+        built = [*corpus_up_to(6), parse_graph6("KhAAPWU_?_@?"), cycle_graph(5)]
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            if len(lp.paths) >= 3:
+                inst = build_instance(g, next(iter(TripleStream(lp))), 2)
+                built += [inst.source, inst.graph]
+        for g in built:
+            assert Graph(g.n, g.adjacency) == g
 
 
 class TestGraph6:

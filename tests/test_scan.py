@@ -37,10 +37,12 @@ from gallai.scan import (
     ScanConfig,
     analyze_one,
     emit_report,
+    report_chunks,
     report_json,
     scan,
     subdivision_sweep,
 )
+from gallai.subdivision import Subdivisions, check_size_bound, verify_proposition
 from gallai.triples import PathTriple, TripleStream, analyze_triple, f_value
 
 # ``gallai.scan`` the attribute is the re-exported function, not the module.
@@ -473,6 +475,19 @@ _DOCUMENTS = st.recursive(
 )
 
 
+@st.composite
+def _shared_documents(draw, pool):
+    """Documents whose leaves include the very objects of ``pool``."""
+    return draw(st.recursive(
+        st.one_of(_SCALARS, st.sampled_from(pool)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(_TEXT, inner, max_size=4),
+        ),
+        max_leaves=12,
+    ))
+
+
 class TestReportJson:
     @settings(max_examples=200, deadline=None)
     @given(_DOCUMENTS)
@@ -484,6 +499,41 @@ class TestReportJson:
         doc = {"": [], "a": {}, "b": (), "c": [float("nan"), float("inf"), -float("inf")],
                "d": [True, False, None, 0, -1, 2**70, 1e300, -0.0], "é\u2603": "}\\["}
         assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shared_objects_encode_as_copies(self, data):
+        # Containers drawn from a small pool sit at several positions and
+        # depths of one document, and in several records.
+        pool = data.draw(st.lists(_DOCUMENTS, min_size=1, max_size=3))
+        doc = data.draw(_shared_documents(pool))
+        assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        records = data.draw(st.lists(_shared_documents(pool), max_size=4))
+        expected = json.dumps(records, indent=2, sort_keys=True)
+        assert "".join(report_chunks(records)) == expected
+        assert "".join(report_chunks(iter(records))) == expected
+        assert "".join(report_chunks(r for r in records)) == expected
+        # Laid out as a value one level down, as emit_report's graph list.
+        nested = json.dumps({"k": records}, indent=2, sort_keys=True)
+        assert '{\n  "k": ' + "".join(report_chunks(iter(records), "  ")) + "\n}" == nested
+
+    def test_chunks_of_no_records(self):
+        assert list(report_chunks([])) == ["[]"] == [json.dumps([], indent=2)]
+        assert "".join(report_chunks(r for r in ())) == "[]"
+
+    def test_chunk_layout(self):
+        shared = [1, 2]
+        records = [{"a": shared, "b": [shared]}, shared]
+        chunks = list(report_chunks(records))
+        assert chunks[0] == "[\n  " and chunks[2] == ",\n  " and chunks[-1] == "\n]"
+        assert chunks[1::2][:2] == [report_json(r).replace("\n", "\n  ") for r in records]
+
+    def test_memo_lasts_one_record(self):
+        # Each record is freed once encoded, so the next record's lists
+        # may take over its ids; no text may carry over between records.
+        records = ({"v": [i, i + 1], "w": {"k": [i]}} for i in range(300))
+        expected = [{"v": [i, i + 1], "w": {"k": [i]}} for i in range(300)]
+        assert "".join(report_chunks(records)) == json.dumps(expected, indent=2, sort_keys=True)
 
     def test_the_only_indenting_encoder(self):
         # Every indented JSON report goes through report_json.
@@ -549,6 +599,100 @@ class TestAnalyzeOne:
     def test_json_serializable(self):
         res = analyze_one(cycle_graph(5), subdivision_t=(0, 1))
         json.dumps(res)
+
+
+def fresh_record(graph, *, checks=ALL_CHECKS, triple_cap=100_000, subdivision_t=(),
+                 strict_t=False) -> dict:
+    """``analyze_one``'s record built the old way: fresh lists and a fresh
+    verdict map in every triple entry, one ``analyze_triple`` and one
+    ``triple_verdict`` per claim and triple."""
+    table = LongestPathTable(graph)
+    gallai = table.core
+    out = {"graph6": to_graph6(graph), "n": graph.n, "m": graph.m, "l": table.length,
+           "num_longest": table.count, "truncated": False,
+           "gallai_vertices": [v for v in range(graph.n) if gallai >> v & 1],
+           "gallai_size": gallai.bit_count(), "strict_crossings": strict_t}
+    triples = TripleStream(table, triple_cap)
+    out["triples_total"] = triples.total
+    if triples.total == 0:
+        out.update(status="vacuous", triples=[])
+        return out
+    subdivisions = Subdivisions(graph, table)
+    entries = []
+    for triple in triples:
+        a = analyze_triple(graph, triple, strict_t=strict_t)
+        entry = {
+            "paths": [list(p.vertices) for p in triple.paths],
+            "f": a.f,
+            "witnesses": sorted(a.witnesses),
+            "x_sizes": list(a.x_sizes),
+            "t_counts": list(a.t_counts),
+            "pairwise_sizes": list(a.pairwise_sizes),
+            "verdicts": {
+                v.claim: v.status
+                for v in (triple_verdict(c, graph, triple, table.length, a)
+                          for c in checks if c in TRIPLE_CLAIMS)
+            },
+        }
+        if "prop1" in checks:
+            entry["verdicts"]["prop1"] = [
+                check_prop1(graph, p, q, longest_paths=table).status
+                for p, q in combinations(triple.paths, 2)]
+        if subdivision_t:
+            entry["subdivision"] = {
+                str(t): {"subdivision_prop": verify_proposition(subdivisions, triple, t).status,
+                         "size_bound": check_size_bound(graph, triple, t).status}
+                for t in subdivision_t}
+        entries.append(entry)
+    out.update(triples_examined=triples.examined, triples=entries,
+               max_f=max(e["f"] for e in entries),
+               min_t=min(min(e["t_counts"]) for e in entries), status="checked")
+    return out
+
+
+class TestSharedFragments:
+    """``analyze_one`` shares each fragment among its triple entries; its
+    records equal the old ones, built with fresh lists for every triple."""
+
+    def test_records_equal_fresh_ones(self):
+        shared = 0
+        for g in corpus_up_to(5):
+            res = analyze_one(g)
+            assert res == fresh_record(g)
+            lists = [id(x) for t in res["triples"]
+                     for x in (*t["paths"], t["witnesses"], t["x_sizes"])]
+            shared += len(lists) - len(set(lists))
+        assert shared > 10_000
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_records_with_subdivisions_and_caps(self, strict):
+        checks = ("prop1", "conj_Z", "case_bounds")
+        for g in [*corpus_up_to(5), parse_graph6("KhAAPWU_?_@?")]:
+            kw = dict(checks=checks, triple_cap=40, subdivision_t=(0, 2), strict_t=strict)
+            assert analyze_one(g, **kw) == fresh_record(g, **kw)
+
+    def test_fragments_are_shared_and_lists(self):
+        res = analyze_one(cycle_graph(5), subdivision_t=(1,))
+        first, *rest = res["triples"]
+        for entry in rest:
+            assert entry["verdicts"] is first["verdicts"]
+            assert entry["subdivision"]["1"] is first["subdivision"]["1"]
+            assert all(type(entry[k]) is list for k in ("paths", "witnesses", "x_sizes"))
+        by_path = {}
+        for entry in res["triples"]:
+            for p in entry["paths"]:
+                assert by_path.setdefault(tuple(p), p) is p
+
+    def test_fields_never_share_an_object(self):
+        fields = ("witnesses", "x_sizes", "t_counts", "pairwise_sizes", "verdicts")
+        for g in corpus_up_to(5):
+            res = analyze_one(g)
+            owner = {}
+            for entry in res.get("triples", []):
+                held = [("paths", p) for p in entry["paths"]]
+                held += [(k, entry[k]) for k in fields]
+                for k, obj in held:
+                    assert owner.setdefault(id(obj), k) == k
 
 
 class TestSubdivisionSweep:
