@@ -63,7 +63,6 @@ from .subdivision import (
     attach_pendants,
     build_instance,
     check_size_bound,
-    restrict_to_triple,
     subdivide,
     verify_proposition,
 )

@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .claims import VIOLATED
 from .generate import MAX_GENERATION_N, generate_connected_graphs
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     format_edge_list,
     graph_key,
@@ -213,7 +215,7 @@ def _cmd_analyze(args) -> int:
 
 def _export_graph(graph: Graph) -> dict:
     entry: dict = {"n": graph.n, "m": graph.m}
-    if graph.n <= 62:
+    if graph.n <= GRAPH6_MAX_N:
         entry["graph6"] = to_graph6(graph)
     else:
         entry["edge_list"] = format_edge_list(graph)
@@ -321,7 +323,7 @@ def _cmd_verify_prop(args) -> int:
                             "witness": v.witness,
                         }
                     )
-                    if v.status == "violated":
+                    if v.status == VIOLATED:
                         worst_status = EXIT_INTERNAL_VIOLATION
             yield {"graph6": graph_key(graph), "verdicts": verdicts}
 

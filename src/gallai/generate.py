@@ -41,16 +41,6 @@ from .graphs import Graph, is_connected
 
 MAX_GENERATION_N = 8
 
-# Counts of connected graphs up to isomorphism, used in self-checks.
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
-
-
-def _pair_bitpos(n: int, i: int, j: int) -> int:
-    # pair (i, j) with i < j sits at string index j(j-1)/2 + i; the string
-    # is packed MSB first into an n-choose-2 bit integer.
-    npairs = n * (n - 1) // 2
-    return npairs - 1 - (j * (j - 1) // 2 + i)
-
 
 def _adjacency_rows(mask: int, n: int) -> list[int]:
     rows = [0] * n
@@ -148,13 +138,6 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
 
 def mask_to_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(_adjacency_rows(mask, n)))
-
-
-def graph_to_mask(graph: Graph) -> int:
-    mask = 0
-    for u, v in graph.edges():
-        mask |= 1 << _pair_bitpos(graph.n, u, v)
-    return mask
 
 
 def generate_connected_graphs(n: int) -> Iterator[Graph]:

@@ -14,8 +14,11 @@ sizes) fall through to explicit triple iteration.
 
 Triple iteration, in a scan and in ``analyze_one`` alike, runs through one
 ``_TripleClaims`` per graph, built only once the graph reaches it: it
-computes each parameter once per distinct input and decides the claim
-statuses once per ``(f, x_sizes, t_counts)``.
+computes each parameter once per distinct input, decides the claim
+statuses once per ``(f, x_sizes, t_counts)``, checks each longest-path
+pair's ``prop1`` once, and holds the graph's ``Subdivisions``. The scan
+and ``analyze_one`` keep only their folds over its verdicts: tallies and
+violations in one, shared report fragments in the other.
 
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
@@ -40,7 +43,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -49,6 +52,8 @@ from typing import Iterable, Iterator
 
 from .claims import (
     PROVEN_CLAIMS,
+    SKIPPED_BUDGET,
+    SKIPPED_TRUNCATED,
     TRIPLE_CLAIMS,
     VIOLATED,
     ClaimVerdict,
@@ -65,22 +70,13 @@ from .graphs import (
     parse_graph6_lines,
 )
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
-from .subdivision import Subdivisions, check_size_bound, verify_proposition
+from .subdivision import Subdivisions
 # analyze_triple is not called here: perfbench/spans.py wraps it by name.
 from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
 
-ALL_CHECKS = (
-    "prop1",
-    "conj_Z",
-    "lemma21",
-    "lemma22",
-    "lemma23",
-    "thm1",
-    "case_bounds",
-    "conj4",
-)
+ALL_CHECKS = ("prop1", *TRIPLE_CLAIMS)
 
 TRIPLE_MODES = ("shortcut-first", "all", "capped")
 
@@ -195,26 +191,32 @@ class ScanReport:
 
 
 class _TripleClaims:
-    """The triple parameters and claim verdicts of one graph's triples.
+    """The one per-graph checker of ``scan`` and ``analyze_one``.
 
-    The one per-triple path of ``scan`` and ``analyze_one``. A
-    ``TripleAnalyzer`` gives the parameters. Every claim predicate reads
-    only n, l, the crossing convention and a triple's ``f``, ``x_sizes``
-    and ``t_counts``, and the first three are fixed per graph, so the
-    statuses are decided once per ``(f, x_sizes, t_counts)`` and kept as
-    verdicts without a witness. A verdict that is violated there is checked
-    again on each triple it comes up for, so that it carries that triple's
-    own replay witness.
+    Built from a graph and its longest-path table, it holds every
+    per-graph memo of the checks. Called on a triple, it gives the
+    ``TripleAnalyzer``'s parameters and the triple claims' verdicts;
+    ``pairs`` gives the prop1 statuses of the triple's pairs, each pair
+    checked once per graph; ``subdivisions.verdicts`` gives the two
+    subdivision claims, and shares the analyser's BFS distance lists. Every
+    claim predicate reads only n, l, the crossing convention and a
+    triple's ``f``, ``x_sizes`` and ``t_counts``, and the first three are
+    fixed per graph, so the statuses are decided once per ``(f, x_sizes,
+    t_counts)`` and kept as verdicts without a witness. A verdict that is
+    violated there is checked again on each triple it comes up for, so
+    that it carries that triple's own replay witness.
     """
 
-    def __init__(
-        self, graph: Graph, l: int, checks, strict_t: bool, distances: dict[int, list[int]]
-    ):
+    def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool):
         self.graph = graph
-        self.l = l
-        self.analyze = TripleAnalyzer(graph, strict_t, distances)
+        self.table = table
+        self.l = table.length
+        self.subdivisions = Subdivisions(graph, table)
+        self.analyze = TripleAnalyzer(graph, strict_t, self.subdivisions.distances)
         self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
+        self.prop1 = "prop1" in checks
         self.statuses: dict[tuple, tuple[tuple[ClaimVerdict, ...], bool]] = {}
+        self.pair_statuses: dict[tuple, str] = {}
 
     def __call__(self, triple: PathTriple) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
         analysis = self.analyze(triple)
@@ -234,6 +236,22 @@ class _TripleClaims:
                 for c, v in zip(self.checkers, verdicts)
             )
         return analysis, verdicts
+
+    def pairs(self, triple: PathTriple) -> Iterator[tuple[str, ClaimVerdict | None]]:
+        """The prop1 status of each of the triple's three pairs, with the
+        verdict when the pair was checked just now and None when it was
+        checked before: each pair is checked once per graph, and only its
+        status is kept. Lazy, so that a scan stops at the first violated
+        pair."""
+        for a, b in combinations(triple.paths, 2):
+            key = (a.vertices, b.vertices)
+            status = self.pair_statuses.get(key)
+            if status is None:
+                verdict = check_prop1(self.graph, a, b, longest_paths=self.table)
+                self.pair_statuses[key] = verdict.status
+                yield verdict.status, verdict
+            else:
+                yield status, None
 
 
 class _ProvenClaimViolated(Exception):
@@ -297,10 +315,7 @@ def _examine_graph(
             record.max_f = 0
             return record, violations, False
 
-        seen_pairs: set[tuple] = set()
-        subdivisions = Subdivisions(graph, table)
-        claims = _TripleClaims(
-            graph, table.length, config.checks, config.strict_t, subdivisions.distances)
+        claims = _TripleClaims(graph, table, config.checks, config.strict_t)
         for triple in triples:
             analysis, verdicts = claims(triple)
             record.max_f = (
@@ -308,19 +323,16 @@ def _examine_graph(
             )
             low_t = min(analysis.t_counts)
             record.min_t = low_t if record.min_t is None else min(record.min_t, low_t)
-            if "prop1" in config.checks:
-                for a, b in combinations(triple.paths, 2):
-                    key = (a.vertices, b.vertices)
-                    if key in seen_pairs:
-                        continue
-                    seen_pairs.add(key)
-                    record.pairs_examined += 1
-                    run(check_prop1(graph, a, b, longest_paths=table))
+            if claims.prop1:
+                for _, verdict in claims.pairs(triple):
+                    if verdict is not None:
+                        record.pairs_examined += 1
+                        run(verdict)
             for verdict in verdicts:
                 run(verdict)
             for t in config.subdivision_t:
-                run(verify_proposition(subdivisions, triple, t))
-                run(check_size_bound(graph, triple, t))
+                for verdict in claims.subdivisions.verdicts(triple, t):
+                    run(verdict)
         return record, violations, False
     except _ProvenClaimViolated:
         return record, violations, True
@@ -403,23 +415,8 @@ def scan(config: ScanConfig) -> ScanReport:
 # report emission
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "graph6",
-    "n",
-    "m",
-    "status",
-    "l",
-    "num_longest",
-    "truncated",
-    "gallai_size",
-    "triples_total",
-    "triples_examined",
-    "triples_skipped",
-    "pairs_examined",
-    "max_f",
-    "min_t",
-    "violations",
-)
+# A graph record's fields, with the violation count in place of the tallies.
+_CSV_COLUMNS = (*(f.name for f in fields(GraphRecord) if f.name != "tallies"), "violations")
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -613,10 +610,7 @@ def analyze_one(
         out["triples"] = []
         return out
     triples_out = []
-    subdivisions = Subdivisions(graph, table)
-    claims = _TripleClaims(graph, table.length, checks, strict_t, subdivisions.distances)
-    with_prop1 = "prop1" in checks
-    prop1: dict[tuple, str] = {}  # each pair's status, checked once
+    claims = _TripleClaims(graph, table, checks, strict_t)
     # One object per field and distinct fragment, keyed on what it is made
     # from: an int tuple or a witness set gives a list, (claim, status)
     # pairs a map. Different fields never share an object.
@@ -631,14 +625,8 @@ def analyze_one(
     for triple in triples:
         analysis, verdicts = claims(triple)
         statuses = tuple([(v.claim, v.status) for v in verdicts])
-        if with_prop1:
-            pair_statuses = []
-            for a, b in combinations(triple.paths, 2):
-                key = (a.vertices, b.vertices)
-                if key not in prop1:
-                    prop1[key] = check_prop1(graph, a, b, longest_paths=table).status
-                pair_statuses.append(prop1[key])
-            statuses += (("prop1", tuple(pair_statuses)),)
+        if claims.prop1:
+            statuses += (("prop1", tuple([status for status, _ in claims.pairs(triple)])),)
         entry = {
             "paths": [shared("paths", p.vertices) for p in triple.paths],
             "f": analysis.f,
@@ -650,9 +638,8 @@ def analyze_one(
         }
         if subdivision_t:
             entry["subdivision"] = {
-                str(t): shared("subdivision", (
-                    ("subdivision_prop", verify_proposition(subdivisions, triple, t).status),
-                    ("size_bound", check_size_bound(graph, triple, t).status),
+                str(t): shared("subdivision", tuple(
+                    [(v.claim, v.status) for v in claims.subdivisions.verdicts(triple, t)]
                 ), dict)
                 for t in subdivision_t
             }
@@ -704,10 +691,7 @@ def subdivision_sweep(
             for triple in triples:
                 for t in t_values:
                     t0 = time.monotonic()
-                    verdicts = (
-                        verify_proposition(subdivisions, triple, t),
-                        check_size_bound(graph, triple, t),
-                    )
+                    verdicts = subdivisions.verdicts(triple, t)
                     worst_s = max(worst_s, time.monotonic() - t0)
                     instances += 1
                     for v in verdicts:
@@ -715,7 +699,7 @@ def subdivision_sweep(
                             violations.append(
                                 {"claim": v.claim, "graph6": graph_key(graph), "witness": v.witness}
                             )
-                        elif v.status in ("skipped_budget", "skipped_truncated"):
+                        elif v.status in (SKIPPED_BUDGET, SKIPPED_TRUNCATED):
                             skipped += 1
             triples_skipped += triples.skipped
     return {

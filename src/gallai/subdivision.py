@@ -22,6 +22,7 @@ subdivided graph (checked edge by edge) is longest exactly when it has that
 many edges, so the subdivided graph's longest paths are never listed. It
 also keeps each graph's BFS distance lists by path mask, so each path's
 distances are computed once per graph, the base graph's included.
+``Subdivisions.verdicts`` gives a triple's two subdivision claims at one t.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import time
 from dataclasses import dataclass
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
-from .graphs import Graph, from_edge_list, graph_key
+from .graphs import Graph, graph_key
 from .paths import (
+    DEFAULT_PATH_CAP,
     BudgetError,
     LongestPathTable,
     Path,
@@ -175,25 +177,30 @@ def build_instance(graph: Graph, triple: PathTriple, t: int) -> SubdividedInstan
 class Subdivisions:
     """The subdivision checks of one base graph, sharing their built graphs.
 
-    ``longest_paths`` is the base graph's longest-path table, listed here
-    when not given. ``memo`` maps an (end set, t) pair, the end set as a
-    sorted tuple, to the pendant map, the built instance and the exact
-    longest-path length of its graph. ``distances`` holds the base graph's
-    BFS distance lists by path mask, and ``sub_distances`` those of each
-    built graph under its memo key, so each path is searched once per
-    graph. Keep one object per base graph.
+    ``longest_paths`` is the base graph's longest-path table; without one,
+    a capped table is filled, and its paths are never walked, since the
+    checks read only its length and whether it was truncated. ``memo`` maps
+    an (end set, t) pair, the end set as a sorted tuple, to the pendant
+    map, the built instance, the exact longest-path length of its graph and
+    that graph's BFS distance lists by path mask. ``distances`` holds the
+    base graph's, so each path is searched once per graph. Keep one object
+    per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
         self.graph = graph
         self.longest_paths = (
-            enumerate_longest_paths(graph) if longest_paths is None else longest_paths
+            LongestPathTable(graph, DEFAULT_PATH_CAP) if longest_paths is None else longest_paths
         )
         self.memo: dict[
-            tuple[tuple[int, ...], int], tuple[dict[int, int], SubdividedInstance, int]
+            tuple[tuple[int, ...], int],
+            tuple[dict[int, int], SubdividedInstance, int, dict[int, list[int]]],
         ] = {}
         self.distances: dict[int, list[int]] = {}
-        self.sub_distances: dict[tuple[tuple[int, ...], int], dict[int, list[int]]] = {}
+
+    def verdicts(self, triple: PathTriple, t: int) -> tuple[ClaimVerdict, ClaimVerdict]:
+        """The triple's ``subdivision_prop`` and ``size_bound`` verdicts at t."""
+        return verify_proposition(self, triple, t), check_size_bound(self.graph, triple, t)
 
 
 def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
@@ -238,9 +245,8 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         except BudgetError:
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
-        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length)
-        subdivisions.sub_distances[key] = {}
-    pendant_map, inst, sub_length = entry
+        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {})
+    pendant_map, inst, sub_length, sub_distances = entry
     adj = inst.graph.adjacency
     lifted = tuple(_lift(_extend(p, pendant_map), inst.chains) for p in triple.paths)
     # Lifting builds paths of the subdivided graph; the adjacency check
@@ -250,8 +256,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         and all(adj[a] >> b & 1 for a, b in zip(p.vertices, p.vertices[1:]))
         for p in lifted
     ]
-    sub_f, sub_witnesses = f_value(
-        inst.graph, PathTriple(lifted), subdivisions.sub_distances[key])
+    sub_f, sub_witnesses = f_value(inst.graph, PathTriple(lifted), sub_distances)
     expected = (t + 1) * base_f
     original_witness = any(w < graph.n for w in sub_witnesses)
     info = {
@@ -276,25 +281,6 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     return ClaimVerdict("subdivision_prop", VIOLATED, info)
 
 
-def restrict_to_triple(graph: Graph, triple: PathTriple) -> tuple[Graph, tuple[int, ...]]:
-    """The subgraph formed by the union of the triple's vertices and edges,
-    relabelled densely.
-
-    Returns the subgraph and the sorted original vertex ids; position k of
-    that tuple is the original id of new vertex k. The union of three paths
-    has at most 3(n0 - 1) edges, and it is connected whenever the paths are
-    longest paths of a connected graph.
-    """
-    old_ids = sorted({v for p in triple.paths for v in p.vertices})
-    remap = {old: new for new, old in enumerate(old_ids)}
-    edges = set()
-    for p in triple.paths:
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            u, v = remap[a], remap[b]
-            edges.add((u, v) if u < v else (v, u))
-    return from_edge_list(len(old_ids), sorted(edges)), tuple(old_ids)
-
-
 def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
     """Size accounting for the restricted-and-subdivided instance.
 
@@ -305,8 +291,8 @@ def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
     ``ends`` distinct path ends adds ``ends`` vertices and edges, and
     subdividing adds ``t`` vertices per edge, so it has
     ``n0 + ends + t * (m0 + ends)`` vertices, where m0 counts the union's
-    edges. Both are counted from the paths, as ``restrict_to_triple``'s
-    graph would have them, without building that graph.
+    edges. Both are counted from the paths, without building the union as
+    a graph.
     """
     p0, p1, p2 = triple.paths
     n0 = (p0.mask | p1.mask | p2.mask).bit_count()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from gallai.generate import generate_connected_graphs
 from gallai.graphs import Graph, from_edge_list
 from gallai.paths import Path
+from gallai.triples import PathTriple
 
 
 def path_graph(n: int) -> Graph:
@@ -246,6 +247,26 @@ def oracle_t_count(paths, which: int, *, strict: bool = False) -> int:
             if ends[0] in a and ends[1] in b or ends[0] in b and ends[1] in a:
                 count += 1
     return count
+
+
+def restrict_to_triple(graph: Graph, triple: PathTriple) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph formed by the union of the triple's vertices and edges,
+    relabelled densely: the graph that ``check_size_bound`` counts the
+    vertices and edges of without building it.
+
+    Returns the subgraph and the sorted original vertex ids; position k of
+    that tuple is the original id of new vertex k. The union of three paths
+    has at most 3(n0 - 1) edges, and it is connected whenever the paths are
+    longest paths of a connected graph.
+    """
+    old_ids = sorted({v for p in triple.paths for v in p.vertices})
+    remap = {old: new for new, old in enumerate(old_ids)}
+    edges = set()
+    for p in triple.paths:
+        for a, b in zip(p.vertices, p.vertices[1:]):
+            u, v = remap[a], remap[b]
+            edges.add((u, v) if u < v else (v, u))
+    return from_edge_list(len(old_ids), sorted(edges)), tuple(old_ids)
 
 
 def oracle_isomorphic(g: Graph, h: Graph) -> bool:

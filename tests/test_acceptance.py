@@ -46,6 +46,10 @@ GOLDEN_DIGESTS = {
     # Gallai-free graph's 11,480 triples, tallied per claim and status.
     "scan --input KhAAPWU_?_@?":
         "e9467ca77cd927760206805626adec688feade9b43504cf3c9565e2a1eaeb075",
+    # The only checked-in input on which the scan's subdivision fold runs:
+    # 300 triples and 341 pairs, all holding.
+    "scan --input KhAAPWU_?_@? --t 1 --triple-cap 300":
+        "8f36d685625bc3f7b99c41fdf4135cf5c61bb3760ba160ad32fdefec9725f2ef",
     # Subdivided graphs of about 41 vertices, built from the Gallai-free
     # graph: all 300 verdicts hold.
     "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300":
@@ -209,6 +213,8 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         analyze_digests[name] = _sha256(capsys.readouterr().out)
     assert main(["scan", "--input", str(free_file)]) == 0
     scan_free = capsys.readouterr().out
+    assert main(["scan", "--input", str(free_file), "--t", "1", "--triple-cap", "300"]) == 0
+    scan_free_t = capsys.readouterr().out
     assert main(["subdivide", "--input", str(corpus_file), "--t", "2", "--triple", "3"]) == 0
     subdivide_out = capsys.readouterr().out
     assert main(["verify-prop", "--input", str(free_file), "--t", "1",
@@ -221,6 +227,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
         "scan --input KhAAPWU_?_@?": _sha256(scan_free),
+        "scan --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(scan_free_t),
         "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),
         "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(verify_free),
     }

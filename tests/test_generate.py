@@ -13,15 +13,29 @@ from conftest import complete_graph, corpus, oracle_isomorphic, star_graph
 from gallai.generate import (
     _canonical_lanes,
     _canonical_masks,
-    _pair_bitpos,
     generate_connected_graphs,
-    graph_to_mask,
     mask_to_graph,
 )
 from gallai.graphs import Graph, from_edge_list, is_connected, to_graph6
 
 # sha256 of `gen --n 8`: the graph6 lines, each newline-terminated.
 GEN_N8_SHA256 = "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"
+
+
+def pair_bitpos(n: int, i: int, j: int) -> int:
+    # pair (i, j) with i < j sits at string index j(j-1)/2 + i; the string
+    # is packed MSB first into an n-choose-2 bit integer.
+    npairs = n * (n - 1) // 2
+    return npairs - 1 - (j * (j - 1) // 2 + i)
+
+
+def graph_to_mask(graph: Graph) -> int:
+    """The upper-triangle bit string of ``graph`` as labelled, the inverse
+    of ``mask_to_graph``."""
+    mask = 0
+    for u, v in graph.edges():
+        mask |= 1 << pair_bitpos(graph.n, u, v)
+    return mask
 
 
 def oracle_min_mask(n: int, mask: int) -> int:
@@ -34,7 +48,7 @@ def oracle_min_mask(n: int, mask: int) -> int:
             a, b = perm[u], perm[v]
             if a > b:
                 a, b = b, a
-            m |= 1 << _pair_bitpos(n, a, b)
+            m |= 1 << pair_bitpos(n, a, b)
         best = min(best, m)
     return best
 

@@ -543,7 +543,7 @@ class TestReportJson:
 
 
 class TestAnalyzeOne:
-    def test_prop1_checked_once_per_pair(self, monkeypatch):
+    def test_prop1_checked_once_per_pair(self, monkeypatch, tmp_path):
         # C5 has five longest paths: ten pairs over ten triples.
         pairs = []
 
@@ -555,6 +555,14 @@ class TestAnalyzeOne:
         res = analyze_one(cycle_graph(5))
         assert len(pairs) == len(set(pairs)) == 10
         assert all(t["verdicts"]["prop1"] == [HOLDS] * 3 for t in res["triples"])
+        # A scan of every triple shares the memo's once-per-pair rule.
+        pairs.clear()
+        src = tmp_path / "c5.g6"
+        src.write_text(to_graph6(cycle_graph(5)) + "\n")
+        rec, = scan(ScanConfig(input_path=str(src), triple_mode="all")).records
+        assert len(pairs) == len(set(pairs)) == 10
+        assert rec.pairs_examined == 10
+        assert rec.tallies["prop1"] == {HOLDS: 10}
 
     def test_star(self):
         res = analyze_one(star_graph(3))

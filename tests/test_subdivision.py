@@ -1,6 +1,7 @@
 """Pendant extension, edge subdivision, path lifting, and the exact
 verification of the scaling behaviour."""
 
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    complete_graph,
     corpus,
     corpus_up_to,
     cycle_graph,
     oracle_isomorphic,
     oracle_longest_path_length,
     path_graph,
+    restrict_to_triple,
     spider_graph,
     star_graph,
     theta_graph,
@@ -23,13 +26,18 @@ import gallai.triples as triples
 from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED
 from gallai.graphs import _distance_list as distance_list
 from gallai.graphs import from_edge_list, is_connected, parse_graph6
-from gallai.paths import BudgetError, Path, enumerate_longest_paths, longest_path_length
+from gallai.paths import (
+    BudgetError,
+    LongestPathTable,
+    Path,
+    enumerate_longest_paths,
+    longest_path_length,
+)
 from gallai.subdivision import (
     Subdivisions,
     attach_pendants,
     build_instance,
     check_size_bound,
-    restrict_to_triple,
     subdivide,
     verify_proposition,
 )
@@ -237,6 +245,25 @@ class TestVerifyProposition:
         assert v.status == HOLDS
         assert v.witness["subdivided_f"] == 3 * base_f
 
+    def test_no_table_walks_no_path(self, monkeypatch):
+        # The gate reads only the table's length and truncation flag, so the
+        # table filled for a graph given without one never walks its paths:
+        # K8 has 20,160 of them.
+        def refuse(table):
+            raise AssertionError("walked the longest paths")
+
+        walked = cached_property(refuse)
+        walked.__set_name__(LongestPathTable, "paths")
+        monkeypatch.setattr(LongestPathTable, "paths", walked)
+        g = complete_graph(8)
+        subs = Subdivisions(g)
+        assert (subs.longest_paths.length, subs.longest_paths.truncated) == (7, False)
+        t = PathTriple.make(
+            g, range(8), [0, 2, 1, *range(3, 8)], [0, 1, 3, 2, *range(4, 8)])
+        v = verify_proposition(subs, t, 0)
+        assert v.status == HOLDS
+        assert v.witness["subdivided_length"] == 9
+
     def test_non_longest_triple_rejected(self):
         g = star_graph(3)
         t = PathTriple((Path((0, 1)), Path((0, 2)), Path((0, 3))))
@@ -273,7 +300,7 @@ class TestVerifyProposition:
         g, t = star_triple()
         subs = Subdivisions(g)
         assert verify_proposition(subs, t, 2).status == HOLDS
-        (_, inst, _), = subs.memo.values()
+        (_, inst, _, _), = subs.memo.values()
         inst.chains[(0, 1)] = inst.chains[(0, 1)][::-1]
         v = verify_proposition(subs, t, 2)
         assert v.status == VIOLATED
