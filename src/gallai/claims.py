@@ -1,11 +1,12 @@
 """Predicate checkers for the numbered claims of the intersection theory.
 
-The triple claims are pure predicates over the graph order, the
-longest-path length and a ``TripleAnalysis``, collected in
-``TRIPLE_CLAIMS``; ``check_triple`` and ``check_prop1`` take a concrete
-graph plus paths and return a structured verdict. No bound uses floating
-point: each is checked in cross-multiplied integer form so boundary cases
-cannot be masked by rounding.
+The registry ``TRIPLE_CLAIMS`` is the claim layer: each triple claim is
+one pure predicate over the graph order, the longest-path length and a
+``TripleAnalysis``, and each bound is written once, inside its predicate.
+``check_triple`` and ``check_prop1`` take a concrete graph plus paths and
+return a structured verdict. No bound uses floating point: each is checked
+in cross-multiplied integer form so boundary cases cannot be masked by
+rounding.
 
 Claim registry (ids are the stable wire vocabulary of reports):
 
@@ -40,8 +41,6 @@ VACUOUS = "vacuous"
 SKIPPED_TRUNCATED = "skipped_truncated"
 SKIPPED_BUDGET = "skipped_budget"
 
-STATUSES = (HOLDS, VIOLATED, VACUOUS, SKIPPED_TRUNCATED, SKIPPED_BUDGET)
-
 PROVEN_CLAIMS = frozenset(
     {
         "prop1",
@@ -74,37 +73,6 @@ class ClaimVerdict:
     claim: str
     status: str
     witness: dict[str, Any] | None = None
-
-
-# ---------------------------------------------------------------------------
-# pure integer inequalities (testable on arbitrary numbers)
-# ---------------------------------------------------------------------------
-
-def lemma21_inequality(n: int, l: int, x_sizes) -> bool:
-    return 2 * n >= 3 * l + sum(x_sizes) + 3
-
-
-def lemma22_inequality(x_sizes, t_counts, f: int) -> bool:
-    return all(x >= t * (f - 1) for x, t in zip(x_sizes, t_counts))
-
-
-def theorem1_inequality(n: int, f: int) -> bool:
-    return 13 * f <= n + 6
-
-
-def case1_inequality(n: int, f: int) -> bool:
-    return 26 * f <= 2 * n + 9
-
-
-def case2_inequality(n: int, f: int) -> bool:
-    return 27 * f <= 2 * n + 12
-
-
-def crossing_length_inequality(l: int, f: int) -> bool:
-    # Intermediate bound used on the way to the case bounds; checked as a
-    # proof-internal consistency probe whenever the minimum crossing count
-    # is at least 2.
-    return l >= 6 * f - 2
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +164,14 @@ def _lemma21(n: int, l: int, a: TripleAnalysis):
     2n >= 3l + sum of exclusive-vertex counts + 3. Vacuous at f = 0."""
     if a.f == 0:
         return "lemma21", VACUOUS, {"f": 0}
-    ok = lemma21_inequality(n, l, a.x_sizes)
+    ok = 2 * n >= 3 * l + sum(a.x_sizes) + 3
     return "lemma21", HOLDS if ok else VIOLATED, {"n": n, "l": l, "x_sizes": list(a.x_sizes)}
 
 
 def _lemma22(n: int, l: int, a: TripleAnalysis):
     """Each path's exclusive-vertex count is at least its crossing count
     times (f - 1). Never vacuous: the right side is <= 0 whenever f <= 1."""
-    ok = lemma22_inequality(a.x_sizes, a.t_counts, a.f)
+    ok = all(x >= t * (a.f - 1) for x, t in zip(a.x_sizes, a.t_counts))
     info = {"f": a.f, "x_sizes": list(a.x_sizes), "t_counts": list(a.t_counts)}
     return "lemma22", HOLDS if ok else VIOLATED, info
 
@@ -223,7 +191,7 @@ def _forces_zero(claim: str, crossings: int):
 
 def _thm1(n: int, l: int, a: TripleAnalysis):
     """The linear bound 13 f <= n + 6."""
-    return "thm1", HOLDS if theorem1_inequality(n, a.f) else VIOLATED, {"n": n, "f": a.f}
+    return "thm1", HOLDS if 13 * a.f <= n + 6 else VIOLATED, {"n": n, "f": a.f}
 
 
 def _case_bounds(n: int, l: int, a: TripleAnalysis):
@@ -239,10 +207,10 @@ def _case_bounds(n: int, l: int, a: TripleAnalysis):
     if t_min <= 1:
         return "case1_bound", VACUOUS, {"t_min": t_min, "deferred_to": "lemma23"}
     if t_min == 2:
-        claim, ok = "case1_bound", case1_inequality(n, a.f)
+        claim, ok = "case1_bound", 26 * a.f <= 2 * n + 9
     else:
-        claim, ok = "case2_bound", case2_inequality(n, a.f)
-    internal_ok = crossing_length_inequality(l, a.f)
+        claim, ok = "case2_bound", 27 * a.f <= 2 * n + 12
+    internal_ok = l >= 6 * a.f - 2
     info = {
         "n": n,
         "f": a.f,

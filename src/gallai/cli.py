@@ -60,13 +60,26 @@ def _write_out(pieces: list[str], out: str | None) -> None:
             fh.writelines(pieces)
 
 
+def _count(low: int, high: int | None = None):
+    """The argparse type of an integer in ``low..high`` (no upper end if ``high`` is None)."""
+
+    def integer(value: str) -> int:
+        k = int(value)  # argparse reports a ValueError as "invalid integer value"
+        if k < low or high is not None and k > high:
+            span = f"at least {low}" if high is None else f"within {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {k}")
+        return k
+
+    return integer
+
+
 def _parse_t_list(value: str) -> tuple[int, ...]:
     try:
         ts = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad multiplicity list {value!r}") from None
-    if not ts or any(t < 0 for t in ts):
-        raise argparse.ArgumentTypeError("multiplicities must be nonnegative integers")
+    if not ts or any(t < 0 for t in ts) or len(set(ts)) != len(ts):
+        raise argparse.ArgumentTypeError("multiplicities must be distinct nonnegative integers")
     return ts
 
 
@@ -79,6 +92,8 @@ def _parse_checks(value: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(
             f"unknown checks {sorted(unknown)}; pick from {', '.join(ALL_CHECKS)} or 'all'"
         )
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"check list {value!r} repeats a name")
     return names
 
 
@@ -87,24 +102,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit all connected graphs on exactly n vertices")
-    gen.add_argument("--n", type=int, required=True, metavar="N")
+    gen.add_argument("--n", type=_count(1, MAX_GENERATION_N), required=True, metavar="N")
     gen.add_argument("--out", default=None)
 
     sc = sub.add_parser("scan", help="run claim checks over a corpus")
     src = sc.add_mutually_exclusive_group(required=True)
-    src.add_argument("--n", type=int, default=None,
+    src.add_argument("--n", type=_count(1, MAX_GENERATION_N), default=None,
                      help="scan every connected graph on 1..N vertices")
     src.add_argument("--input", default=None, help="graph file, '-' for stdin")
     sc.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
     sc.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS,
                     help="comma-separated check names, or 'all'")
     sc.add_argument("--triple-mode", choices=TRIPLE_MODES, default="shortcut-first")
-    sc.add_argument("--triple-cap", type=int, default=100_000)
-    sc.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
+    sc.add_argument("--triple-cap", type=_count(1), default=100_000)
+    sc.add_argument("--cap", type=_count(1), default=DEFAULT_PATH_CAP,
                     help="longest-path enumeration cap")
     sc.add_argument("--t", type=_parse_t_list, default=(),
                     help="run subdivision checks at these multiplicities")
-    sc.add_argument("--jobs", type=int, default=1)
+    sc.add_argument("--jobs", type=_count(1), default=1)
     sc.add_argument("--strict-t-convention", action="store_true",
                     help="count only crossings with at least two vertices")
     sc.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -114,8 +129,8 @@ def _build_parser() -> _Parser:
     an.add_argument("--input", required=True, help="graph file, '-' for stdin")
     an.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
     an.add_argument("--checks", type=_parse_checks, default=ALL_CHECKS)
-    an.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
-    an.add_argument("--triple-cap", type=int, default=100_000)
+    an.add_argument("--cap", type=_count(1), default=DEFAULT_PATH_CAP)
+    an.add_argument("--triple-cap", type=_count(1), default=100_000)
     an.add_argument("--t", type=_parse_t_list, default=())
     an.add_argument("--strict-t-convention", action="store_true")
     an.add_argument("--format", choices=("json", "text"), default="json")
@@ -127,8 +142,8 @@ def _build_parser() -> _Parser:
     )
     sd.add_argument("--input", required=True, help="graph file, '-' for stdin")
     sd.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
-    sd.add_argument("--t", type=int, required=True)
-    sd.add_argument("--triple", type=int, default=0,
+    sd.add_argument("--t", type=_count(0), required=True)
+    sd.add_argument("--triple", type=_count(0), default=0,
                     help="index of the triple in canonical order (default first)")
     sd.add_argument("--format", choices=("json", "edgelist"), default="json")
     sd.add_argument("--out", default=None)
@@ -138,12 +153,12 @@ def _build_parser() -> _Parser:
         help="brute-force the subdivision scaling claim over triples",
     )
     vsrc = vp.add_mutually_exclusive_group(required=True)
-    vsrc.add_argument("--n", type=int, default=None,
+    vsrc.add_argument("--n", type=_count(1, MAX_GENERATION_N), default=None,
                       help="sweep every connected graph on 1..N vertices")
     vsrc.add_argument("--input", default=None, help="graph file, '-' for stdin")
     vp.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
     vp.add_argument("--t", type=_parse_t_list, required=True)
-    vp.add_argument("--triple-cap", type=int, default=None,
+    vp.add_argument("--triple-cap", type=_count(1), default=None,
                     help="verify at most this many triples per graph "
                          "(required sanity for n >= 6 sweeps)")
     vp.add_argument("--out", default=None)
@@ -151,9 +166,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if not 1 <= args.n <= MAX_GENERATION_N:
-        sys.stderr.write(f"gen: --n must be within 1..{MAX_GENERATION_N}\n")
-        return EXIT_CONFIG_ERROR
     if args.n == 8:
         sys.stderr.write("gen: n=8 checks 134k candidate labellings in 1044 searches; expect 1-2s\n")
     lines = [to_graph6(g) for g in generate_connected_graphs(args.n)]
@@ -261,9 +273,6 @@ def _subdivided(graphs: list[Graph], t: int, index: int):
 
 
 def _cmd_subdivide(args) -> int:
-    if args.t < 0 or args.triple < 0:
-        sys.stderr.write("subdivide: --t and --triple must be nonnegative\n")
-        return EXIT_CONFIG_ERROR
     graphs = read_graphs(args.input, args.input_format)
     built = _subdivided(graphs, args.t, args.triple)
     if args.format == "json":
@@ -277,13 +286,7 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_verify_prop(args) -> int:
-    if args.triple_cap is not None and args.triple_cap < 1:
-        sys.stderr.write("verify-prop: --triple-cap must be at least 1\n")
-        return EXIT_CONFIG_ERROR
     if args.n is not None:
-        if not 1 <= args.n <= MAX_GENERATION_N:
-            sys.stderr.write(f"verify-prop: --n must be within 1..{MAX_GENERATION_N}\n")
-            return EXIT_CONFIG_ERROR
         if args.n >= 6 and args.triple_cap is None:
             sys.stderr.write(
                 "verify-prop: sweeps beyond n=5 have millions of triples; "

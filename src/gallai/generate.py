@@ -4,7 +4,8 @@ The canonical representative of an isomorphism class is the
 lexicographically minimal upper-triangle bit string over all vertex
 relabellings, with pairs ordered column by column: (0,1), (0,2), (1,2),
 (0,3), ... Bit strings are packed into ints most significant bit first, so
-integer order equals lexicographic order.
+integer order equals lexicographic order. This is also the bit order of a
+graph6 payload, and its decoder lives with the graph6 codec in ``graphs``.
 
 Generation is an orderly extension: the leading C(k,2) bits of a canonical
 string are exactly the induced subgraph on vertices 0..k-1, and relabelling
@@ -37,21 +38,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _adjacency_rows, is_connected
 
 MAX_GENERATION_N = 8
-
-
-def _adjacency_rows(mask: int, n: int) -> list[int]:
-    rows = [0] * n
-    pos = n * (n - 1) // 2  # walks the string from its most significant bit
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if mask >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,12 @@ Vertices are dense integers ``0..n-1`` with no labels. Adjacency is one
 Python int per vertex used as a bitset, which keeps neighbourhood
 intersection and BFS frontier expansion at a handful of word operations;
 path search treats these masks as its hot-loop data structure.
+
+This module owns two rules that others share. The upper-triangle bit
+order (``_adjacency_rows`` decodes it, ``_triangle_mask`` encodes it) is
+both the graph6 payload and the generator's canonical mask. The bitmask
+reachability search ``_reaches`` decides ``is_connected`` here and prunes
+the path searches in ``paths``.
 """
 
 from __future__ import annotations
@@ -129,6 +135,35 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# the upper-triangle bit order, shared by graph6 payloads and generator masks
+# ---------------------------------------------------------------------------
+
+def _adjacency_rows(mask: int, n: int) -> list[int]:
+    """The adjacency rows of the upper-triangle bit string ``mask``: pairs
+    (0,1), (0,2), (1,2), (0,3), ... column by column, the first pair at the
+    most significant of the string's n(n-1)/2 bits."""
+    rows = [0] * n
+    pos = n * (n - 1) // 2  # walks the string from its most significant bit
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if mask >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def _triangle_mask(adj: tuple[int, ...]) -> int:
+    """The upper-triangle bit string of the adjacency rows ``adj``; the
+    inverse of ``_adjacency_rows``."""
+    mask = 0
+    for j, row in enumerate(adj):
+        for i in range(j):
+            mask = mask << 1 | (row >> i & 1)
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # graph6 interchange (single-byte headers only, n <= 62)
 # ---------------------------------------------------------------------------
 
@@ -168,21 +203,13 @@ def parse_graph6(record: str | bytes) -> Graph:
         raise Graph6Error(
             f"graph6 record for n={n} needs {need} data bytes, got {len(data)}"
         )
-    vals = []
+    payload = 0
     for ch in data:
         b = ord(ch)
         if not 63 <= b <= 126:
             raise Graph6Error(f"graph6 data byte {b} out of range 63..126")
-        vals.append(b - 63)
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if vals[k // 6] >> (5 - k % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(adj))
+        payload = payload << 6 | b - 63
+    return Graph(n, tuple(_adjacency_rows(payload >> (6 * need - npairs), n)))
 
 
 def to_graph6(graph: Graph) -> str:
@@ -190,21 +217,10 @@ def to_graph6(graph: Graph) -> str:
     n = graph.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supports at most {GRAPH6_MAX_N} vertices")
-    out = [chr(63 + n)]
-    acc = 0
-    nbits = 0
-    adj = graph.adjacency
-    for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | (adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    npairs = n * (n - 1) // 2
+    bits = npairs + -npairs % 6  # zeros pad the payload to whole data bytes
+    payload = _triangle_mask(graph.adjacency) << bits - npairs
+    return chr(63 + n) + "".join(chr(63 + (payload >> k & 63)) for k in range(bits - 6, -1, -6))
 
 
 def graph_key(graph: Graph) -> str:
@@ -284,19 +300,26 @@ def parse_graph6_lines(lines: Iterable[str], source: str | None = None) -> list[
 # connectivity and distances
 # ---------------------------------------------------------------------------
 
-def is_connected(graph: Graph) -> bool:
-    """Whether every vertex is reachable from vertex 0."""
-    adj = graph.adjacency
-    seen = frontier = 1
-    while frontier:
+def _reaches(adj: tuple[int, ...], start: int, used: int, need: int) -> bool:
+    """Whether at least ``need`` vertices are reachable from the mask
+    ``start`` without entering ``used``; stops as soon as they are."""
+    seen = frontier = start
+    while seen.bit_count() < need:
+        if not frontier:
+            return False
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & ~used & ~seen
         seen |= frontier
-    return seen == (1 << graph.n) - 1
+    return True
+
+
+def is_connected(graph: Graph) -> bool:
+    """Whether every vertex is reachable from vertex 0."""
+    return _reaches(graph.adjacency, 1, 0, graph.n)
 
 
 def _distance_list(adj: tuple[int, ...], n: int, src_mask: int) -> list[int | None]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, _reaches
 
 DEFAULT_PATH_CAP = 100_000
 MAX_UNCAPPED_STATES = 250_000
@@ -129,23 +129,6 @@ class Path:
 
     def __repr__(self) -> str:
         return f"Path({list(self.vertices)})"
-
-
-def _reaches(adj: tuple[int, ...], start: int, used: int, need: int) -> bool:
-    """Whether at least ``need`` vertices are reachable from the mask
-    ``start`` without entering ``used``; stops as soon as they are."""
-    seen = frontier = start
-    while seen.bit_count() < need:
-        if not frontier:
-            return False
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~used & ~seen
-        seen |= frontier
-    return True
 
 
 def _check_deadline(deadline: float | None, ticks: int) -> None:

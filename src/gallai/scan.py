@@ -129,6 +129,9 @@ class ScanConfig:
             raise ValueError("jobs must be at least 1")
         if any(t < 0 for t in self.subdivision_t):
             raise ValueError("subdivision multiplicities must be nonnegative")
+        for name, values in (("checks", self.checks), ("subdivision_t", self.subdivision_t)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
 
 
 @dataclass

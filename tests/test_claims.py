@@ -18,15 +18,9 @@ from gallai.claims import (
     PROVEN_CLAIMS,
     TRIPLE_CLAIMS,
     TruncatedEnumerationError,
-    case1_inequality,
-    case2_inequality,
     check_prop1,
     check_triple,
-    crossing_length_inequality,
     gallai_vertex_set,
-    lemma21_inequality,
-    lemma22_inequality,
-    theorem1_inequality,
     triple_verdict,
 )
 from gallai.graphs import _distance_list, from_edge_list, graph_key
@@ -47,31 +41,42 @@ def cycle_setup():
 
 
 class TestInequalities:
+    """Each bound's boundary, probed through its registry predicate."""
+
     def test_lemma21_boundary(self):
         # 2*13 = 26 against 3*7 + 2 + 3 = 26.
-        assert lemma21_inequality(13, 7, (2, 0, 0))
-        assert not lemma21_inequality(12, 7, (2, 0, 0))
+        assert status("lemma21", 13, 7, fabricated(1, (3, 3, 3), (2, 0, 0)))[1] == HOLDS
+        assert status("lemma21", 12, 7, fabricated(1, (3, 3, 3), (2, 0, 0)))[1] == VIOLATED
+        # An odd right side, 3*7 + 1 + 3 = 25, puts 2n = 24 one short.
+        assert status("lemma21", 12, 7, fabricated(1, (3, 3, 3), (1, 0, 0)))[1] == VIOLATED
 
     def test_lemma22_negative_rhs(self):
-        assert lemma22_inequality((0, 0, 0), (1, 1, 1), 0)
-        assert lemma22_inequality((0, 0, 0), (5, 5, 5), 0)
-        assert lemma22_inequality((0, 0, 0), (2, 2, 2), 1)
-        assert not lemma22_inequality((0, 1, 1), (2, 2, 2), 2)
+        assert status("lemma22", 9, 4, fabricated(0, (1, 1, 1), (0, 0, 0)))[1] == HOLDS
+        assert status("lemma22", 9, 4, fabricated(0, (5, 5, 5), (0, 0, 0)))[1] == HOLDS
+        assert status("lemma22", 9, 4, fabricated(1, (2, 2, 2), (0, 0, 0)))[1] == HOLDS
+        assert status("lemma22", 9, 4, fabricated(2, (2, 2, 2), (0, 1, 1)))[1] == VIOLATED
 
     def test_theorem1_boundaries(self):
-        assert theorem1_inequality(7, 0)
-        assert theorem1_inequality(7, 1)       # 13 <= 13
-        assert not theorem1_inequality(6, 1)   # 13 > 12
+        assert status("thm1", 7, 4, fabricated(0, (3, 3, 3)))[1] == HOLDS
+        assert status("thm1", 7, 4, fabricated(1, (3, 3, 3)))[1] == HOLDS       # 13 <= 13
+        assert status("thm1", 6, 4, fabricated(1, (3, 3, 3)))[1] == VIOLATED    # 13 > 12
 
     def test_case_bounds_arithmetic(self):
-        assert case1_inequality(9, 1)          # 26 <= 27
-        assert not case1_inequality(8, 1)      # 26 > 25
-        assert case2_inequality(5, 0)          # 0 <= 22
-        assert not case2_inequality(7, 1)      # 27 > 26
+        # l = 4 keeps the proof-internal bound l >= 6f - 2 holding at f <= 1.
+        assert status("case_bounds", 9, 4, fabricated(1, (2, 2, 2))) == ("case1_bound", HOLDS)
+        assert status("case_bounds", 8, 4, fabricated(1, (2, 2, 2))) == ("case1_bound", VIOLATED)
+        assert status("case_bounds", 5, 4, fabricated(0, (3, 3, 3))) == ("case2_bound", HOLDS)
+        assert status("case_bounds", 7, 4, fabricated(1, (3, 3, 3))) == ("case2_bound", VIOLATED)
+        # 27*2 = 2*21 + 12 at equality; l = 10 = 6*2 - 2.
+        assert status("case_bounds", 21, 10, fabricated(2, (3, 3, 3))) == ("case2_bound", HOLDS)
 
     def test_crossing_length_bound(self):
-        assert crossing_length_inequality(4, 1)
-        assert not crossing_length_inequality(3, 1)
+        def internal(l):
+            _, _, info = TRIPLE_CLAIMS["case_bounds"](9, l, fabricated(1, (2, 2, 2)))
+            return info["proof_internal_length_bound"]["holds"]
+
+        assert internal(4)
+        assert not internal(3)
 
 
 class TestProp1:

@@ -89,6 +89,20 @@ class TestScan:
         assert code == 4
         assert "lemma99" in err
 
+    @pytest.mark.parametrize("repeat, other", [
+        (("--checks", "thm1,thm1"), ("--t", "1")),
+        (("--t", "1,1"), ("--checks", "thm1")),
+    ], ids=["checks", "t"])
+    def test_repeat_rejected(self, tmp_path, capsys, repeat, other):
+        # Counted twice, a repeat would double K5's tallies over its 2 triples.
+        src = tmp_path / "k5.g6"
+        src.write_text("D~{\n")
+        code, out, err = run(capsys, "scan", "--input", str(src), "--triple-mode", "capped",
+                             "--triple-cap", "2", *repeat, *other)
+        assert code == 4
+        assert out == ""
+        assert f"argument {repeat[0]}:" in err
+
     def test_missing_source_rejected(self, capsys):
         code, _, _ = run(capsys, "scan")
         assert code == 4
@@ -139,6 +153,16 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload[0]["strict_crossings"] is True
         assert payload[0]["triples"][0]["t_counts"] == [0, 0, 0]
+
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_triple_cap_below_one_rejected(self, tmp_path, capsys, cap):
+        src = tmp_path / "star.g6"
+        src.write_text(to_graph6(star_graph(3)) + "\n")
+        code, out, err = run(capsys, "analyze", "--input", str(src), "--triple-cap", cap)
+        assert code == 4
+        assert out == ""
+        assert "--triple-cap" in err
 
 
 class TestSubdivide:
@@ -305,6 +329,12 @@ class TestVerifyProp:
         code, _, _ = run(capsys, "verify-prop", "--n", "4", "--t", "x")
         assert code == 4
 
+    def test_repeated_t_rejected(self, capsys):
+        code, out, err = run(capsys, "verify-prop", "--n", "3", "--t", "1,1")
+        assert code == 4
+        assert out == ""
+        assert "--t" in err
+
     def test_large_sweep_requires_cap(self, capsys):
         code, _, err = run(capsys, "verify-prop", "--n", "6", "--t", "1")
         assert code == 4
@@ -465,3 +495,20 @@ class TestParser:
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen", "--n", "0"), "--n"),
+        (("scan", "--n", "9"), "--n"),
+        (("verify-prop", "--n", "9", "--t", "1"), "--n"),
+        (("scan", "--n", "3", "--cap", "0"), "--cap"),
+        (("scan", "--n", "3", "--jobs", "0"), "--jobs"),
+        (("scan", "--n", "3", "--triple-cap", "x"), "--triple-cap"),
+        (("verify-prop", "--n", "3", "--t", "1", "--triple-cap", "0"), "--triple-cap"),
+        (("subdivide", "--input", "-", "--t", "-1"), "--t"),
+        (("subdivide", "--input", "-", "--t", "0", "--triple", "-1"), "--triple"),
+    ])
+    def test_integer_flag_checked_when_parsed(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert f"argument {flag}:" in err

@@ -68,6 +68,12 @@ class TestScanConfig:
         with pytest.raises(ValueError):
             ScanConfig(generate_n=4, triple_mode="sometimes")
 
+    def test_repeats_rejected(self):
+        with pytest.raises(ValueError, match="checks"):
+            ScanConfig(generate_n=4, checks=("thm1", "thm1"))
+        with pytest.raises(ValueError, match="subdivision_t"):
+            ScanConfig(generate_n=4, subdivision_t=(1, 1))
+
 
 class TestScanGeneratedCorpus:
     def test_exhaustive_up_to_five(self):
