@@ -1,35 +1,41 @@
-"""Exact longest-path search: the length, and a memoised completion table
-that counts the longest paths, intersects them and lists them.
+"""Exact longest-path search: a table that finds the longest-path length,
+counts the longest paths, intersects them and lists them.
 
-Two depth-first searches extend paths from every start vertex in
-ascending vertex order:
+Three searches serve ``LongestPathTable``:
 
-* ``longest_path_length`` finds ``l`` by branch and bound: it drops a
-  partial path when its length plus the number of unused vertices still
-  reachable from its head cannot beat the best length found so far. It
-  starts only at vertices that are not cut vertices, since a maximum path
-  never ends at one, and follows a head with one way on in a loop, testing
-  the bound once per branch: along such a chain the bound cannot change.
-* ``LongestPathTable`` searches again toward ``l`` edges, memoised on the
-  partial path's (head, vertex set). Each state stores how many ways it
-  completes and the AND of the vertex masks the completions add, so the
-  table gives the number of longest paths and their common vertices (the
-  Gallai set) without listing a single path. Under a cap the search stops
-  once more than ``cap`` paths are certain, which bounds it on dense
-  graphs; without a cap it raises ``ValueError`` past
-  ``MAX_UNCAPPED_STATES`` (~50 MB). Its ``paths`` walks the table on first
-  use, entering only branches that complete, so it lists the paths in
-  sorted order; a truncated table lists none, since every verdict needs
-  the complete set. ``enumerate_longest_paths`` returns a table with its
-  paths listed.
+* The forward count answers the table on every graph that fits its
+  budget. It extends all paths one edge per layer, counting the directed
+  paths per (vertex set, head) state, so the last non-empty layer gives
+  the length ``l``, the number of longest paths and their common vertices
+  (the Gallai set) in one pass, without listing a path or recursing. It
+  gives up past ``FORWARD_STATES`` states, which K11 fits.
+* The depth-first fill searches toward ``l`` edges from every start
+  vertex in ascending order, memoised on the partial path's (head, vertex
+  set). Each state stores how many ways it completes and the AND of the
+  vertex masks the completions add. It is filled on first use of
+  ``paths``, which walks it, entering only branches that complete, so the
+  paths come out in sorted order. Past the forward budget it answers the
+  table instead: under a cap it stops once more than ``cap`` paths are
+  certain, which bounds it on dense graphs; without a cap it raises
+  ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB). A truncated table
+  lists no paths, since every verdict needs the complete set.
+  ``enumerate_longest_paths`` returns a table with its paths listed.
+* ``longest_path_length`` finds ``l`` by branch and bound, for the fill
+  past the forward budget and for the subdivided graphs of
+  ``subdivision``: it drops a partial path when its length plus the
+  number of unused vertices still reachable from its head cannot beat the
+  best length found so far. It starts only at vertices that are not cut
+  vertices, since a maximum path never ends at one, and follows a head
+  with one way on in a loop, testing the bound once per branch: along
+  such a chain the bound cannot change.
 
-The length search recurses once per branching vertex on a path, the
-table and its walk once per path edge; a search that would go deeper than
+The length search recurses once per branching vertex on a path, the fill
+and its walk once per path edge; a search that would go deeper than
 Python's recursion limit raises ``ValueError`` instead.
 
-Both prunes are lossless. The tests hold the table and the walk to an
-all-simple-paths oracle with neither prune and no memo, on exhaustive
-small corpora and random graphs.
+Both prunes are lossless. The tests hold the table by either route and
+the walk to an all-simple-paths oracle with no prune and no memo, on
+exhaustive small corpora and random graphs.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ from .graphs import Graph, _reaches
 
 DEFAULT_PATH_CAP = 100_000
 MAX_UNCAPPED_STATES = 250_000
+# States the forward count may build before the depth-first route takes
+# over. K11 (11 * 2^10 states) fits. A graph past it has already paid for
+# those states; a larger budget cost the dense graphs that the capped fill
+# answers in a few milliseconds more than it saved on sparser ones.
+FORWARD_STATES = 1 << 14
 
 
 class BudgetError(RuntimeError):
@@ -238,20 +249,33 @@ class LongestPathTable:
     """One graph's longest paths, counted and intersected without being
     listed, and listed on first use of ``paths``.
 
-    Construction finds ``length`` and fills the completion table: the
-    search toward ``length`` edges from every start vertex, memoised on the
-    partial path's head and vertex set. A state's entry is
-    ``(count, core)``: the number of ways to extend a path over ``used``
-    that ends at ``head`` to ``length`` edges, and the AND of the vertex
-    masks those extensions add. ``count`` is then the number of longest
-    paths (reversal-free) and ``core`` the mask of the vertices on all of
-    them.
+    Construction runs the forward count. A state is a vertex set ``used``
+    with a ``head`` in it. Layer 0 maps each one-vertex state to 1; layer
+    ``k + 1`` extends every state of layer ``k`` by one edge, and maps each
+    state it reaches to the number of directed paths over ``used`` that end
+    at ``head``. The first empty layer ends the count. The last non-empty
+    one holds exactly the longest paths: its index is ``length``, the sum
+    of its values is ``count`` (halved, since each path is counted from
+    both ends, unless ``length`` is 0) and the AND of its vertex sets is
+    ``core``, the mask of the vertices on all of them.
 
-    A state's count is a lower bound on the number of directed longest
-    paths, so with a ``cap`` the fill stops as soon as more than ``cap``
-    paths are certain: ``truncated`` is set, ``count`` and ``core`` are
-    None, ``paths`` is empty, and the work stays bounded on dense graphs
-    however many paths they have.
+    The count gives up once the states built pass ``FORWARD_STATES``, or
+    once the last layer's growth says the next would take them past it.
+    Construction then runs the length search and fills the completion
+    table toward ``length`` edges: the depth-first search from every start
+    vertex, memoised on the partial path's head and vertex set. A state's
+    entry is ``(count, core)``: the number of ways to extend a path over
+    ``used`` that ends at ``head`` to ``length`` edges, and the AND of the
+    vertex masks those extensions add. After a forward count, ``paths``
+    fills the same table on first use, and walks it.
+
+    With a ``cap``, more than ``cap`` paths set ``truncated``: ``count``
+    and ``core`` are None and ``paths`` is empty. A state's count is a
+    lower bound on the number of directed longest paths, so the fill stops
+    as soon as more than ``cap`` paths are certain, and its work stays
+    bounded on dense graphs however many paths they have. A layered count
+    is certain of nothing before its last layer, so past the budget the
+    fill, not the count, answers.
     """
 
     def __init__(
@@ -261,40 +285,101 @@ class LongestPathTable:
             raise ValueError("cap must be at least 1")
         n = graph.n
         self.cap = cap
-        self.length = longest_path_length(graph, deadline=deadline)
-        self.truncated = False
         self._adj = graph.adjacency
         self._n = n
         self._deadline = deadline
         self._ticks = 0
         # Entries keyed ``used * n + head``. Every state that completes has
-        # one, so in a table that lists anything a missing entry means no
-        # completion.
+        # one, so in a filled table a missing entry means no completion.
         self._table: dict[int, tuple[int, int]] = {}
+        self._filled = False
         # Directed paths: each undirected one is counted from both ends.
         self._limit = float("inf") if cap is None else 2 * cap
-        if self.length == 0:
-            # Every vertex is a longest path by itself.
-            count, core = n, (1 << n) - 1 if n < 2 else 0
-            self.truncated = cap is not None and n > cap
-        else:
-            directed = 0
-            core = (1 << n) - 1
-            try:
-                for start in range(n):
-                    c, k = self._fill(start, 1 << start, self.length)
-                    if c:
-                        directed += c
-                        core &= k | 1 << start
-                        if directed > self._limit:
-                            raise _StopSearch
-            except _StopSearch:
-                self.truncated = True
-            except RecursionError:
-                raise _too_deep(n) from None
-            count = directed // 2
+        self.length, count, core = self._count_forward() or self._count_depth_first(graph)
+        self.truncated = count is None or cap is not None and count > cap
         self.count = None if self.truncated else count
         self.core = None if self.truncated else core
+
+    def _count_forward(self) -> tuple[int, int, int] | None:
+        # (length, count, core) from the layers, or None past the budget.
+        adj = self._adj
+        n = self._n
+        deadline = self._deadline
+        # layer[head] maps ``used`` to its number of directed paths; one
+        # dict per head measured faster than one keyed ``used * n + head``.
+        layer = [{1 << v: 1} for v in range(n)]
+        length = 0
+        ticks = 0
+        built = n  # the states of every layer so far, the one being built excluded
+        last = n  # the states of ``layer``
+        while True:
+            nxt: list[dict[int, int]] = [{} for _ in range(n)]
+            for head, states in enumerate(layer):
+                reach = adj[head]
+                for used, c in states.items():
+                    if not ticks & 255:  # the first state and every 256th after it
+                        if built + sum(map(len, nxt)) > FORWARD_STATES:
+                            return None
+                        _check_deadline(deadline, ticks)
+                    ticks += 1
+                    m = reach & ~used
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        ends = nxt[low.bit_length() - 1]
+                        key = used | low
+                        ends[key] = ends.get(key, 0) + c
+            size = sum(map(len, nxt))
+            if not size:
+                break
+            # Give up a layer early when growing as this one did would take
+            # the next past the budget: that layer would cost the most.
+            if built + size + size * size // last > FORWARD_STATES:
+                return None
+            built += size
+            last = size
+            layer = nxt
+            length += 1
+        directed = 0
+        core = -1
+        for states in layer:
+            for used, c in states.items():
+                directed += c
+                core &= used
+        return length, directed // 2 if length else directed, core
+
+    def _count_depth_first(self, graph: Graph) -> tuple[int, int | None, int | None]:
+        # (length, count, core) by the length search and the fill toward
+        # it; count and core are None once the fill stopped past the cap.
+        n = self._n
+        length = longest_path_length(graph, deadline=self._deadline)
+        if length == 0:
+            # Every vertex is a longest path by itself.
+            return 0, n, (1 << n) - 1 if n < 2 else 0
+        try:
+            directed, core = self._fill_table(length)
+        except _StopSearch:
+            return length, None, None
+        return length, directed // 2, core
+
+    def _fill_table(self, length: int) -> tuple[int, int]:
+        # The directed paths of ``length`` edges and their core, from every
+        # start. Raises _StopSearch once more than the cap are certain.
+        n = self._n
+        directed = 0
+        core = (1 << n) - 1
+        try:
+            for start in range(n):
+                c, k = self._fill(start, 1 << start, length)
+                if c:
+                    directed += c
+                    core &= k | 1 << start
+                    if directed > self._limit:
+                        raise _StopSearch
+        except RecursionError:
+            raise _too_deep(n) from None
+        self._filled = True
+        return directed, core
 
     def _fill(self, head: int, used: int, need: int) -> tuple[int, int]:
         # Raises _StopSearch once the state's count passes the limit.
@@ -350,6 +435,9 @@ class LongestPathTable:
         target = self.length
         if target == 0:
             return tuple(Path((v,)) for v in range(n))
+        if not self._filled:
+            # The count is within the cap, so this fill cannot stop early.
+            self._fill_table(target)
         adj = self._adj
         deadline = self._deadline
         table = self._table

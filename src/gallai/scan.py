@@ -675,6 +675,10 @@ def subdivision_sweep(
     summary with any violations plus per-instance timing extrema (timing is
     informational and not part of the deterministic report surface).
     """
+    if not 1 <= max_n <= MAX_GENERATION_N:
+        raise ValueError(f"max_n must be within 1..{MAX_GENERATION_N}")
+    if len(set(t_values)) != len(t_values):
+        raise ValueError("subdivision_t must not repeat a value")
     graphs = 0
     eligible = 0
     instances = 0

@@ -60,6 +60,32 @@ def petersen_graph() -> Graph:
     return from_edge_list(10, outer + spokes + inner)
 
 
+def petersen_family(*, k: int | None = None, s: int | None = None) -> Graph:
+    """P - v, the Petersen graph minus a vertex, with a pendant path of
+    ``k`` edges (n = 9 + 3k), or a K_s joined by one edge (n = 9 + 3s), on
+    each of its three degree-2 vertices (the ports). Every member built so
+    far has no vertex on all of its longest paths.
+
+    Vertex 0 of ``petersen_graph`` is deleted and 1..9 become 0..8, so the
+    ports are 0, 3 and 4; new vertices are numbered from 9, port by port,
+    outward along a path, and a clique hangs by its first vertex.
+    """
+    if (k is None) == (s is None):
+        raise ValueError("give exactly one of k and s")
+    edges = [(u - 1, v - 1) for u, v in petersen_graph().edges() if u and v]
+    nxt = 9
+    for port in (0, 3, 4):
+        if k is not None:
+            for v in range(nxt, nxt + k):
+                edges.append((v - 1 if v > nxt else port, v))
+            nxt += k
+        else:
+            edges.append((port, nxt))
+            edges += [(a, b) for a in range(nxt, nxt + s) for b in range(a + 1, nxt + s)]
+            nxt += s
+    return from_edge_list(nxt, edges)
+
+
 def theta_graph() -> Graph:
     """Two hubs joined by three internally disjoint two-edge routes."""
     return from_edge_list(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])

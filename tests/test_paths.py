@@ -17,13 +17,14 @@ from conftest import (
     enumerate_all_simple_paths,
     oracle_longest_path_length,
     path_graph,
+    petersen_family,
     petersen_graph,
     random_graphs,
     star_graph,
     within_seconds,
 )
 from gallai import paths
-from gallai.graphs import from_edge_list, iter_bits
+from gallai.graphs import from_edge_list, iter_bits, to_graph6
 from gallai.paths import (
     DEFAULT_PATH_CAP,
     MAX_UNCAPPED_STATES,
@@ -389,6 +390,104 @@ class TestCompletionTable:
         monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 1199)
         with pytest.raises(ValueError, match="recursion limit"):
             LongestPathTable(long_path)
+
+
+def facts(table):
+    return table.length, table.count, table.core, table.truncated
+
+
+def count_length_searches(monkeypatch):
+    searched = []
+    real = paths.longest_path_length
+
+    def counting(g, **kwargs):
+        searched.append(g)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(paths, "longest_path_length", counting)
+    return searched
+
+
+class TestForwardCount:
+    """The forward count and the depth-first route it falls back to give
+    the same table, and both match the unpruned oracle."""
+
+    @staticmethod
+    def both_routes(monkeypatch, graph, cap=None):
+        # The forward count answers with no length search; with no budget
+        # the depth-first route answers after one.
+        searched = count_length_searches(monkeypatch)
+        forward = LongestPathTable(graph, cap)
+        assert searched == []
+        monkeypatch.setattr(paths, "FORWARD_STATES", 0)
+        depth_first = LongestPathTable(graph, cap)
+        monkeypatch.undo()  # so that the next call starts unpatched
+        assert searched == [graph]
+        return forward, depth_first
+
+    def assert_routes_match_oracle(self, monkeypatch, graph):
+        forward, depth_first = self.both_routes(monkeypatch, graph)
+        best, longest, core = oracle_longest(graph)
+        assert facts(forward) == facts(depth_first) == (best, len(longest), core, False)
+        # Listing fills the depth-first table after a forward count.
+        assert list(forward.paths) == list(depth_first.paths) == longest
+
+    def test_routes_match_oracle_on_corpus(self, monkeypatch):
+        for g in corpus_up_to(7):
+            self.assert_routes_match_oracle(monkeypatch, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs())
+    def test_routes_match_oracle_on_random_graphs(self, g):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_routes_match_oracle(monkeypatch, g)
+
+    def test_routes_agree_around_the_cap(self, monkeypatch):
+        # K7 has 2520 longest paths and K5 has 60.
+        for graph, total in ((complete_graph(7), 2520), (complete_graph(5), 60)):
+            for cap in (total - 1, total, total + 1):
+                forward, depth_first = self.both_routes(monkeypatch, graph, cap)
+                assert facts(forward) == facts(depth_first)
+                assert forward.truncated == (cap < total)
+                assert forward.count == (None if cap < total else total)
+
+    def test_budget_bounds_the_count(self, monkeypatch):
+        searched = count_length_searches(monkeypatch)
+        assert LongestPathTable(complete_graph(7)).count == 2520
+        assert searched == []
+        # K7's layers hold 7, 42, 210, ... states: past a budget of 100 the
+        # count gives up and the depth-first route answers.
+        monkeypatch.setattr(paths, "FORWARD_STATES", 100)
+        table = LongestPathTable(complete_graph(7))
+        assert (table.length, table.count, table.core) == (6, 2520, 127)
+        assert len(searched) == 1
+
+    def test_deadline_reaches_the_depth_first_route(self, monkeypatch):
+        monkeypatch.setattr(paths, "FORWARD_STATES", 0)
+        monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 8)
+        with pytest.raises(BudgetError):
+            LongestPathTable(complete_graph(9), deadline=time.monotonic() - 1.0)
+
+
+class TestPetersenFamily:
+    """P - v with pendant paths or cliques on its ports: graphs with no
+    vertex on all of their longest paths."""
+
+    def test_smallest_member(self, monkeypatch):
+        g = petersen_family(k=1)
+        assert to_graph6(g) == "KhAAPWU_?_@?"
+        forward, depth_first = TestForwardCount.both_routes(monkeypatch, g)
+        best, longest, core = oracle_longest(g)
+        assert (len(longest), core) == (42, 0)
+        assert facts(forward) == facts(depth_first) == (best, 42, 0, False)
+        assert list(forward.paths) == longest
+
+    def test_path_counts(self):
+        for kwargs, n, count in (({"k": 2}, 15, 18), ({"k": 3}, 18, 18),
+                                 ({"s": 2}, 15, 18), ({"s": 4}, 21, 648)):
+            g = petersen_family(**kwargs)
+            table = LongestPathTable(g)
+            assert (g.n, table.count, table.core) == (n, count, 0)
 
 
 class TestCap:

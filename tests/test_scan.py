@@ -139,19 +139,24 @@ class TestRecordsWithoutEnumeration:
 
     def test_one_search_per_graph(self, monkeypatch):
         # The paths that are listed are walked from the table the record
-        # came from, so the length search runs once per connected graph.
-        searched = []
-        real = paths_module.longest_path_length
+        # came from, so one forward count per connected graph answers the
+        # record, with no separate length search.
+        counted = []
+        real = LongestPathTable._count_forward
 
-        def counting(graph, **kwargs):
-            searched.append(graph)
-            return real(graph, **kwargs)
+        def counting(table):
+            counted.append(table)
+            return real(table)
 
-        monkeypatch.setattr(paths_module, "longest_path_length", counting)
+        def refuse(graph, **kwargs):
+            raise AssertionError("the forward count gives the length")
+
+        monkeypatch.setattr(LongestPathTable, "_count_forward", counting)
+        monkeypatch.setattr(paths_module, "longest_path_length", refuse)
         report = scan(ScanConfig(generate_n=6, triple_mode="capped", triple_cap=1))
         connected = [r for r in report.records if r.status != "disconnected"]
         assert any(r.status == "checked" for r in connected)
-        assert len(searched) == len(connected)
+        assert len(counted) == len(connected)
 
     def test_dense_graph_stops_at_the_cap(self, tmp_path):
         # K22 has 22!/2 longest paths and a memo table of 22 * 2^21
@@ -727,3 +732,14 @@ class TestSubdivisionSweep:
         assert capped["instances"] < 40
         assert capped["triples_skipped"] > 200
         assert capped["violations"] == []
+
+    def test_arguments_are_checked_before_any_work(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("graphs generated before the arguments were checked")
+
+        monkeypatch.setattr(scan_module, "generate_connected_graphs", refuse)
+        with pytest.raises(ValueError, match="subdivision_t must not repeat a value"):
+            subdivision_sweep(3, (1, 1))
+        for max_n in (0, 9):
+            with pytest.raises(ValueError, match="max_n must be within 1..8"):
+                subdivision_sweep(max_n, (1,), triple_cap=1)
