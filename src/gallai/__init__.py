@@ -64,6 +64,7 @@ from .subdivision import (
     build_instance,
     check_size_bound,
     subdivide,
+    subdivided_length,
     verify_proposition,
 )
 from .triples import (
@@ -73,7 +74,6 @@ from .triples import (
     TripleStream,
     analyze_triple,
     f_value,
-    t_count,
 )
 
 __version__ = "0.1.0"

@@ -20,14 +20,15 @@ Three searches serve ``LongestPathTable``:
   ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB). A truncated table
   lists no paths, since every verdict needs the complete set.
   ``enumerate_longest_paths`` returns a table with its paths listed.
-* ``longest_path_length`` finds ``l`` by branch and bound, for the fill
-  past the forward budget and for the subdivided graphs of
-  ``subdivision``: it drops a partial path when its length plus the
-  number of unused vertices still reachable from its head cannot beat the
-  best length found so far. It starts only at vertices that are not cut
-  vertices, since a maximum path never ends at one, and follows a head
-  with one way on in a loop, testing the bound once per branch: along
-  such a chain the bound cannot change.
+* ``longest_path_length`` finds ``l`` by branch and bound for the fill
+  past the forward budget (``subdivision.subdivided_length`` runs the same
+  search for a subdivided graph, on the graph before subdivision): it
+  drops a partial path when its length plus the number of unused vertices
+  still reachable from its head cannot beat the best length found so far.
+  It starts only at vertices that are not cut vertices, since a maximum
+  path never ends at one, and follows a head with one way on in a loop,
+  testing the bound once per branch: along such a chain the bound cannot
+  change.
 
 The length search recurses once per branching vertex on a path, the fill
 and its walk once per path edge; a search that would go deeper than

@@ -16,8 +16,9 @@ subdivided edges come last, in sorted-edge then position order.
 The subdivided graph depends only on the base graph, the triple's set of
 distinct ends and t, so many triples share one. A ``Subdivisions`` object
 holds one base graph's memo of them, keyed on (end set, t): each is built
-and has its longest-path length searched once. Every path lifted through
-the stored edge chains is then decided against that length: a path of the
+once, and its longest-path length is read off the pendant graph, before
+subdivision, by ``subdivided_length``. Every path lifted through the
+stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
 many edges, so the subdivided graph's longest paths are never listed. It
 also keeps each graph's BFS distance lists by path mask, so each path's
@@ -31,14 +32,16 @@ import time
 from dataclasses import dataclass
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
-from .graphs import Graph, graph_key
+from .graphs import Graph, _reaches, graph_key, iter_bits
 from .paths import (
     DEFAULT_PATH_CAP,
     BudgetError,
     LongestPathTable,
     Path,
+    _check_deadline,
+    _cut_vertices,
+    _too_deep,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
-    longest_path_length,
 )
 from .triples import PathTriple, f_value
 
@@ -170,6 +173,54 @@ def build_instance(graph: Graph, triple: PathTriple, t: int) -> SubdividedInstan
     return subdivide(ext.graph, t, ext.paths)
 
 
+def subdivided_length(graph: Graph, t: int, *, deadline: float | None = None) -> int:
+    """The longest-path length of ``subdivide(graph, t).graph``, searched
+    over the paths of ``graph`` itself.
+
+    A longest path there runs over the whole chains of a path P = v0..vk
+    (k >= 1) of ``graph``, plus part of a chain off P at each end:
+    ``(t + 1) * k + t * e`` edges, where e is 2 when the ends have two
+    different edges off P, 1 when they have one (both ends share the t
+    vertices of v0vk) and 0 when none. Every other path lies within the
+    chains at one vertex, and is shorter than two of them (or the one)
+    taken whole. The search is the branch and bound of
+    ``longest_path_length``: each further edge adds t + 1 and the ends at
+    most 2t. It starts only at vertices that are not cut vertices, since
+    an edge across one adds t + 1 and loses at most t at that end.
+    """
+    adj = graph.adjacency
+    best = ticks = 0
+
+    def grow(start: int, rest0: int, head: int, back: int, used: int, k: int) -> None:
+        # P runs from v0, the bit ``start``, over k edges to ``head``; ``back``
+        # is the bit before head, and ``rest0`` holds v0's neighbours off P.
+        nonlocal best, ticks
+        while True:
+            rest = adj[head] & ~back
+            # Ends whose only edge off P is v0vk share its chain: e = 1.
+            e = (rest0 > 0) + (rest > 0) - ((rest0, rest) == (1 << head, start))
+            best = max(best, (t + 1) * k + t * e)
+            ext = adj[head] & ~used
+            if not ext or ext & (ext - 1):
+                break  # else one way on: take it
+            used, back, head, k = used | ext, 1 << head, ext.bit_length() - 1, k + 1
+        _check_deadline(deadline, ticks)
+        ticks += 1
+        if ext and _reaches(adj, ext, used, (best - 2 * t) // (t + 1) - k + 1):
+            for w in iter_bits(ext):
+                grow(start, rest0, w, 1 << head, used | 1 << w, k + 1)
+
+    try:
+        for v0 in iter_bits(((1 << graph.n) - 1) & ~_cut_vertices(adj)):
+            for v1 in iter_bits(adj[v0]):
+                grow(1 << v0, adj[v0] & ~(1 << v1), v1, 1 << v0, 1 << v0 | 1 << v1, 1)
+    except RecursionError:
+        raise _too_deep(graph.n) from None
+    finally:
+        del grow  # the closure cycle, as in longest_path_length
+    return best
+
+
 # ---------------------------------------------------------------------------
 # brute-force verification
 # ---------------------------------------------------------------------------
@@ -207,17 +258,18 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     """Check by brute force that subdividing scales the instance exactly.
 
     Three sub-checks on the constructed graph: every lifted path is a
-    longest path there (a path of that graph, edge by edge, whose length is
-    its exactly searched longest-path length), the minimum distance sum
-    equals (t + 1) times the base value, and some witness of the minimum is
-    an original vertex of the base graph (an id below ``graph.n``).
+    longest path there (a path of that graph, edge by edge, with its exact
+    longest-path length, which ``subdivided_length`` reads off the pendant
+    graph), the minimum distance sum equals (t + 1) times the base value,
+    and some witness of the minimum is an original vertex of the base graph
+    (an id below ``graph.n``).
 
     The constructed graph and its length come from the memo of
-    ``subdivisions``, built and searched on the first triple with this end
-    set and t. A graph that would have more than
-    ``DEFAULT_VERIFY_MAX_VERTICES`` vertices (counted before it is built),
-    or a search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
-    ``skipped_budget`` rather than a guess, and stores nothing.
+    ``subdivisions``, filled on the first triple with this end set and t.
+    A graph that would have more than ``DEFAULT_VERIFY_MAX_VERTICES``
+    vertices (counted before it is built), or a length search past
+    ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives ``skipped_budget`` rather
+    than a guess, and stores nothing.
     """
     graph = subdivisions.graph
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
@@ -241,7 +293,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         inst = subdivide(ext.graph, t)
         deadline = time.monotonic() + DEFAULT_VERIFY_BUDGET_S
         try:
-            length = longest_path_length(inst.graph, deadline=deadline)
+            length = subdivided_length(ext.graph, t, deadline=deadline)
         except BudgetError:
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})

@@ -132,26 +132,11 @@ def f_value(
     return best, frozenset(v for v, total in enumerate(totals) if total == best)
 
 
-def t_count(triple: PathTriple, which: int, *, strict: bool = False) -> int:
-    """Number of crossings of the other two paths along the selected path.
-
-    Counts contiguous subpaths Q of ``paths[which]`` that meet the first
-    other path exactly in one end of Q and the second other path exactly in
-    the other end. A single-vertex Q qualifies when that vertex lies on
-    both other paths; pass ``strict=True`` to require at least two vertices
-    instead (the alternative crossing convention).
-
-    One pass over the selected path's vertices that lie on either other
-    path: such a Q is two consecutive ones, one only on the first other
-    path and one only on the second, or one vertex on both.
-    """
-    if which not in (0, 1, 2):
-        raise IndexError(f"path index {which} out of range 0..2")
-    mask_a, mask_b = (p.mask for k, p in enumerate(triple.paths) if k != which)
-    return _crossings(triple.paths[which].vertices, mask_a, mask_b, strict)
-
-
 def _crossings(vertices: tuple[int, ...], mask_a: int, mask_b: int, strict: bool) -> int:
+    # Counts the contiguous subpaths Q that meet path a only in one end of
+    # Q and path b only in the other. Among the vertices on a or b, such a
+    # Q joins two consecutive ones, one only on a and one only on b, or is
+    # one vertex on both (not counted when ``strict``).
     count = 0
     last = 0  # 1 only on a, 2 only on b, 3 on both
     for v in vertices:

@@ -307,16 +307,16 @@ class TestVerifyProp:
         src = tmp_path / "k4.g6"
         src.write_text(to_graph6(g) + "\n")
         searched = []
-        real = subdivision.longest_path_length
+        real = subdivision.subdivided_length
 
-        def counting(graph, *args, **kwargs):
-            searched.append(graph)
-            return real(graph, *args, **kwargs)
+        def counting(graph, t, *args, **kwargs):
+            searched.append((graph, t))
+            return real(graph, t, *args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated a subdivided graph")
 
-        monkeypatch.setattr(subdivision, "longest_path_length", counting)
+        monkeypatch.setattr(subdivision, "subdivided_length", counting)
         monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
         code, out, _ = run(capsys, "verify-prop", "--input", str(src), "--t", "1,2")
         assert code == 0

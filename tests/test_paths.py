@@ -34,6 +34,7 @@ from gallai.paths import (
     enumerate_longest_paths,
     longest_path_length,
 )
+from gallai.subdivision import subdivided_length
 
 
 class TestPath:
@@ -355,9 +356,13 @@ class TestCompletionTable:
         assert summary(from_edge_list(3, [])) == (0, 3, 0)
 
     def test_deadline_reaches_the_table(self, monkeypatch):
-        # With the length search out of the way, the memoised search must
-        # still give up on an expired deadline rather than answer.
-        monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 8)
+        # K9 fits the forward count, which must give up on an expired
+        # deadline rather than answer; the depth-first route has its own
+        # test in TestForwardCount.
+        def refuse(table, graph):
+            raise AssertionError("took the depth-first route")
+
+        monkeypatch.setattr(LongestPathTable, "_count_depth_first", refuse)
         expired = time.monotonic() - 1.0
         with pytest.raises(BudgetError):
             LongestPathTable(complete_graph(9), deadline=expired)
@@ -386,7 +391,9 @@ class TestCompletionTable:
                               + [(i, spine + i) for i in range(spine)])
         with pytest.raises(ValueError, match="recursion limit"):
             longest_path_length(comb)
-        # With the length search out of the way, the table fails the same way.
+        # With the length search out of the way, the depth-first route of the
+        # table fails the same way.
+        monkeypatch.setattr(paths, "FORWARD_STATES", 0)
         monkeypatch.setattr(paths, "longest_path_length", lambda graph, deadline=None: 1199)
         with pytest.raises(ValueError, match="recursion limit"):
             LongestPathTable(long_path)
@@ -536,8 +543,9 @@ class TestNoReferenceCycles:
             enumerate_longest_paths,
             lambda g: enumerate_longest_paths(g, cap=10),
             enumerate_all_simple_paths,
+            lambda g: subdivided_length(g, 2),
         ],
-        ids=["length", "summary", "enumerate", "enumerate_capped", "oracle"],
+        ids=["length", "summary", "enumerate", "enumerate_capped", "oracle", "subdivided"],
     )
     def test_search_leaves_no_cyclic_garbage(self, search):
         g = complete_graph(7)

@@ -39,6 +39,7 @@ from gallai.subdivision import (
     build_instance,
     check_size_bound,
     subdivide,
+    subdivided_length,
     verify_proposition,
 )
 from gallai.triples import PathTriple, TripleStream, f_value
@@ -353,7 +354,7 @@ class TestSubdividedReuse:
         def refuse(*args, **kwargs):
             raise AssertionError("searched a graph already in the memo")
 
-        monkeypatch.setattr(subdivision, "longest_path_length", refuse)
+        monkeypatch.setattr(subdivision, "subdivided_length", refuse)
         monkeypatch.setattr(subdivision, "enumerate_longest_paths", refuse)
         assert verify_proposition(subs, t, 1) == first
 
@@ -391,13 +392,14 @@ class TestSubdividedReuse:
         # that end set, which is all the sweep's memo reads.
         searched = []
 
-        def checked(graph, deadline=None):
-            length = longest_path_length(graph, deadline=deadline)
-            assert length == oracle_longest_path_length(graph)
-            searched.append(graph)
+        def checked(graph, t, deadline=None):
+            length = subdivided_length(graph, t, deadline=deadline)
+            built = subdivide(graph, t).graph
+            assert length == longest_path_length(built) == oracle_longest_path_length(built)
+            searched.append(built)
             return length
 
-        monkeypatch.setattr(subdivision, "longest_path_length", checked)
+        monkeypatch.setattr(subdivision, "subdivided_length", checked)
         for g in corpus_up_to(5):
             lp = enumerate_longest_paths(g)
             subs = Subdivisions(g, lp)
@@ -416,7 +418,7 @@ class TestSubdividedReuse:
         def out_of_time(*args, **kwargs):
             raise BudgetError("deadline passed")
 
-        monkeypatch.setattr(subdivision, "longest_path_length", out_of_time)
+        monkeypatch.setattr(subdivision, "subdivided_length", out_of_time)
         subs = Subdivisions(g)
         v = verify_proposition(subs, t, 1)
         assert v.status == SKIPPED_BUDGET
@@ -425,6 +427,16 @@ class TestSubdividedReuse:
         monkeypatch.undo()
         assert verify_proposition(subs, t, 1).status == HOLDS
         assert len(subs.memo) == 1
+
+    def test_expired_deadline_is_not_stored(self, monkeypatch):
+        # The real search, with a budget that has run out before it starts.
+        g, t = star_triple()
+        monkeypatch.setattr(subdivision, "DEFAULT_VERIFY_BUDGET_S", -1)
+        subs = Subdivisions(g)
+        v = verify_proposition(subs, t, 1)
+        assert v.status == SKIPPED_BUDGET
+        assert v.witness == {"budget_s": -1}
+        assert subs.memo == {}
 
 
 @st.composite
@@ -436,6 +448,69 @@ def small_connected_graphs(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
     return from_edge_list(n, sorted(edges))
+
+
+@st.composite
+def graphs_with_pendants(draw):
+    """A small random connected graph with up to three leaves hung on it,
+    as ``attach_pendants`` hangs them on path ends."""
+    g = draw(small_connected_graphs())
+    leaves = draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+    edges = g.edges() + [(v, g.n + i) for i, v in enumerate(leaves)]
+    return from_edge_list(g.n + len(leaves), edges)
+
+
+class TestSubdividedLength:
+    """The length read off the unsubdivided graph equals a search of the
+    subdivided one."""
+
+    def test_matches_the_search_on_the_corpus(self):
+        for g in corpus_up_to(6):
+            for t in range(4):
+                assert subdivided_length(g, t) == longest_path_length(subdivide(g, t).graph)
+
+    def test_zero_multiplicity_is_the_longest_path_length(self):
+        for g in corpus_up_to(7):
+            assert subdivided_length(g, 0) == longest_path_length(g)
+
+    def test_single_vertex(self):
+        # k = 0 with no edge: nothing to hang a partial chain on.
+        for t in range(4):
+            assert subdivided_length(from_edge_list(1, []), t) == 0
+
+    def test_lone_edge_and_star(self):
+        # Leaves have no edge off a path (e = 0), and a single vertex
+        # reaches into at most two chains, 2t edges, fewer than the two
+        # chains it lies between taken whole.
+        for t in range(4):
+            assert subdivided_length(path_graph(2), t) == t + 1
+            assert subdivided_length(star_graph(3), t) == 2 * (t + 1)
+
+    def test_ends_sharing_their_only_edge_off_the_path(self):
+        # On a cycle both ends of a Hamiltonian path have only the closing
+        # edge left, and share its t interior vertices: e = 1, not 2.
+        for n in (3, 4, 5):
+            for t in range(4):
+                assert subdivided_length(cycle_graph(n), t) == n * (t + 1) - 1
+
+    def test_matches_the_search_on_the_gallai_free_graph(self):
+        # Twelve vertices and up to six pendants: longer paths, with more
+        # branches, than the corpus reaches.
+        g = parse_graph6("KhAAPWU_?_@?")
+        stream = TripleStream(enumerate_longest_paths(g))
+        for index in range(0, stream.total, 1500):
+            ext = attach_pendants(g, stream[index]).graph
+            for t in (1, 2):
+                assert subdivided_length(ext, t) == longest_path_length(subdivide(ext, t).graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_pendants(), st.integers(0, 3))
+    def test_matches_the_search_on_random_graphs(self, g, t):
+        assert subdivided_length(g, t) == longest_path_length(subdivide(g, t).graph)
+
+    def test_expired_deadline_raises(self):
+        with pytest.raises(BudgetError):
+            subdivided_length(star_graph(3), 2, deadline=0.0)
 
 
 class TestSubdivisionLaw:

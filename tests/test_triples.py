@@ -29,7 +29,6 @@ from gallai.triples import (
     TripleStream,
     analyze_triple,
     f_value,
-    t_count,
 )
 
 
@@ -264,41 +263,43 @@ class TestPairwiseIntersection:
         assert analyze_triple(g, t).pairwise_sizes == (5, 5, 5)
 
 
+def crossings(graph, triple, strict=False):
+    """The triple's crossing counts, as ``TripleAnalyzer`` reports them."""
+    return TripleAnalyzer(graph, strict)(triple).t_counts
+
+
 class TestTCount:
     def test_star_single_crossing(self):
         # Only the centre qualifies: every longer subpath hits a path twice.
-        _, t = star_triple()
-        for k in range(3):
-            assert t_count(t, k) == 1
+        g, t = star_triple()
+        assert crossings(g, t) == (1, 1, 1)
 
     def test_star_strict_drops_degenerate(self):
-        _, t = star_triple()
-        for k in range(3):
-            assert t_count(t, k, strict=True) == 0
+        g, t = star_triple()
+        assert crossings(g, t, strict=True) == (0, 0, 0)
 
     def test_cycle_five_crossings(self):
-        _, t = cycle_triple()
-        for k in range(3):
-            assert t_count(t, k) == 5
+        g, t = cycle_triple()
+        assert crossings(g, t) == (5, 5, 5)
 
     def test_spider_single_crossing(self):
         g = spider_graph(3, 2)
         lp = enumerate_longest_paths(g)
         assert len(lp.paths) == 3
-        t = PathTriple(tuple(lp.paths))
-        for k in range(3):
-            assert t_count(t, k) == 1
+        assert crossings(g, PathTriple(tuple(lp.paths))) == (1, 1, 1)
 
     def test_nondegenerate_crossing(self):
         # P = 0-1-2 with other paths touching only its ends: the whole of P
         # is the single crossing, in both conventions.
+        g = from_edge_list(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
         t = PathTriple((Path((0, 1, 2)), Path((0, 3)), Path((2, 4))))
-        assert t_count(t, 0) == 1
-        assert t_count(t, 0, strict=True) == 1
+        assert crossings(g, t)[0] == 1
+        assert crossings(g, t, strict=True)[0] == 1
 
     def test_no_crossing_when_one_side_missing(self):
+        g = from_edge_list(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
         t = PathTriple((Path((0, 1, 2)), Path((0, 3)), Path((3, 4))))
-        assert t_count(t, 0) == 0
+        assert crossings(g, t)[0] == 0
 
     def test_symmetric_in_the_other_two(self):
         # Swapping the roles of the two other paths cannot change the count.
@@ -307,24 +308,18 @@ class TestTCount:
             lp = enumerate_longest_paths(g)
             if len(lp.paths) < 3:
                 continue
-            combo = rng.sample(list(lp.paths), 3)
-            t = PathTriple(tuple(combo))
+            t = PathTriple(tuple(rng.sample(list(lp.paths), 3)))
+            counts = crossings(g, t)
             for k in range(3):
                 a, b = (p for p in t.paths if p != t.paths[k])
-                swapped = PathTriple((t.paths[k], b, a))
-                k2 = swapped.paths.index(t.paths[k])
-                assert t_count(t, k) == t_count(swapped, k2)
-
-    def test_bad_index(self):
-        _, t = star_triple()
-        with pytest.raises(IndexError):
-            t_count(t, 3)
+                assert counts[k] == oracle_t_count((t.paths[k], a, b), 0)
+                assert counts[k] == oracle_t_count((t.paths[k], b, a), 0)
 
     @staticmethod
-    def assert_matches_quadratic_oracle(t):
-        for k in range(3):
-            for strict in (False, True):
-                assert t_count(t, k, strict=strict) == oracle_t_count(t.paths, k, strict=strict)
+    def assert_matches_quadratic_oracle(g, t):
+        for strict in (False, True):
+            assert crossings(g, t, strict) == tuple(
+                oracle_t_count(t.paths, k, strict=strict) for k in range(3))
 
     @staticmethod
     def sample(g, rng, size):
@@ -343,6 +338,9 @@ class TestTCount:
         # of sides[v] is set and on ``b`` when bit 1 is.
         for length in range(1, 8):
             selected = Path(tuple(range(length)))
+            # Every vertex sequence is a path of the complete graph.
+            analyzers = [TripleAnalyzer(complete_graph(length + 2), strict)
+                         for strict in (False, True)]
             for sides in product(range(4), repeat=length):
                 # An extra vertex off the selected path keeps each path
                 # nonempty and the three distinct.
@@ -350,8 +348,8 @@ class TestTCount:
                 b = Path(tuple(v for v, s in enumerate(sides) if s & 2) + (length + 1,))
                 t = PathTriple((selected, a, b))
                 k = t.paths.index(selected)
-                for strict in (False, True):
-                    assert t_count(t, k, strict=strict) == oracle_t_count(
+                for analyze, strict in zip(analyzers, (False, True)):
+                    assert analyze(t).t_counts[k] == oracle_t_count(
                         t.paths, k, strict=strict)
 
     def test_matches_quadratic_oracle_on_corpus(self):
@@ -361,13 +359,13 @@ class TestTCount:
         for n, size in ((4, 10**6), (5, 300), (6, 50), (7, 3)):
             for g in corpus(n):
                 for t in self.sample(g, rng, size):
-                    self.assert_matches_quadratic_oracle(t)
+                    self.assert_matches_quadratic_oracle(g, t)
 
     def test_matches_quadratic_oracle_on_gallai_free_graph(self):
         # Twelve vertices: paths longer than the pattern test reaches.
         g = parse_graph6("KhAAPWU_?_@?")
         for t in self.sample(g, random.Random(3), 1000):
-            self.assert_matches_quadratic_oracle(t)
+            self.assert_matches_quadratic_oracle(g, t)
 
     @settings(max_examples=100, deadline=None)
     @given(connected_graphs(), st.randoms(use_true_random=False))
@@ -375,7 +373,7 @@ class TestTCount:
         triples = self.sample(g, rng, 20)
         assume(triples)
         for t in triples:
-            self.assert_matches_quadratic_oracle(t)
+            self.assert_matches_quadratic_oracle(g, t)
 
     def test_at_least_one_for_longest_triples(self):
         # Crossing counts are positive whenever the triple consists of
@@ -385,10 +383,9 @@ class TestTCount:
                 lp = enumerate_longest_paths(g)
                 if len(lp.paths) < 3:
                     continue
+                analyze = TripleAnalyzer(g)
                 for combo in combinations(lp.paths, 3):
-                    t = PathTriple(combo)
-                    for k in range(3):
-                        assert t_count(t, k) >= 1
+                    assert min(analyze(PathTriple(combo)).t_counts) >= 1
 
 
 class TestAnalyzeTriple:
