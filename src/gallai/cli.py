@@ -316,12 +316,13 @@ def _cmd_verify_prop(args) -> int:
             verdicts: list[dict] = []
             subdivisions = Subdivisions(graph, lp)
             for triple in TripleStream(lp, args.triple_cap):
+                paths = [list(p.vertices) for p in triple.paths]
                 for t in args.t:
                     v = verify_proposition(subdivisions, triple, t)
                     verdicts.append(
                         {
                             "t": t,
-                            "paths": [list(p.vertices) for p in triple.paths],
+                            "paths": paths,
                             "status": v.status,
                             "witness": v.witness,
                         }

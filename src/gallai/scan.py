@@ -452,7 +452,12 @@ def _encoder():
         if type(o) is int:
             return int.__repr__(o)
         if not o or not isinstance(o, _CONTAINERS):
-            return json.dumps(o)  # other scalars, and empty containers
+            # Past the containers, so that they pay nothing for the literals.
+            if o is True:
+                return "true"
+            if o is False:
+                return "false"
+            return "null" if o is None else json.dumps(o)  # floats, empty containers
         key = (id(o), len(pad))
         text = memo.get(key)
         if text is not None:

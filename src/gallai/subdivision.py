@@ -22,7 +22,10 @@ stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
 many edges, so the subdivided graph's longest paths are never listed. It
 also keeps each graph's BFS distance lists by path mask, so each path's
-distances are computed once per graph, the base graph's included.
+distances are computed once per graph, the base graph's included. Each
+entry keeps its lifted paths, so each path is lifted and checked once per
+subdivided graph, and at t = 0, where triples share their lifted vertex
+sets, its distance sums.
 ``Subdivisions.verdicts`` gives a triple's two subdivision claims at one t.
 """
 
@@ -232,10 +235,15 @@ class Subdivisions:
     a capped table is filled, and its paths are never walked, since the
     checks read only its length and whether it was truncated. ``memo`` maps
     an (end set, t) pair, the end set as a sorted tuple, to the pendant
-    map, the built instance, the exact longest-path length of its graph and
-    that graph's BFS distance lists by path mask. ``distances`` holds the
-    base graph's, so each path is searched once per graph. Keep one object
-    per base graph.
+    map, the built instance, the exact longest-path length of its graph,
+    that graph's BFS distance lists by path mask, the lifts (each base
+    path's vertex tuple to its lifted ``Path`` and whether that is a
+    longest path there) and, at t = 0, the subdivided ``f`` (each triple of
+    lifted masks to the minimum distance sum and whether an original vertex
+    attains it). ``distances`` holds the base graph's, so each path is
+    searched once per graph. ``holding`` keeps one ``holds`` verdict per
+    tuple of witness values, so equal verdicts are one object: read them,
+    never change them. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
@@ -245,9 +253,17 @@ class Subdivisions:
         )
         self.memo: dict[
             tuple[tuple[int, ...], int],
-            tuple[dict[int, int], SubdividedInstance, int, dict[int, list[int]]],
+            tuple[
+                dict[int, int],
+                SubdividedInstance,
+                int,
+                dict[int, list[int]],
+                dict[tuple[int, ...], tuple[Path, bool]],
+                dict[tuple[int, int, int], tuple[int, bool]],
+            ],
         ] = {}
         self.distances: dict[int, list[int]] = {}
+        self.holding: dict[tuple, ClaimVerdict] = {}
 
     def verdicts(self, triple: PathTriple, t: int) -> tuple[ClaimVerdict, ClaimVerdict]:
         """The triple's ``subdivision_prop`` and ``size_bound`` verdicts at t."""
@@ -265,11 +281,14 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     (an id below ``graph.n``).
 
     The constructed graph and its length come from the memo of
-    ``subdivisions``, filled on the first triple with this end set and t.
-    A graph that would have more than ``DEFAULT_VERIFY_MAX_VERTICES``
-    vertices (counted before it is built), or a length search past
-    ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives ``skipped_budget`` rather
-    than a guess, and stores nothing.
+    ``subdivisions``, filled on the first triple with this end set and t;
+    each path is lifted and checked once per entry, and at t = 0 each
+    triple of lifted masks measured once. A ``holds`` verdict is shared
+    with every triple whose witness is equal; a ``violated`` one is built
+    for its own triple and never stored. A graph that would have more than
+    ``DEFAULT_VERIFY_MAX_VERTICES`` vertices (counted before it is built),
+    or a length search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
+    ``skipped_budget`` rather than a guess, and stores nothing.
     """
     graph = subdivisions.graph
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
@@ -297,20 +316,33 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         except BudgetError:
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
-        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {})
-    pendant_map, inst, sub_length, sub_distances = entry
+        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {}, {}, {})
+    pendant_map, inst, sub_length, sub_distances, lifts, sub_fs = entry
     adj = inst.graph.adjacency
-    lifted = tuple(_lift(_extend(p, pendant_map), inst.chains) for p in triple.paths)
-    # Lifting builds paths of the subdivided graph; the adjacency check
-    # still holds the decision to the strength of a longest-path listing.
-    members = [
-        p.length == sub_length
-        and all(adj[a] >> b & 1 for a, b in zip(p.vertices, p.vertices[1:]))
-        for p in lifted
-    ]
-    sub_f, sub_witnesses = f_value(inst.graph, PathTriple(lifted), sub_distances)
+    for p in triple.paths:
+        if p.vertices not in lifts:
+            q = _lift(_extend(p, pendant_map), inst.chains)
+            # Lifting builds paths of the subdivided graph; the adjacency
+            # check still holds the decision to the strength of a
+            # longest-path listing.
+            lifts[p.vertices] = q, q.length == sub_length and all(
+                adj[a] >> b & 1 for a, b in zip(q.vertices, q.vertices[1:]))
+    (l0, m0), (l1, m1), (l2, m2) = [lifts[p.vertices] for p in triple.paths]
+    masks = (l0.mask, l1.mask, l2.mask)
+    sub = sub_fs.get(masks)
+    if sub is None:
+        sub_f, sub_witnesses = f_value(inst.graph, PathTriple((l0, l1, l2)), sub_distances)
+        sub = sub_f, any(w < graph.n for w in sub_witnesses)
+        # At t >= 1 a lifted mask fixes its path's edges, so no two triples
+        # share a triple of masks: only t = 0 keeps them.
+        if t == 0:
+            sub_fs[masks] = sub
+    sub_f, original_witness = sub
     expected = (t + 1) * base_f
-    original_witness = any(w < graph.n for w in sub_witnesses)
+    values = (t, base_f, sub_f, expected, lp.length, sub_length, m0, m1, m2, original_witness)
+    verdict = subdivisions.holding.get(values)
+    if verdict is not None:
+        return verdict
     info = {
         "t": t,
         "base_f": base_f,
@@ -318,11 +350,12 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         "expected_f": expected,
         "base_length": lp.length,
         "subdivided_length": sub_length,
-        "lifted_longest": members,
+        "lifted_longest": [m0, m1, m2],
         "original_witness": original_witness,
     }
-    if all(members) and sub_f == expected and original_witness:
-        return ClaimVerdict("subdivision_prop", HOLDS, info)
+    if m0 and m1 and m2 and sub_f == expected and original_witness:
+        verdict = subdivisions.holding[values] = ClaimVerdict("subdivision_prop", HOLDS, info)
+        return verdict
     info.update(
         {
             "graph": graph_key(graph),

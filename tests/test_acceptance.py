@@ -26,6 +26,7 @@ GOLDEN_DIGESTS = {
     "scan --n 7 json": "e7707ecf13834bed882274a2f515def9893ca839ae1393270b98f14b4ed99694",
     "scan --n 7 csv": "85afd37057c2b0f0590ba09176a9db2f1bd07ac0f30c416d901a73cdae759dbb",
     "verify-prop --n 4 --t 1,2": "eefc30e94533f74862e0a577219dc75959fdc8460efb62086d7cfd3122a32ce3",
+    "verify-prop --n 5 --t 1,2": "6a66f221e6f157325ef988f230c5ba16a0b5d215682cf112629c409d94f8b774",
     # The per-verdict witnesses, which the --n summaries do not carry.
     "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
         "9891fa7d4bbc0f744e8b218ce8ce7eb69528a9dae62776885b4aeda8278a0c96",
@@ -192,6 +193,8 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     capsys.readouterr()
     code = main(["verify-prop", "--n", "4", "--t", "1,2"])
     verify_n4 = capsys.readouterr().out
+    assert main(["verify-prop", "--n", "5", "--t", "1,2"]) == 0
+    verify_n5 = capsys.readouterr().out
     # The same 31 lines as ``gen --n 1`` to ``gen --n 5`` concatenated.
     corpus_file = tmp_path / "n5.g6"
     corpus_file.write_text("".join(to_graph6(g) + "\n" for g in corpus_up_to(5)))
@@ -224,6 +227,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
         "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
+        "verify-prop --n 5 --t 1,2": _sha256(verify_n5),
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
         "scan --input KhAAPWU_?_@?": _sha256(scan_free),

@@ -528,6 +528,30 @@ class TestReportJson:
         nested = json.dumps({"k": records}, indent=2, sort_keys=True)
         assert '{\n  "k": ' + "".join(report_chunks(iter(records), "  ")) + "\n}" == nested
 
+    def test_verify_prop_witnesses(self):
+        # verify-prop's records: one holding witness and one paths list
+        # shared by several verdicts, a list of bools, null witnesses, and
+        # the same literals at several indents.
+        paths = [[0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3]]
+        holds = {"t": 1, "base_f": 0, "subdivided_f": 0, "expected_f": 0, "base_length": 3,
+                 "subdivided_length": 7, "lifted_longest": [True, True, True],
+                 "original_witness": True}
+        violated = {**holds, "lifted_longest": [True, False, True], "original_witness": False,
+                    "graph": "C~", "subdivided_graph": "I~?GW?_?G", "paths": paths}
+        verdicts = [
+            {"t": 1, "paths": paths, "status": "holds", "witness": holds},
+            {"t": 2, "paths": paths, "status": "holds", "witness": holds},
+            {"t": 1, "paths": paths, "status": "violated", "witness": violated},
+            {"t": 1, "paths": paths, "status": "skipped_truncated", "witness": None},
+        ]
+        records = [{"graph6": "C~", "verdicts": verdicts},
+                   {"graph6": "A_", "status": "disconnected", "verdicts": []}]
+        for doc in (records, {"k": [records, holds]}, [[verdicts]], [True, False, None],
+                    {"a": [None, [False, [True, {"b": None}]]]}):
+            assert report_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        expected = json.dumps(records, indent=2, sort_keys=True)
+        assert "".join(report_chunks(iter(records))) == expected
+
     def test_chunks_of_no_records(self):
         assert list(report_chunks([])) == ["[]"] == [json.dumps([], indent=2)]
         assert "".join(report_chunks(r for r in ())) == "[]"

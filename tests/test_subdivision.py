@@ -297,12 +297,14 @@ class TestVerifyProposition:
     def test_adjacency_is_checked(self):
         # Reversing a stored chain keeps the lifted paths' lengths and vertex
         # sets, so only the edge-by-edge check can tell they are no longer
-        # paths of the subdivided graph.
+        # paths of the subdivided graph. The entry's lifts are dropped with
+        # it, so that every path is lifted through the reversed chain.
         g, t = star_triple()
         subs = Subdivisions(g)
         assert verify_proposition(subs, t, 2).status == HOLDS
-        (_, inst, _, _), = subs.memo.values()
+        (_, inst, _, _, lifts, _), = subs.memo.values()
         inst.chains[(0, 1)] = inst.chains[(0, 1)][::-1]
+        lifts.clear()
         v = verify_proposition(subs, t, 2)
         assert v.status == VIOLATED
         assert False in v.witness["lifted_longest"]
@@ -385,6 +387,101 @@ class TestSubdividedReuse:
                 inst = build_instance(g, triple, tt)
                 expected.update((inst.graph.adjacency, p.mask) for p in inst.paths)
         assert sorted(calls) == sorted(expected)
+
+    def test_shared_verdicts_equal_fresh_ones(self):
+        # One Subdivisions per graph, its lifts and holding verdicts shared
+        # by every triple, against one per instance, which shares nothing.
+        # Every triple of the n <= 5 corpus, except on the three graphs with
+        # over 2,000 (K5 has 34,220), where every 97th is taken: one per
+        # instance costs about half a millisecond.
+        checked = 0
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            stream = TripleStream(lp)
+            stride = 97 if stream.total > 2000 else 1
+            shared = Subdivisions(g, lp)
+            for index in range(0, stream.total, stride):
+                triple = stream[index]
+                for tt in (0, 1, 2):
+                    v = verify_proposition(shared, triple, tt)
+                    assert v == verify_proposition(Subdivisions(g, lp), triple, tt)
+                    checked += 1
+        # 1,683 triples taken whole and 353 + 74 + 21 sampled, at three t.
+        assert checked == 3 * 2131
+
+    @pytest.mark.parametrize("g6", ["E?^o", "C~"])
+    def test_once_per_input(self, g6, monkeypatch):
+        # Every triple of the twelve longest paths, at each t: each path is
+        # lifted once into each subdivided graph it meets, and each triple
+        # of lifted paths measured once there.
+        g = parse_graph6(g6)
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        lifts, measured = [], []
+        real_lift = subdivision._lift
+
+        def lift(path, chains):
+            lifts.append(path)
+            return real_lift(path, chains)
+
+        def f(graph, triple, distances=None):
+            if graph != g:
+                measured.append((graph.adjacency, tuple(p.mask for p in triple.paths)))
+            return f_value(graph, triple, distances)
+
+        monkeypatch.setattr(subdivision, "_lift", lift)
+        monkeypatch.setattr(subdivision, "f_value", f)
+        expected_lifts = set()
+        for triple in TripleStream(lp):
+            ends = frozenset(e for p in triple.paths for e in p.ends)
+            for tt in (0, 1, 2):
+                assert verify_proposition(subs, triple, tt).status == HOLDS
+                expected_lifts.update((p.vertices, ends, tt) for p in triple.paths)
+        monkeypatch.undo()
+        assert len(lifts) == len(expected_lifts)
+        lifted = {0: set(), 1: set(), 2: set()}
+        for triple in TripleStream(lp):
+            for tt in (0, 1, 2):
+                inst = build_instance(g, triple, tt)
+                lifted[tt].add((inst.graph.adjacency, tuple(p.mask for p in inst.paths)))
+        assert sorted(measured) == sorted(lifted[0] | lifted[1] | lifted[2])
+        # Only at t = 0 do triples share their lifted masks: at t >= 1 the
+        # chains' vertices fix each path's edges.
+        assert len(lifted[0]) < len(lifted[1]) == len(lifted[2]) == 220
+
+    def test_violations_are_never_shared(self, monkeypatch):
+        # A length one above the true one makes every lifted path fall
+        # short: each instance is violated, and each keeps its own replay
+        # witness.
+        def too_long(graph, t, deadline=None):
+            return subdivided_length(graph, t, deadline=deadline) + 1
+
+        monkeypatch.setattr(subdivision, "subdivided_length", too_long)
+        g = parse_graph6("E?^o")
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        verdicts = []
+        for triple in TripleStream(lp):
+            for tt in (1, 2):
+                v = verify_proposition(subs, triple, tt)
+                assert v.status == VIOLATED
+                assert v.witness["paths"] == [list(p.vertices) for p in triple.paths]
+                assert v.witness["lifted_longest"] == [False] * 3
+                verdicts.append(v)
+        assert len({id(v) for v in verdicts}) == len(verdicts) == 2 * 220
+        assert len({id(v.witness) for v in verdicts}) == len(verdicts)
+        assert subs.holding == {}
+
+    def test_holding_verdicts_are_shared(self):
+        # K4's Hamiltonian paths all cover the graph: f is 0 at every t,
+        # so one verdict object serves every triple at that t.
+        g = parse_graph6("C~")
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        for tt in (0, 1, 2):
+            verdicts = [verify_proposition(subs, triple, tt) for triple in TripleStream(lp)]
+            assert all(v is verdicts[0] for v in verdicts)
+        assert len(subs.holding) == 3
 
     def test_subdivided_lengths_match_oracle(self, monkeypatch):
         # Every subdivided graph that subdivision_sweep(5, (1, 2)) searches:
