@@ -24,8 +24,7 @@ many edges, so the subdivided graph's longest paths are never listed. It
 also keeps each graph's BFS distance lists by path mask, so each path's
 distances are computed once per graph, the base graph's included. Each
 entry keeps its lifted paths, so each path is lifted and checked once per
-subdivided graph, and at t = 0, where triples share their lifted vertex
-sets, its distance sums.
+subdivided graph.
 ``Subdivisions.verdicts`` gives a triple's two subdivision claims at one t.
 """
 
@@ -238,12 +237,10 @@ class Subdivisions:
     map, the built instance, the exact longest-path length of its graph,
     that graph's BFS distance lists by path mask, the lifts (each base
     path's vertex tuple to its lifted ``Path`` and whether that is a
-    longest path there) and, at t = 0, the subdivided ``f`` (each triple of
-    lifted masks to the minimum distance sum and whether an original vertex
-    attains it). ``distances`` holds the base graph's, so each path is
-    searched once per graph. ``holding`` keeps one ``holds`` verdict per
-    tuple of witness values, so equal verdicts are one object: read them,
-    never change them. Keep one object per base graph.
+    longest path there). ``distances`` holds the base graph's, so each
+    path is searched once per graph. ``holding`` keeps one ``holds``
+    verdict per tuple of witness values, so equal verdicts are one object:
+    read them, never change them. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
@@ -259,7 +256,6 @@ class Subdivisions:
                 int,
                 dict[int, list[int]],
                 dict[tuple[int, ...], tuple[Path, bool]],
-                dict[tuple[int, int, int], tuple[int, bool]],
             ],
         ] = {}
         self.distances: dict[int, list[int]] = {}
@@ -282,10 +278,9 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
 
     The constructed graph and its length come from the memo of
     ``subdivisions``, filled on the first triple with this end set and t;
-    each path is lifted and checked once per entry, and at t = 0 each
-    triple of lifted masks measured once. A ``holds`` verdict is shared
-    with every triple whose witness is equal; a ``violated`` one is built
-    for its own triple and never stored. A graph that would have more than
+    each path is lifted and checked once per entry. A ``holds`` verdict is
+    shared with every triple whose witness is equal; a ``violated`` one is
+    built for its own triple and never stored. A graph that would have more than
     ``DEFAULT_VERIFY_MAX_VERTICES`` vertices (counted before it is built),
     or a length search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
     ``skipped_budget`` rather than a guess, and stores nothing.
@@ -316,8 +311,8 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
         except BudgetError:
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
-        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {}, {}, {})
-    pendant_map, inst, sub_length, sub_distances, lifts, sub_fs = entry
+        entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {}, {})
+    pendant_map, inst, sub_length, sub_distances, lifts = entry
     adj = inst.graph.adjacency
     for p in triple.paths:
         if p.vertices not in lifts:
@@ -328,16 +323,8 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
             lifts[p.vertices] = q, q.length == sub_length and all(
                 adj[a] >> b & 1 for a, b in zip(q.vertices, q.vertices[1:]))
     (l0, m0), (l1, m1), (l2, m2) = [lifts[p.vertices] for p in triple.paths]
-    masks = (l0.mask, l1.mask, l2.mask)
-    sub = sub_fs.get(masks)
-    if sub is None:
-        sub_f, sub_witnesses = f_value(inst.graph, PathTriple((l0, l1, l2)), sub_distances)
-        sub = sub_f, any(w < graph.n for w in sub_witnesses)
-        # At t >= 1 a lifted mask fixes its path's edges, so no two triples
-        # share a triple of masks: only t = 0 keeps them.
-        if t == 0:
-            sub_fs[masks] = sub
-    sub_f, original_witness = sub
+    sub_f, sub_witnesses = f_value(inst.graph, PathTriple((l0, l1, l2)), sub_distances)
+    original_witness = any(w < graph.n for w in sub_witnesses)
     expected = (t + 1) * base_f
     values = (t, base_f, sub_f, expected, lp.length, sub_length, m0, m1, m2, original_witness)
     verdict = subdivisions.holding.get(values)
