@@ -29,8 +29,23 @@ pair, and swapping them is an automorphism fixing every other vertex, so
 with the same vertices placed before, either twin placed next yields the
 same strings; at every node a vertex is tried only in the lanes where no
 lower twin of it is unplaced. The lanes never rejected are the canonical
-candidates. At n = 8 the 1,044 searches make about 132 thousand
-expansions for the 133,632 candidates.
+candidates.
+
+The search has two regimes. An entry between two base vertices is the same
+in every lane, so up to the new vertex's position a base vertex's column
+compares with the target alike in every lane. At each position before the
+last, the placed base rows up to that position are folded into two bit
+masks over the unplaced base vertices, which settle them together: one
+whose column first falls below the target rejects every live lane and ends
+the node; one that first rises above it is never visited; one still equal
+descends with no compare while the new vertex is unplaced, and is compared
+by lane from the new vertex's position on once it is placed. The new
+vertex itself and the last position are compared lane by lane throughout.
+At n = 8 the 1,044 searches make 132,079 expansions for the 133,632
+candidates and visit 285,632 (node, vertex) pairs: 94,956 compared from
+the first entry, 77,364 from the new vertex's position, 97,093 not at all,
+and 16,219 with no live lane left to compare; without the masks, all
+585,157 visits were compared from the first entry.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, _adjacency_rows, is_connected
+from .graphs import Graph, _adjacency_rows, _reaches
 
 MAX_GENERATION_N = 8
 
@@ -66,25 +81,51 @@ def _canonical_lanes(base: int, k: int) -> int:
     ]
     adj.append(list(new) + [0])
     # twins[w]: (u bit, lanes) for each u < w that agrees with w outside
-    # the pair in those lanes.
+    # the pair in those lanes. Two base vertices agree on the base in every
+    # lane or in none, and then where vertex k is adjacent to both or to
+    # neither; a base vertex u agrees with vertex k in the two columns that
+    # copy u's row outside u.
     twins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for w in range(n):
+    for w in range(k):
         for u in range(w):
-            lanes = every
-            for v in range(n):
-                if v != u and v != w:
-                    lanes &= ~(adj[u][v] ^ adj[w][v])
-            if lanes:
-                twins[w].append((1 << u, lanes))
+            if not (rows[u] ^ rows[w]) & ~(1 << u | 1 << w):
+                twins[w].append((1 << u, every & ~(new[u] ^ new[w])))
+    for u, row in enumerate(rows):
+        c = sum(1 << k - 1 - v for v in range(k) if row >> v & 1)
+        twins[k].append((1 << u, 1 << c | 1 << (c | 1 << k - 1 - u)))
+    base_vertices = (1 << k) - 1
+    new_vertex = 1 << k
     rejected = 0
 
-    def descend(placed: list[int], unplaced: int, live: int) -> None:
-        # ``placed`` holds the vertices at positions 0..p-1 and ``live`` the
-        # lanes whose relabelled string still equals the candidate's.
+    def descend(placed: list[int], unplaced: int, live: int, j: int) -> None:
+        # ``placed`` holds the vertices at positions 0..p-1, ``live`` the
+        # lanes whose relabelled string still equals the candidate's, and j
+        # is the position of vertex k (p while it is unplaced).
         nonlocal rejected
         p = len(placed)
         target = adj[p]
-        rest = unplaced
+        if p < k:
+            # Entries between base vertices are the same in every lane, so a
+            # base vertex's column matches the target's up to entry j in
+            # every lane or in none. Fold the placed rows into the unplaced
+            # base vertices equal so far (eq) and those whose first
+            # difference is a 0 under a target 1 (less).
+            bits = rows[p]
+            eq = unplaced & base_vertices
+            less = 0
+            for i in range(j):
+                row = rows[placed[i]]
+                if bits >> i & 1:
+                    less |= eq & ~row
+                    eq &= row
+                else:
+                    eq &= ~row
+            if less:
+                rejected |= live  # a smaller relabelling in every lane
+                return
+            rest = eq | unplaced & new_vertex
+        else:
+            rest = unplaced
         while rest:
             low = rest & -rest
             rest ^= low
@@ -93,18 +134,23 @@ def _canonical_lanes(base: int, k: int) -> int:
             for u, lanes in twins[w]:
                 if u & unplaced:
                     equal &= ~lanes
+            if not equal:
+                continue
+            # Vertex k and the last position compare every entry lane by
+            # lane; a base vertex the fold kept compares from entry j on.
             row = adj[w]
-            for t, v in zip(target, placed):
-                x = row[v]
+            for i in range(0 if w == k or p == k else j, p):
+                t = target[i]
+                x = row[placed[i]]
                 if t != x:
                     rejected |= equal & t & ~x  # a 0 under the target's 1
                     equal &= ~(t ^ x)
                     if not equal:
                         break
-            if equal and p + 1 < n:
-                descend(placed + [w], unplaced ^ low, equal)
+            if equal and p < k:
+                descend(placed + [w], unplaced ^ low, equal, j + 1 if j == p and w < k else j)
 
-    descend([], (1 << n) - 1, every)
+    descend([], (1 << n) - 1, every, 0)
     return every & ~rejected
 
 
@@ -129,17 +175,31 @@ def mask_to_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(_adjacency_rows(mask, n)))
 
 
-def generate_connected_graphs(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected graphs on
-    exactly n vertices, streamed in ascending canonical-mask order.
+def mask_is_connected(n: int, mask: int) -> bool:
+    """``is_connected(mask_to_graph(n, mask))``, read on the mask's rows
+    without building the graph."""
+    return _reaches(_adjacency_rows(mask, n), 1, 0, n)
 
-    The largest supported size, n = 8, takes about a second (133,632
-    candidate masks in 1,044 searches); everything below it is
-    near-instant.
-    """
+
+def connected_masks(n: int) -> Iterator[int]:
+    """The canonical masks of the connected graphs on exactly n vertices,
+    ascending; each is its graph's graph6 payload (``mask_to_graph6``)."""
     if not 1 <= n <= MAX_GENERATION_N:
         raise ValueError(f"generation supports 1 <= n <= {MAX_GENERATION_N}")
     for mask in _canonical_masks(n):
-        graph = mask_to_graph(n, mask)
-        if is_connected(graph):
-            yield graph
+        if mask_is_connected(n, mask):
+            yield mask
+
+
+def generate_connected_graphs(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected graphs on
+    exactly n vertices, streamed in ascending canonical-mask order: the
+    graphs of ``connected_masks(n)``.
+
+    The largest supported size, n = 8, takes 0.7-0.9 s on a 2-vCPU Xeon
+    (133,632 candidate masks in 1,044 searches); everything below it is
+    near-instant. A caller that needs only graph6 records (``gen``) should
+    encode ``connected_masks`` with ``mask_to_graph6`` and build no graph.
+    """
+    for mask in connected_masks(n):
+        yield mask_to_graph(n, mask)

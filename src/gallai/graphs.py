@@ -8,9 +8,10 @@ path search treats these masks as its hot-loop data structure.
 
 This module owns two rules that others share. The upper-triangle bit
 order (``_adjacency_rows`` decodes it, ``_triangle_mask`` encodes it) is
-both the graph6 payload and the generator's canonical mask. The bitmask
-reachability search ``_reaches`` decides ``is_connected`` here and prunes
-the path searches in ``paths``.
+both the graph6 payload and the generator's canonical mask, so
+``mask_to_graph6`` writes a canonical mask as a record with no graph. The
+bitmask reachability search ``_reaches`` decides ``is_connected`` here and
+prunes the path searches in ``paths``.
 """
 
 from __future__ import annotations
@@ -145,11 +146,15 @@ def _adjacency_rows(mask: int, n: int) -> list[int]:
     rows = [0] * n
     pos = n * (n - 1) // 2  # walks the string from its most significant bit
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if mask >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        pos -= j
+        col = mask >> pos & (1 << j) - 1  # the pair (i, j) at bit j-1-i
+        bit = 1 << j
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
+            rows[i] |= bit
+            rows[j] |= 1 << i
     return rows
 
 
@@ -214,13 +219,18 @@ def parse_graph6(record: str | bytes) -> Graph:
 
 def to_graph6(graph: Graph) -> str:
     """Encode a graph as its canonical bare graph6 record (n <= 62)."""
-    n = graph.n
-    if n > GRAPH6_MAX_N:
+    if graph.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supports at most {GRAPH6_MAX_N} vertices")
+    return mask_to_graph6(graph.n, _triangle_mask(graph.adjacency))
+
+
+def mask_to_graph6(n: int, mask: int) -> str:
+    """The bare graph6 record of the upper-triangle bit string ``mask`` on
+    1 <= n <= 62 vertices, which is its payload; the range is not checked."""
     npairs = n * (n - 1) // 2
     bits = npairs + -npairs % 6  # zeros pad the payload to whole data bytes
-    payload = _triangle_mask(graph.adjacency) << bits - npairs
-    return chr(63 + n) + "".join(chr(63 + (payload >> k & 63)) for k in range(bits - 6, -1, -6))
+    payload = mask << bits - npairs
+    return bytes([63 + n] + [63 + (payload >> k & 63) for k in range(bits - 6, -1, -6)]).decode()
 
 
 def graph_key(graph: Graph) -> str:

@@ -333,8 +333,8 @@ def _examine_graph(
                         run(verdict)
             for verdict in verdicts:
                 run(verdict)
-            for t in config.subdivision_t:
-                for verdict in claims.subdivisions.verdicts(triple, t):
+            for pair in claims.subdivisions.verdicts(triple, config.subdivision_t):
+                for verdict in pair:
                     run(verdict)
         return record, violations, False
     except _ProvenClaimViolated:
@@ -645,11 +645,10 @@ def analyze_one(
             "verdicts": shared("verdicts", statuses, _verdict_map),
         }
         if subdivision_t:
+            pairs = claims.subdivisions.verdicts(triple, subdivision_t)
             entry["subdivision"] = {
-                str(t): shared("subdivision", tuple(
-                    [(v.claim, v.status) for v in claims.subdivisions.verdicts(triple, t)]
-                ), dict)
-                for t in subdivision_t
+                str(t): shared("subdivision", tuple([(v.claim, v.status) for v in pair]), dict)
+                for t, pair in zip(subdivision_t, pairs)
             }
         triples_out.append(entry)
     out["triples_examined"] = triples.examined
@@ -701,9 +700,8 @@ def subdivision_sweep(
             triples = TripleStream(lp, triple_cap)
             subdivisions = Subdivisions(graph, lp)
             for triple in triples:
-                for t in t_values:
-                    t0 = time.monotonic()
-                    verdicts = subdivisions.verdicts(triple, t)
+                t0 = time.monotonic()
+                for verdicts in subdivisions.verdicts(triple, t_values):
                     worst_s = max(worst_s, time.monotonic() - t0)
                     instances += 1
                     for v in verdicts:
@@ -713,6 +711,7 @@ def subdivision_sweep(
                             )
                         elif v.status in (SKIPPED_BUDGET, SKIPPED_TRUNCATED):
                             skipped += 1
+                    t0 = time.monotonic()
             triples_skipped += triples.skipped
     return {
         "max_n": max_n,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
 from .graphs import Graph, _reaches, graph_key, iter_bits
@@ -261,9 +262,15 @@ class Subdivisions:
         self.distances: dict[int, list[int]] = {}
         self.holding: dict[tuple, ClaimVerdict] = {}
 
-    def verdicts(self, triple: PathTriple, t: int) -> tuple[ClaimVerdict, ClaimVerdict]:
-        """The triple's ``subdivision_prop`` and ``size_bound`` verdicts at t."""
-        return verify_proposition(self, triple, t), check_size_bound(self.graph, triple, t)
+    def verdicts(
+        self, triple: PathTriple, t_values: Iterable[int]
+    ) -> Iterator[tuple[ClaimVerdict, ClaimVerdict]]:
+        """The triple's ``subdivision_prop`` and ``size_bound`` verdicts at
+        each t of ``t_values``, in order; the triple's union is counted once."""
+        sizes = union_sizes(triple)
+        for t in t_values:
+            yield (verify_proposition(self, triple, t),
+                   check_size_bound(self.graph, triple, t, sizes))
 
 
 def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
@@ -353,7 +360,24 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     return ClaimVerdict("subdivision_prop", VIOLATED, info)
 
 
-def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
+def union_sizes(triple: PathTriple) -> tuple[int, int, int]:
+    """The vertex and edge counts of the triple's union, and its number of
+    distinct path ends, counted from the paths without building the union
+    as a graph; none of them depends on t."""
+    p0, p1, p2 = triple.paths
+    n0 = (p0.mask | p1.mask | p2.mask).bit_count()
+    m0 = len({
+        (a, b) if a < b else (b, a)
+        for p in triple.paths
+        for a, b in zip(p.vertices, p.vertices[1:])
+    })
+    ends = len({e for p in triple.paths for e in p.ends})
+    return n0, m0, ends
+
+
+def check_size_bound(
+    graph: Graph, triple: PathTriple, t: int, sizes: tuple[int, int, int] | None = None
+) -> ClaimVerdict:
     """Size accounting for the restricted-and-subdivided instance.
 
     Restricts the graph to the triple's union first, so with n0 vertices
@@ -363,17 +387,10 @@ def check_size_bound(graph: Graph, triple: PathTriple, t: int) -> ClaimVerdict:
     ``ends`` distinct path ends adds ``ends`` vertices and edges, and
     subdividing adds ``t`` vertices per edge, so it has
     ``n0 + ends + t * (m0 + ends)`` vertices, where m0 counts the union's
-    edges. Both are counted from the paths, without building the union as
-    a graph.
+    edges. ``sizes`` is ``union_sizes(triple)``, passed by a caller that
+    checks several t; it is counted here when omitted.
     """
-    p0, p1, p2 = triple.paths
-    n0 = (p0.mask | p1.mask | p2.mask).bit_count()
-    m0 = len({
-        (a, b) if a < b else (b, a)
-        for p in triple.paths
-        for a, b in zip(p.vertices, p.vertices[1:])
-    })
-    ends = len({e for p in triple.paths for e in p.ends})
+    n0, m0, ends = union_sizes(triple) if sizes is None else sizes
     subdivided_vertices = n0 + ends + t * (m0 + ends)
     edge_bound = 3 * (n0 - 1)
     vertex_bound = n0 + 3 * (n0 + 1) * t + 6

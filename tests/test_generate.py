@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph, corpus, oracle_isomorphic, star_graph
+from gallai.cli import main
 from gallai.generate import (
     _canonical_lanes,
     _canonical_masks,
     generate_connected_graphs,
+    mask_is_connected,
     mask_to_graph,
 )
-from gallai.graphs import Graph, from_edge_list, is_connected, to_graph6
+from gallai.graphs import Graph, from_edge_list, is_connected, mask_to_graph6, to_graph6
 
 # sha256 of `gen --n 8`: the graph6 lines, each newline-terminated.
 GEN_N8_SHA256 = "370179f0d16fe7beee1c5b3baca8898cf6f0f9154058486f03031eec0611a145"
@@ -215,6 +217,16 @@ class TestCanonicityTest:
             mask = base << 6 | col
             assert bool(lanes >> col & 1) == oracle_is_canonical(7, mask), (base, col)
 
+    @pytest.mark.parametrize("base", [48561, 114029])
+    def test_every_lane_of_seven_vertex_bases_decided_past_the_new_vertex(self, base):
+        # Canonical 7-vertex bases with a lane that only an entry after the
+        # new vertex's position rejects; the smaller exhaustive checks have
+        # no such lane.
+        lanes = _canonical_lanes(base, 7)
+        for col in range(1 << 7):
+            mask = base << 7 | col
+            assert bool(lanes >> col & 1) == oracle_is_canonical(8, mask), (base, col)
+
     @pytest.mark.parametrize("name", sorted(TWIN_HEAVY_GRAPHS))
     def test_matches_backtracking_oracle_on_twin_heavy_graphs(self, name):
         mask = graph_to_mask(TWIN_HEAVY_GRAPHS[name])
@@ -225,6 +237,48 @@ class TestCanonicityTest:
         for m in labellings:
             assert is_canonical(8, m) == oracle_is_canonical(8, m), (name, m)
         assert is_canonical(8, canonical)
+
+
+def plain_graph6(n: int, mask: int) -> str:
+    """graph6 from the bit string as text: zero-padded to whole 6-bit
+    groups, each group one character."""
+    npairs = n * (n - 1) // 2
+    bits = format(mask, f"0{npairs}b") if npairs else ""
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+
+
+@st.composite
+def sized_masks(draw):
+    n = draw(st.integers(1, 62))
+    return n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+
+
+class TestMaskOutput:
+    """``gen`` writes each line from its canonical mask, building no graph."""
+
+    def test_gen_stdout_at_eight(self, capsys):
+        assert main(["gen", "--n", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_N8_SHA256
+
+    def test_encoder_on_every_canonical_mask(self):
+        for n in range(1, 9):
+            for mask in _canonical_masks(n):
+                record = mask_to_graph6(n, mask)
+                assert record == to_graph6(mask_to_graph(n, mask)) == plain_graph6(n, mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized_masks())
+    def test_encoder_on_random_masks(self, case):
+        n, mask = case
+        assert mask_to_graph6(n, mask) == to_graph6(mask_to_graph(n, mask)) == plain_graph6(n, mask)
+
+    def test_connectivity_on_every_canonical_mask(self):
+        for n in range(1, 9):
+            verdicts = [mask_is_connected(n, m) for m in _canonical_masks(n)]
+            assert verdicts == [is_connected(mask_to_graph(n, m)) for m in _canonical_masks(n)]
+        assert len(verdicts) == 12346 and sum(verdicts) == 11117
 
 
 class TestCompleteness:
