@@ -180,7 +180,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_scan(args) -> int:
     if args.n == 8:
-        sys.stderr.write("scan: n=8 adds 11117 graphs; expect 4-9s\n")
+        sys.stderr.write("scan: n=8 adds 11117 graphs; expect 3-6s\n")
     config = ScanConfig(
         generate_n=args.n,
         input_path=args.input,

@@ -72,9 +72,6 @@ class Graph:
     def adjacency(self) -> tuple[int, ...]:
         return self._adj
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._adj[v]))
-
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 

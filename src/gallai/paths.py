@@ -7,8 +7,10 @@ Three searches serve ``LongestPathTable``:
   budget. It extends all paths one edge per layer, counting the directed
   paths per (vertex set, head) state, so the last non-empty layer gives
   the length ``l``, the number of longest paths and their common vertices
-  (the Gallai set) in one pass, without listing a path or recursing. It
-  gives up past ``FORWARD_STATES`` states, which K11 fits.
+  (the Gallai set) in one pass, without listing a path or recursing. At
+  the middle layer it joins pairs of half paths into Hamiltonian paths, so
+  a graph that has one stops there. It gives up past ``FORWARD_STATES``
+  states, which K11 fits.
 * The depth-first fill searches toward ``l`` edges from every start
   vertex in ascending order, memoised on the partial path's (head, vertex
   set). Each state stores how many ways it completes and the AND of the
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .graphs import Graph, _reaches
+from .graphs import Graph, _reaches, iter_bits
 
 DEFAULT_PATH_CAP = 100_000
 MAX_UNCAPPED_STATES = 250_000
@@ -246,6 +248,44 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
     return best
 
 
+def _join_halves(adj: tuple[int, ...], layer: list[dict[int, int]]) -> int:
+    """The number of directed Hamiltonian paths, from the forward count's
+    layer of ``(n - 1) // 2`` edges: ``layer[head]`` maps the vertex set of
+    each path of the layer that ends at ``head`` to the number of them.
+
+    A directed Hamiltonian path splits in exactly one way into a path of
+    the layer followed by another, reversed (the split into halves of
+    Bjorklund, Husfeldt, Kaski and Koivisto, "Counting paths and packings
+    in halves", 2009): for ``n`` odd both end at the middle vertex and
+    share only it; for ``n`` even the middle edge joins their ends and they
+    are disjoint.
+    """
+    n = len(adj)
+    # A vertex of degree at most 1 ends every Hamiltonian path, which has two ends.
+    if sum(a & (a - 1) == 0 for a in adj) > 2:
+        return 0
+    full = (1 << n) - 1
+    directed = 0
+    if n & 1:
+        for y, states in enumerate(layer):
+            other = full ^ 1 << y  # ``other ^ used``: the other half's set
+            if not states.keys().isdisjoint(map(other.__xor__, states)):
+                directed += sum(c * states.get(other ^ used, 0) for used, c in states.items())
+        return directed
+    # Without a Hamiltonian path the layer seldom holds two complementary
+    # sets at all, whatever their ends; one pass over the sets rules it out.
+    sets = set().union(*layer)
+    if sets.isdisjoint(map(full.__xor__, sets)):
+        return 0
+    for y, states in enumerate(layer):
+        halves = set(map(full.__xor__, states))
+        for x in iter_bits(adj[y]):
+            ends = layer[x]
+            for used in halves.intersection(ends):
+                directed += ends[used] * states[full ^ used]
+    return directed
+
+
 class LongestPathTable:
     """One graph's longest paths, counted and intersected without being
     listed, and listed on first use of ``paths``.
@@ -258,7 +298,10 @@ class LongestPathTable:
     one holds exactly the longest paths: its index is ``length``, the sum
     of its values is ``count`` (halved, since each path is counted from
     both ends, unless ``length`` is 0) and the AND of its vertex sets is
-    ``core``, the mask of the vertices on all of them.
+    ``core``, the mask of the vertices on all of them. At layer
+    ``(n - 1) // 2`` the count first joins the layer's paths in pairs into
+    Hamiltonian paths (``_join_halves``); if there are any, they are the
+    longest paths and no later layer is built.
 
     The count gives up once the states built pass ``FORWARD_STATES``, or
     once the last layer's growth says the next would take them past it.
@@ -314,6 +357,13 @@ class LongestPathTable:
         built = n  # the states of every layer so far, the one being built excluded
         last = n  # the states of ``layer``
         while True:
+            if length and length == (n - 1) // 2:  # the middle layer, for n > 2
+                # The join is a few set operations per head: one deadline
+                # check covers it.
+                _check_deadline(deadline, 0)
+                directed = _join_halves(adj, layer)
+                if directed:
+                    return n - 1, directed // 2, (1 << n) - 1
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             for head, states in enumerate(layer):
                 reach = adj[head]

@@ -40,6 +40,11 @@ def star_graph(leaves: int) -> Graph:
     return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def neighbors(graph: Graph, v: int) -> list[int]:
+    """``v``'s neighbours, in ascending order."""
+    return [w for w in range(graph.n) if graph.has_edge(v, w)]
+
+
 def spider_graph(arms: int, arm_length: int) -> Graph:
     """Centre 0 with ``arms`` legs of ``arm_length`` edges each."""
     edges = []
@@ -135,7 +140,7 @@ def corpus_up_to(n: int) -> list[Graph]:
 
 def oracle_distances(graph: Graph, a: int) -> dict[int, int]:
     """Plain queue BFS over adjacency lists, no bitmasks."""
-    adj = {v: graph.neighbors(v) for v in range(graph.n)}
+    adj = {v: neighbors(graph, v) for v in range(graph.n)}
     dist = {a: 0}
     queue = [a]
     while queue:

@@ -11,6 +11,7 @@ from conftest import (
     complete_graph,
     corpus_up_to,
     cycle_graph,
+    neighbors,
     oracle_pair_distance,
     path_graph,
     star_graph,
@@ -85,8 +86,8 @@ class TestConstruction:
     def test_degrees_and_neighbors(self):
         g = star_graph(3)
         assert g.degree(0) == 3
-        assert g.neighbors(0) == [1, 2, 3]
-        assert g.neighbors(2) == [0]
+        assert neighbors(g, 0) == [1, 2, 3]
+        assert neighbors(g, 2) == [0]
 
 
 class TestConstructorChecks:

@@ -462,12 +462,55 @@ class TestForwardCount:
         searched = count_length_searches(monkeypatch)
         assert LongestPathTable(complete_graph(7)).count == 2520
         assert searched == []
-        # K7's layers hold 7, 42, 210, ... states: past a budget of 100 the
-        # count gives up and the depth-first route answers.
+        # K7's layers hold 7, 42, 105, 140, ... states: past a budget of 100
+        # the count gives up and the depth-first route answers.
         monkeypatch.setattr(paths, "FORWARD_STATES", 100)
         table = LongestPathTable(complete_graph(7))
         assert (table.length, table.count, table.core) == (6, 2520, 127)
         assert len(searched) == 1
+
+    @classmethod
+    def joins(cls, monkeypatch, graph):
+        # The forward route's facts, equal to the depth-first route's, and
+        # the numbers of directed Hamiltonian paths its middle-layer join
+        # returned, if it ran.
+        joined = []
+        join = paths._join_halves
+
+        def spy(adj, layer):
+            joined.append(join(adj, layer))
+            return joined[-1]
+
+        monkeypatch.setattr(paths, "_join_halves", spy)
+        forward, depth_first = cls.both_routes(monkeypatch, graph)  # also undoes the spy
+        assert facts(forward) == facts(depth_first)
+        return facts(forward), joined
+
+    def test_complete_graphs_join_at_the_middle_layer(self, monkeypatch):
+        for n in range(2, 12):
+            table, joined = self.joins(monkeypatch, complete_graph(n))
+            assert table == (n - 1, math.factorial(n) // 2, (1 << n) - 1, False)
+            # Two vertices have no middle layer before the last one.
+            assert joined == ([math.factorial(n)] if n > 2 else [])
+
+    def test_paths_and_cycles_join_at_the_middle_layer(self, monkeypatch):
+        # Both parities: the halves meet at a middle vertex or a middle edge.
+        for n in range(3, 13):
+            full = (1 << n) - 1
+            assert self.joins(monkeypatch, path_graph(n)) == ((n - 1, 1, full, False), [2])
+            assert self.joins(monkeypatch, cycle_graph(n)) == ((n - 1, n, full, False), [2 * n])
+
+    def test_graphs_with_no_hamiltonian_path_count_to_the_last_layer(self, monkeypatch):
+        # Stars and the family's pendant paths have more than two leaves;
+        # K_{2,4}, K_{2,5} and the family's cliques have none.
+        def k2(m):
+            return from_edge_list(m + 2, [(i, j) for i in (0, 1) for j in range(2, m + 2)])
+
+        for graph in (star_graph(3), star_graph(4), petersen_family(k=1),
+                      k2(4), k2(5), petersen_family(s=2)):
+            best, longest, core = oracle_longest(graph)
+            assert best < graph.n - 1
+            assert self.joins(monkeypatch, graph) == ((best, len(longest), core, False), [0])
 
     def test_deadline_reaches_the_depth_first_route(self, monkeypatch):
         monkeypatch.setattr(paths, "FORWARD_STATES", 0)

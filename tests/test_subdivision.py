@@ -13,6 +13,7 @@ from conftest import (
     corpus,
     corpus_up_to,
     cycle_graph,
+    neighbors,
     oracle_isomorphic,
     oracle_longest_path_length,
     path_graph,
@@ -99,7 +100,7 @@ class TestAttachPendants:
         ext = attach_pendants(g, t)
         low = (1 << g.n) - 1
         assert [ext.graph.adjacency[v] & low for v in range(g.n)] == list(g.adjacency)
-        assert [ext.graph.neighbors(v) for v in range(g.n, ext.graph.n)] == [[1], [2], [3]]
+        assert [neighbors(ext.graph, v) for v in range(g.n, ext.graph.n)] == [[1], [2], [3]]
 
     def test_trusted_extension_equals_the_validated_path(self):
         # _extend skips Path's checks: on every triple of the n <= 5
@@ -202,8 +203,8 @@ class TestSubdivide:
         # walks the first chain backwards.
         inst = subdivide(star_graph(3), 2, (Path((1, 0, 2)),))
         assert inst.paths[0].vertices == (1, 5, 4, 0, 6, 7, 2)
-        assert inst.graph.neighbors(0) == [4, 6, 8]
-        assert inst.graph.neighbors(9) == [3, 8]
+        assert neighbors(inst.graph, 0) == [4, 6, 8]
+        assert neighbors(inst.graph, 9) == [3, 8]
 
     def test_instance_id_layout(self):
         # Originals, then pendants, then the interior vertices.
