@@ -320,8 +320,10 @@ def _cmd_verify_prop(args) -> int:
                 continue
             verdicts: list[dict] = []
             subdivisions = Subdivisions(graph, lp)
+            # One list per path, so that the encoder writes each path once.
+            vertex_lists = {id(p): list(p.vertices) for p in lp.paths}
             for triple in TripleStream(lp, args.triple_cap):
-                paths = [list(p.vertices) for p in triple.paths]
+                paths = [vertex_lists[id(p)] for p in triple.paths]
                 for t in args.t:
                     v = verify_proposition(subdivisions, triple, t)
                     verdicts.append(

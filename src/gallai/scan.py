@@ -30,7 +30,8 @@ human-readable text rendering.
 record-by-record form: the CLI builds its per-graph records lazily and
 encodes each as soon as it is built, so a run holds the report's text but
 never all of its records; ``emit_report`` encodes a scan's graph records
-through it too. Within a record, the encoder writes each shared
+through it too. The encoder sorts and quotes each dict shape (a key set
+at an indent) once per report, and within a record writes each shared
 fragment (a path's vertex list, a parameter list, a verdict map) once per
 indent and reuses the text; ``analyze_one`` builds each distinct fragment
 once per graph and puts that one object in every triple entry that holds it.
@@ -43,7 +44,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections import defaultdict
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -205,9 +207,10 @@ class _TripleClaims:
     claim predicate reads only n, l, the crossing convention and a
     triple's ``f``, ``x_sizes`` and ``t_counts``, and the first three are
     fixed per graph, so the statuses are decided once per ``(f, x_sizes,
-    t_counts)`` and kept as verdicts without a witness. A verdict that is
-    violated there is checked again on each triple it comes up for, so
-    that it carries that triple's own replay witness.
+    t_counts)`` and kept as verdicts without a witness, the tuple returned
+    while none is violated; a violated one is checked again on each triple,
+    so that it carries that triple's own replay witness. Triples come from
+    ``table``, which keeps their paths, the pair memo's keys, alive.
     """
 
     def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool):
@@ -227,11 +230,10 @@ class _TripleClaims:
         known = self.statuses.get(key)
         if known is None:
             verdicts = tuple(c(self.graph, triple, self.l, analysis) for c in self.checkers)
-            self.statuses[key] = (
-                tuple(ClaimVerdict(v.claim, v.status) for v in verdicts),
-                any(v.status == VIOLATED for v in verdicts),
-            )
-            return analysis, verdicts
+            violated = any(v.status == VIOLATED for v in verdicts)
+            kept = tuple(ClaimVerdict(v.claim, v.status) for v in verdicts)
+            self.statuses[key] = (kept, violated)
+            return analysis, verdicts if violated else kept
         verdicts, violated = known
         if violated:
             verdicts = tuple(
@@ -244,10 +246,10 @@ class _TripleClaims:
         """The prop1 status of each of the triple's three pairs, with the
         verdict when the pair was checked just now and None when it was
         checked before: each pair is checked once per graph, and only its
-        status is kept. Lazy, so that a scan stops at the first violated
-        pair."""
+        status is kept, under the identities of the table's two paths.
+        Lazy, so that a scan stops at the first violated pair."""
         for a, b in combinations(triple.paths, 2):
-            key = (a.vertices, b.vertices)
+            key = (id(a), id(b))
             status = self.pair_statuses.get(key)
             if status is None:
                 verdict = check_prop1(self.graph, a, b, longest_paths=self.table)
@@ -425,26 +427,24 @@ _CSV_COLUMNS = (*(f.name for f in fields(GraphRecord) if f.name != "tallies"), "
 _CONTAINERS = (list, tuple, dict)
 
 
-def _encoder():
+def _encoder(shapes: dict):
     """A fresh encoding function ``encode(obj, pad)`` with its own fragment
-    memo.
+    memo, sharing the shape memo ``shapes``.
 
-    A fragment is a container that holds no dict and no list of
+    ``shapes`` maps a dict's key tuple and indent to its sorted keys, the
+    quoted head of each and its close. It holds no ids, so it lasts a whole
+    report. The fragment memo keeps text by id, one ``{id: text}`` dict per
+    indent, so an object placed at many positions is encoded once per
+    indent. A fragment is a container that holds no dict and no list of
     containers: a list of scalars (a path's vertices, a parameter list), or
     a dict of scalars and such lists (a verdict map with its ``prop1``
-    list). The memo keeps each fragment's text under ``(id, indent)``, so
-    an object placed at many positions of one document is encoded once per
-    indent. Row containers (a per-triple entry, a list of entries, a scan's
-    graph record) are not kept. A fragment that occurs only once is kept
-    all the same, for the length of the document: a scan graph record's
-    per-claim tally, a violation's witness, a ``verify-prop`` witness. So
-    the memo holds the text of every distinct fragment object in the
-    document, shared or not; ``report_chunks`` bounds that by one record,
-    and ``emit_report`` encodes each scan graph record through it. An id
-    names an object only while it is alive: use one encoder per document
-    and drop it with the document.
+    list). A list of fragments (a triple's ``paths``) is joined from their
+    texts. Row containers (a per-triple entry, a scan's graph record) are
+    not kept; a fragment that occurs once (a tally, a witness) is. An id
+    names an object only while it is alive, so a fragment memo lasts one
+    document: ``report_chunks`` makes one encoder per record.
     """
-    memo: dict[tuple[int, int], str] = {}
+    by_indent: defaultdict[int, dict[int, str]] = defaultdict(dict)
 
     def encode(o, pad: str) -> str:
         if isinstance(o, str):
@@ -458,34 +458,52 @@ def _encoder():
             if o is False:
                 return "false"
             return "null" if o is None else json.dumps(o)  # floats, empty containers
-        key = (id(o), len(pad))
-        text = memo.get(key)
+        depth = len(pad)
+        memo = by_indent[depth]
+        text = memo.get(id(o))
         if text is not None:
             return text
         inner = pad + "  "
         sep = ",\n" + inner
+        ids = by_indent[depth + 2]
         if isinstance(o, dict):
+            shape = shapes.get((keys := tuple(o), depth))
+            if shape is None:
+                order = sorted(o)
+                heads = [f"{sep}{_quote(k if isinstance(k, str) else json.dumps(k))}: "
+                         for k in order]
+                heads[0] = "{" + heads[0][1:]
+                shape = order, heads, f"\n{pad}}}"
+                if type(keys[0]) is str:  # 1, 1.0 and True are equal keys; so are 0.0, -0.0
+                    shapes[keys, depth] = shape
+            order, heads, close = shape
             # A fragment until a value is a dict or a list of containers.
             fragment = True
             parts = []
-            for k, v in sorted(o.items()):
-                k = _quote(k if isinstance(k, str) else json.dumps(k))
+            for head, v in zip(heads, map(o.__getitem__, order)):
                 if type(v) is int:
-                    parts.append(f"{k}: {int.__repr__(v)}")
+                    parts.append(head + int.__repr__(v))
                     continue
-                parts.append(f"{k}: {encode(v, inner)}")
+                text = ids.get(id(v))
+                parts.append(head + (encode(v, inner) if text is None else text))
                 if fragment and isinstance(v, _CONTAINERS):
                     # A list is in the memo exactly when it holds scalars only.
-                    fragment = not isinstance(v, dict) and (not v or (id(v), len(inner)) in memo)
-            text = f"{{\n{inner}{sep.join(parts)}\n{pad}}}"
+                    fragment = not isinstance(v, dict) and (not v or id(v) in ids)
+            parts.append(close)
+            text = "".join(parts)
         elif type(o[0]) is int and all(type(x) is int for x in o):
             text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
             fragment = True
         else:
-            text = f"[\n{inner}{sep.join([encode(x, inner) for x in o])}\n{pad}]"
-            fragment = not any(isinstance(x, _CONTAINERS) for x in o)
+            # Joined as it is when every item is a fragment in the memo.
+            texts = list(map(ids.get, map(id, o)))
+            fragment = False
+            if None in texts:
+                texts = [encode(x, inner) for x in o]
+                fragment = not any(isinstance(x, _CONTAINERS) for x in o)
+            text = f"[\n{inner}{sep.join(texts)}\n{pad}]"
         if fragment:
-            memo[key] = text
+            memo[id(o)] = text
         return text
 
     return encode
@@ -494,11 +512,10 @@ def _encoder():
 def report_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
     per container (a list of ints in one go) rather than by ``json``'s
-    pure-Python indenting encoder, which collects every token first. A
-    fragment that ``obj`` holds at several positions is encoded once per
-    indent (see ``_encoder``); ``report_chunks`` encodes a list of records
-    one record at a time."""
-    return _encoder()(obj, "")
+    pure-Python indenting encoder, which collects every token first. Its
+    one encoder (see ``_encoder``) sorts each dict shape once, and encodes
+    a fragment held at several positions once per indent."""
+    return _encoder({})(obj, "")
 
 
 def report_chunks(records: Iterable, pad: str = "") -> Iterator[str]:
@@ -506,17 +523,19 @@ def report_chunks(records: Iterable, pad: str = "") -> Iterator[str]:
 
     Yields ``"[\\n  "``, then each record's text with ``",\\n  "`` between
     them, then ``"\\n]"``; ``"[]"`` alone when there are no records. Each
-    record is encoded with its own fragment memo as soon as ``records``
-    yields it, so a caller that builds records lazily holds only their
-    text, never the whole list of records. With ``pad``, the list is laid
-    out as a value at that indent (``emit_report`` puts a scan's graph
-    records under its ``"graphs"`` key this way).
+    record is encoded as soon as ``records`` yields it, so a caller that
+    builds records lazily holds only their text, never the whole list of
+    records. The shape memo lasts the call; the fragment memo one record,
+    since a freed record's ids may name the next one's objects. With
+    ``pad``, the list is laid out as a value at that indent (``emit_report``
+    puts a scan's graph records under its ``"graphs"`` key this way).
     """
+    shapes: dict = {}
     inner = pad + "  "
     first = sep = "[\n" + inner
     for record in records:
         yield sep
-        yield _encoder()(record, inner)
+        yield _encoder(shapes)(record, inner)
         sep = ",\n" + inner
     yield "[]" if sep is first else f"\n{pad}]"
 
@@ -528,11 +547,11 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
         rest = report_json({
             "schema_version": SCHEMA_VERSION,
             "summary": report.summary(),
-            "violations": [asdict(v) for v in report.violations],
+            "violations": [vars(v) for v in report.violations],
         })
-        # "graphs" sorts before the other keys. Each graph record is copied
-        # and encoded on its own, so the copies never all exist at once.
-        graphs = report_chunks((asdict(rec) for rec in report.records), "  ")
+        # "graphs" sorts before the other keys. A record's own field dict is
+        # read as it is: ``asdict`` would deep-copy every tally and witness.
+        graphs = report_chunks((vars(rec) for rec in report.records), "  ")
         return "".join(['{\n  "graphs": ', *graphs, ",", rest[1:], "\n"])
     if fmt == "csv":
         buf = io.StringIO()
@@ -542,8 +561,7 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
         for v in report.violations:
             per_graph_violations[v.graph6] = per_graph_violations.get(v.graph6, 0) + 1
         for rec in report.records:
-            row = asdict(rec)
-            row["violations"] = per_graph_violations.get(rec.graph6, 0)
+            row = {**vars(rec), "violations": per_graph_violations.get(rec.graph6, 0)}
             writer.writerow(["" if row[c] is None else row[c] for c in _CSV_COLUMNS])
         return buf.getvalue()
     if fmt == "text":
@@ -569,9 +587,20 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
 # single-graph deep dive
 # ---------------------------------------------------------------------------
 
-def _verdict_map(statuses: tuple[tuple[str, object], ...]) -> dict:
+def _verdict_map(verdicts: tuple[ClaimVerdict, ...], prop1: tuple[str, ...] | None) -> dict:
     # The prop1 statuses come as a tuple, to be hashable; the report lists them.
-    return {claim: list(s) if claim == "prop1" else s for claim, s in statuses}
+    out = {v.claim: v.status for v in verdicts}
+    return out if prop1 is None else {**out, "prop1": list(prop1)}
+
+
+class _Fragments(dict):
+    # One object per distinct key, made from the key on first lookup.
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def analyze_one(
@@ -589,12 +618,12 @@ def analyze_one(
     (up to ``triple_cap``) gets its full parameter record and verdicts.
     Disconnected input is reported, not raised.
 
-    Triple entries share their fragments: per field, one list per distinct
-    vertex tuple, parameter tuple and witness set, and one verdict map (and
-    subdivision result) per distinct set of statuses, so ``report_json``
+    Triple entries share their fragments: per field, one list per path (by
+    ``Path`` identity), parameter tuple and witness set, one subdivision
+    result per set of statuses, and one verdict map per verdict tuple of
+    the status memo (by identity) and prop1 statuses, so ``report_json``
     encodes each once per record. Treat the record as read-only: editing a
-    shared list or map in one entry changes every entry of the record that
-    holds it in the same field.
+    shared list or map in one entry changes every entry that holds it.
     """
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
     if not is_connected(graph):
@@ -617,45 +646,47 @@ def analyze_one(
         out["status"] = "vacuous"
         out["triples"] = []
         return out
-    triples_out = []
     claims = _TripleClaims(graph, table, checks, strict_t)
-    # One object per field and distinct fragment, keyed on what it is made
-    # from: an int tuple or a witness set gives a list, (claim, status)
-    # pairs a map. Different fields never share an object.
-    fragments: dict = {}
-
-    def shared(field, key, make=list):
-        value = fragments.get((field, key))
-        if value is None:
-            value = fragments[field, key] = make(key)
-        return value
-
+    # One object per field and fragment; fields never share one. Ids key
+    # the paths, which the table holds, and verdict tuples, which ``held`` does.
+    path_lists = {id(p): list(p.vertices) for p in table.paths}
+    witness_lists = _Fragments(sorted)
+    x_lists, t_lists, pairwise_lists = _Fragments(list), _Fragments(list), _Fragments(list)
+    subdivision_maps = _Fragments(dict)
+    verdict_maps: dict = {}
+    held = []
+    triples_out = []
+    max_f = min_t = prop1 = None
     for triple in triples:
         analysis, verdicts = claims(triple)
-        statuses = tuple([(v.claim, v.status) for v in verdicts])
         if claims.prop1:
-            statuses += (("prop1", tuple([status for status, _ in claims.pairs(triple)])),)
+            prop1 = tuple([status for status, _ in claims.pairs(triple)])
+        key = (id(verdicts), prop1)
+        verdict_map = verdict_maps.get(key)
+        if verdict_map is None:
+            verdict_map = verdict_maps[key] = _verdict_map(verdicts, prop1)
+            held.append(verdicts)
+        f, t_counts = analysis.f, analysis.t_counts
         entry = {
-            "paths": [shared("paths", p.vertices) for p in triple.paths],
-            "f": analysis.f,
-            "witnesses": shared("witnesses", analysis.witnesses, sorted),
-            "x_sizes": shared("x_sizes", analysis.x_sizes),
-            "t_counts": shared("t_counts", analysis.t_counts),
-            "pairwise_sizes": shared("pairwise_sizes", analysis.pairwise_sizes),
-            "verdicts": shared("verdicts", statuses, _verdict_map),
+            "paths": [path_lists[id(p)] for p in triple.paths],
+            "f": f,
+            "witnesses": witness_lists[analysis.witnesses],
+            "x_sizes": x_lists[analysis.x_sizes],
+            "t_counts": t_lists[t_counts],
+            "pairwise_sizes": pairwise_lists[analysis.pairwise_sizes],
+            "verdicts": verdict_map,
         }
         if subdivision_t:
             pairs = claims.subdivisions.verdicts(triple, subdivision_t)
             entry["subdivision"] = {
-                str(t): shared("subdivision", tuple([(v.claim, v.status) for v in pair]), dict)
+                str(t): subdivision_maps[tuple([(v.claim, v.status) for v in pair])]
                 for t, pair in zip(subdivision_t, pairs)
             }
         triples_out.append(entry)
-    out["triples_examined"] = triples.examined
-    out["triples"] = triples_out
-    out["max_f"] = max(t["f"] for t in triples_out)
-    out["min_t"] = min(min(t["t_counts"]) for t in triples_out)
-    out["status"] = "checked"
+        low_t = min(t_counts)
+        max_f, min_t = (f, low_t) if max_f is None else (max(max_f, f), min(min_t, low_t))
+    out.update(triples_examined=triples.examined, triples=triples_out, max_f=max_f,
+               min_t=min_t, status="checked")
     return out
 
 

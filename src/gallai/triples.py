@@ -201,7 +201,10 @@ class TripleAnalyzer:
         f, witnesses, x_sizes, pairwise_sizes = sets
         t = self._t
         t_counts = (t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1))
-        return TripleAnalysis(f, witnesses, x_sizes, t_counts, pairwise_sizes, self.strict_t)
+        analysis = object.__new__(TripleAnalysis)  # a frozen __init__ is over twice as slow
+        analysis.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
+                                 pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
+        return analysis
 
     def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
         key = (vertices, mask_a, mask_b)

@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path as FilePath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -499,7 +499,54 @@ def _shared_documents(draw, pool):
     ))
 
 
+@st.composite
+def _same_shape_records(draw):
+    """Records of one key set, drawn in any insertion order, whose values
+    vary: ints, scalar lists, lists of containers, nested dicts (some of
+    the same key set) and empty containers. Non-str keys take one type per
+    dict, among types whose keys compare equal but print differently: 1,
+    1.0 and True, 0.0 and -0.0."""
+    keys = draw(st.one_of(
+        st.lists(_TEXT, min_size=1, max_size=6, unique=True),
+        st.lists(st.integers(-2, 3), min_size=1, max_size=4, unique=True),
+        st.just([None]),
+    ))
+    casts = [lambda k: k]
+    if type(keys[0]) is int:
+        # float(-k) would turn 0 into 0.0; -float(k) gives -0.0.
+        casts += [float, lambda k: -float(k)]
+        if set(keys) <= {0, 1}:
+            casts.append(bool)
+    leaves = st.one_of(
+        _SCALARS,
+        st.lists(st.integers(), max_size=4),
+        st.lists(_SCALARS, max_size=3),
+        st.lists(st.lists(st.integers(), max_size=3), max_size=3),
+        st.dictionaries(_TEXT, st.lists(st.integers(), max_size=2), max_size=3),
+        st.sampled_from([[], {}, ()]),
+    )
+
+    def shaped(values):
+        return st.tuples(st.sampled_from(casts), st.permutations(keys)).flatmap(
+            lambda pick: st.fixed_dictionaries({pick[0](k): values for k in pick[1]}))
+
+    values = st.one_of(leaves, shaped(leaves), st.lists(shaped(leaves), max_size=2))
+    return [draw(shaped(values)) for _ in range(draw(st.integers(1, 5)))]
+
+
 class TestReportJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_same_shape_records())
+    @example([{1: 1}, {1.0: 1}, {True: 1}, {0.0: [{0: 1}]}, {-0.0: [{False: 1}]},
+              {"b": 1, "a": 2}, {"a": 2, "b": 1}, {"a": {"b": 1, "a": 2}}])
+    def test_shapes_shared_across_records(self, records):
+        # One report_chunks call keeps one shape memo for all its records.
+        expected = json.dumps(records, indent=2, sort_keys=True)
+        assert "".join(report_chunks(records)) == expected
+        assert report_json(records) == expected
+        nested = json.dumps({"k": records}, indent=2, sort_keys=True)
+        assert '{\n  "k": ' + "".join(report_chunks(records, "  ")) + "\n}" == nested
+
     @settings(max_examples=200, deadline=None)
     @given(_DOCUMENTS)
     def test_same_bytes_as_json_dumps(self, doc):
