@@ -10,17 +10,18 @@ Three searches serve ``LongestPathTable``:
   (the Gallai set) in one pass, without listing a path or recursing. At
   the middle layer it joins pairs of half paths into Hamiltonian paths, so
   a graph that has one stops there. It gives up past ``FORWARD_STATES``
-  states, which K11 fits.
-* The depth-first fill searches toward ``l`` edges from every start
-  vertex in ascending order, memoised on the partial path's (head, vertex
-  set). Each state stores how many ways it completes and the AND of the
-  vertex masks the completions add. It is filled on first use of
-  ``paths``, which walks it, entering only branches that complete, so the
-  paths come out in sorted order. Past the forward budget it answers the
-  table instead: under a cap it stops once more than ``cap`` paths are
+  states, which K11 fits. A count that answers keeps its layers, and
+  ``paths`` lists from them on first use: it walks back from each state
+  of the last layer, or from both halves of each pair the join counted.
+* Past the forward budget the depth-first fill answers the table: it
+  searches toward ``l`` edges from every start vertex in ascending order,
+  memoised on the partial path's (head, vertex set), and each state
+  stores how many ways it completes and the AND of the vertex masks the
+  completions add. Under a cap it stops once more than ``cap`` paths are
   certain, which bounds it on dense graphs; without a cap it raises
-  ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB). A truncated table
-  lists no paths, since every verdict needs the complete set.
+  ``ValueError`` past ``MAX_UNCAPPED_STATES`` (~50 MB). ``paths`` then
+  walks its table, entering only branches that complete. A truncated
+  table lists no paths, since every verdict needs the complete set.
   ``enumerate_longest_paths`` returns a table with its paths listed.
 * ``longest_path_length`` finds ``l`` by branch and bound for the fill
   past the forward budget (``subdivision.subdivided_length`` runs the same
@@ -33,7 +34,7 @@ Three searches serve ``LongestPathTable``:
   change.
 
 The length search recurses once per branching vertex on a path, the fill
-and its walk once per path edge; a search that would go deeper than
+and the walks once per path edge; a search that would go deeper than
 Python's recursion limit raises ``ValueError`` instead.
 
 Both prunes are lossless. The tests hold the table by either route and
@@ -258,32 +259,46 @@ def _join_halves(adj: tuple[int, ...], layer: list[dict[int, int]]) -> int:
     Bjorklund, Husfeldt, Kaski and Koivisto, "Counting paths and packings
     in halves", 2009): for ``n`` odd both end at the middle vertex and
     share only it; for ``n`` even the middle edge joins their ends and they
-    are disjoint.
+    are disjoint. ``_halves`` finds each pair once, so each undirected
+    path once.
     """
+    return 2 * sum(cu * cw for _, _, cu, _, _, cw in _halves(adj, layer))
+
+
+def _halves(adj: tuple[int, ...], layer: list[dict[int, int]]):
+    """Each pair of the layer's states that joins into Hamiltonian paths,
+    once, as ``(u, x, cu, w, y, cw)``: the paths over ``u`` that end at
+    ``x`` (``cu`` of them), followed by those over ``w`` that end at ``y``,
+    reversed. The first half holds the smallest vertex outside the middle
+    one (``n`` odd, ``x == y``) or vertex 0 (``n`` even, ``y`` adjacent to
+    ``x``)."""
     n = len(adj)
     # A vertex of degree at most 1 ends every Hamiltonian path, which has two ends.
     if sum(a & (a - 1) == 0 for a in adj) > 2:
-        return 0
+        return
     full = (1 << n) - 1
-    directed = 0
     if n & 1:
         for y, states in enumerate(layer):
-            other = full ^ 1 << y  # ``other ^ used``: the other half's set
-            if not states.keys().isdisjoint(map(other.__xor__, states)):
-                directed += sum(c * states.get(other ^ used, 0) for used, c in states.items())
-        return directed
-    # Without a Hamiltonian path the layer seldom holds two complementary
-    # sets at all, whatever their ends; one pass over the sets rules it out.
+            other = full ^ 1 << y  # ``other ^ u``: the other half's set
+            low = other & -other
+            for u in states.keys() & map(other.__xor__, states):
+                if u & low:
+                    yield u, y, states[u], other ^ u, y, states[other ^ u]
+        return
+    # Per vertex set: the set holding vertex 0, and one lookup of its
+    # complement. Without a Hamiltonian path the layer seldom holds two
+    # complementary sets at all, whatever their ends.
     sets = set().union(*layer)
-    if sets.isdisjoint(map(full.__xor__, sets)):
-        return 0
-    for y, states in enumerate(layer):
-        halves = set(map(full.__xor__, states))
-        for x in iter_bits(adj[y]):
-            ends = layer[x]
-            for used in halves.intersection(ends):
-                directed += ends[used] * states[full ^ used]
-    return directed
+    for u in sets:
+        if u & 1 and full ^ u in sets:
+            w = full ^ u
+            for x in iter_bits(u):
+                cu = layer[x].get(u)
+                if cu:
+                    for y in iter_bits(adj[x] & w):
+                        cw = layer[y].get(w)
+                        if cw:
+                            yield u, x, cu, w, y, cw
 
 
 class LongestPathTable:
@@ -301,17 +316,19 @@ class LongestPathTable:
     ``core``, the mask of the vertices on all of them. At layer
     ``(n - 1) // 2`` the count first joins the layer's paths in pairs into
     Hamiltonian paths (``_join_halves``); if there are any, they are the
-    longest paths and no later layer is built.
+    longest paths and no later layer is built. The table keeps the layers
+    of a count that answered, unless it is truncated, until ``paths``
+    lists from them.
 
     The count gives up once the states built pass ``FORWARD_STATES``, or
-    once the last layer's growth says the next would take them past it.
-    Construction then runs the length search and fills the completion
-    table toward ``length`` edges: the depth-first search from every start
-    vertex, memoised on the partial path's head and vertex set. A state's
-    entry is ``(count, core)``: the number of ways to extend a path over
-    ``used`` that ends at ``head`` to ``length`` edges, and the AND of the
-    vertex masks those extensions add. After a forward count, ``paths``
-    fills the same table on first use, and walks it.
+    once the last layer's growth says the next would take them past it,
+    and keeps no layers. Construction then runs the length search and
+    fills the completion table toward ``length`` edges: the depth-first
+    search from every start vertex, memoised on the partial path's head
+    and vertex set. A state's entry is ``(count, core)``: the number of
+    ways to extend a path over ``used`` that ends at ``head`` to
+    ``length`` edges, and the AND of the vertex masks those extensions
+    add. ``paths`` walks that table.
 
     With a ``cap``, more than ``cap`` paths set ``truncated``: ``count``
     and ``core`` are None and ``paths`` is empty. A state's count is a
@@ -336,11 +353,14 @@ class LongestPathTable:
         # Entries keyed ``used * n + head``. Every state that completes has
         # one, so in a filled table a missing entry means no completion.
         self._table: dict[int, tuple[int, int]] = {}
-        self._filled = False
+        # The forward count's layers, kept for ``paths`` when it answered.
+        self._layers: list[list[dict[int, int]]] | None = None
         # Directed paths: each undirected one is counted from both ends.
         self._limit = float("inf") if cap is None else 2 * cap
         self.length, count, core = self._count_forward() or self._count_depth_first(graph)
         self.truncated = count is None or cap is not None and count > cap
+        if self.truncated:
+            self._layers = None  # nothing is listed
         self.count = None if self.truncated else count
         self.core = None if self.truncated else core
 
@@ -352,6 +372,7 @@ class LongestPathTable:
         # layer[head] maps ``used`` to its number of directed paths; one
         # dict per head measured faster than one keyed ``used * n + head``.
         layer = [{1 << v: 1} for v in range(n)]
+        layers = [layer]
         length = 0
         ticks = 0
         built = n  # the states of every layer so far, the one being built excluded
@@ -363,6 +384,7 @@ class LongestPathTable:
                 _check_deadline(deadline, 0)
                 directed = _join_halves(adj, layer)
                 if directed:
+                    self._layers = layers
                     return n - 1, directed // 2, (1 << n) - 1
             nxt: list[dict[int, int]] = [{} for _ in range(n)]
             for head, states in enumerate(layer):
@@ -390,6 +412,7 @@ class LongestPathTable:
             built += size
             last = size
             layer = nxt
+            layers.append(layer)
             length += 1
         directed = 0
         core = -1
@@ -397,6 +420,7 @@ class LongestPathTable:
             for used, c in states.items():
                 directed += c
                 core &= used
+        self._layers = layers
         return length, directed // 2 if length else directed, core
 
     def _count_depth_first(self, graph: Graph) -> tuple[int, int | None, int | None]:
@@ -429,7 +453,6 @@ class LongestPathTable:
                         raise _StopSearch
         except RecursionError:
             raise _too_deep(n) from None
-        self._filled = True
         return directed, core
 
     def _fill(self, head: int, used: int, need: int) -> tuple[int, int]:
@@ -477,18 +500,24 @@ class LongestPathTable:
 
     @cached_property
     def paths(self) -> tuple[Path, ...]:
-        """Every longest path, in sorted order, walked from the table on
-        first use: branches are entered in ascending vertex order, and only
-        if they complete. Empty when the table is truncated."""
+        """Every longest path, in sorted order, listed on first use. Empty
+        when the table is truncated.
+
+        After a forward count the paths are walked back through its kept
+        layers (``_walk_layers``) and sorted. Past its budget they are
+        walked from the depth-first table that answered the count: branches
+        are entered in ascending vertex order, and only if they complete,
+        so the paths come out sorted."""
         if self.truncated:
             return ()
         n = self._n
         target = self.length
         if target == 0:
             return tuple(Path((v,)) for v in range(n))
-        if not self._filled:
-            # The count is within the cap, so this fill cannot stop early.
-            self._fill_table(target)
+        if self._layers is not None:
+            found = self._walk_layers()
+            self._layers = None  # listed once: the layers are not needed again
+            return found
         adj = self._adj
         deadline = self._deadline
         table = self._table
@@ -521,6 +550,77 @@ class LongestPathTable:
         finally:
             del walk  # the closure cycle again, as in longest_path_length
         return tuple(found)
+
+    def _walk_layers(self) -> tuple[Path, ...]:
+        # The longest paths from the forward count's kept layers. Every
+        # state of a layer extends one of the layer before, so a walk back
+        # from a state lists each path over its set that ends at its head,
+        # and enters no branch that fails.
+        adj = self._adj
+        deadline = self._deadline
+        layers = self._layers
+        last = len(layers) - 1  # ``length``, or the layer the join matched
+        walked: list[tuple[int, ...]] = []
+
+        def back(head: int, used: int, k: int, seq: list[int], least: int) -> None:
+            # Appends to ``walked`` ``seq`` followed by each path of layer k
+            # over ``used`` that ends at ``head``, walked back to its start,
+            # if that start is past ``least``.
+            _check_deadline(deadline, self._ticks)
+            self._ticks += 1
+            rest = used ^ 1 << head
+            if not rest >> (least + 1):
+                return
+            if k == 1:
+                walked.append((*seq, rest.bit_length() - 1))
+                return
+            prev = layers[k - 1]
+            m = adj[head] & rest
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                if rest in prev[v]:
+                    seq.append(v)
+                    back(v, rest, k - 1, seq, least)
+                    seq.pop()
+
+        def ends_at(head: int, used: int, least: int) -> list[tuple[int, ...]]:
+            # The state's paths from ``head``, that start past ``least``.
+            back(head, used, last, [head], least)
+            found = walked[:]
+            walked.clear()
+            return found
+
+        found: list[tuple[tuple[int, ...], int]] = []
+        try:
+            if last == self.length:
+                # Each undirected path is kept from its smaller end.
+                for head, states in enumerate(layers[last]):
+                    for used in states:
+                        found += [(vs, used) for vs in ends_at(head, used, head)]
+            else:
+                # Each pair of halves the join counted, once: the first half
+                # from its start, then the second from its head (after the
+                # shared middle vertex for n odd), or the reverse of that.
+                full = (1 << self._n) - 1
+                odd = self._n & 1
+                halves: dict[tuple[int, int], list] = {}
+                for u, x, _, w, y, _ in _halves(adj, layers[last]):
+                    for used, head in ((u, x), (w, y)):
+                        if (used, head) not in halves:
+                            halves[used, head] = [(vs, vs[::-1])
+                                                  for vs in ends_at(head, used, -1)]
+                    second = halves[w, y]
+                    for a, ra in halves[u, x]:
+                        for b, rb in second:
+                            found.append((ra + b[odd:] if a[-1] < b[-1] else rb + a[odd:], full))
+        except RecursionError:
+            raise _too_deep(self._n) from None
+        finally:
+            del back  # the closure cycle again, as in longest_path_length
+        found.sort()
+        return tuple([Path._trusted(vs, mask) for vs, mask in found])
 
 
 def enumerate_longest_paths(

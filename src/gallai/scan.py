@@ -657,10 +657,15 @@ def analyze_one(
     held = []
     triples_out = []
     max_f = min_t = prop1 = None
+    known = claims.pair_statuses.get
     for triple in triples:
         analysis, verdicts = claims(triple)
         if claims.prop1:
-            prop1 = tuple([status for status, _ in claims.pairs(triple)])
+            # Read from the pair memo; check the pairs only if one is new.
+            a, b, c = map(id, triple.paths)
+            prop1 = (known((a, b)), known((a, c)), known((b, c)))
+            if None in prop1:
+                prop1 = tuple([status for status, _ in claims.pairs(triple)])
         key = (id(verdicts), prop1)
         verdict_map = verdict_maps.get(key)
         if verdict_map is None:

@@ -371,12 +371,15 @@ class TestCompletionTable:
 
 
     def test_deadline_reaches_the_walk(self, monkeypatch):
-        # The table is filled in time; the clock then runs out while the
-        # paths are being listed.
-        table = LongestPathTable(complete_graph(8), deadline=time.monotonic() + 60)
-        monkeypatch.setattr(paths, "time", SimpleNamespace(monotonic=lambda: math.inf))
-        with pytest.raises(BudgetError):
-            table.paths
+        # The table is counted in time; the clock then runs out while the
+        # paths are being listed, through the join's halves (K8) or the
+        # last layer (a family graph).
+        for graph in (complete_graph(8), petersen_family(k=1)):
+            table = LongestPathTable(graph, deadline=time.monotonic() + 60)
+            with monkeypatch.context() as patched:
+                patched.setattr(paths, "time", SimpleNamespace(monotonic=lambda: math.inf))
+                with pytest.raises(BudgetError):
+                    table.paths
 
 
     def test_search_deeper_than_the_recursion_limit_is_an_error(self, monkeypatch):
@@ -415,6 +418,18 @@ def count_length_searches(monkeypatch):
     return searched
 
 
+def count_depth_first_fills(monkeypatch):
+    filled = []
+    real = LongestPathTable._fill_table
+
+    def counting(table, length):
+        filled.append(length)
+        return real(table, length)
+
+    monkeypatch.setattr(LongestPathTable, "_fill_table", counting)
+    return filled
+
+
 class TestForwardCount:
     """The forward count and the depth-first route it falls back to give
     the same table, and both match the unpruned oracle."""
@@ -436,7 +451,7 @@ class TestForwardCount:
         forward, depth_first = self.both_routes(monkeypatch, graph)
         best, longest, core = oracle_longest(graph)
         assert facts(forward) == facts(depth_first) == (best, len(longest), core, False)
-        # Listing fills the depth-first table after a forward count.
+        # The forward route lists from its kept layers, the other from its table.
         assert list(forward.paths) == list(depth_first.paths) == longest
 
     def test_routes_match_oracle_on_corpus(self, monkeypatch):
@@ -519,6 +534,52 @@ class TestForwardCount:
             LongestPathTable(complete_graph(9), deadline=time.monotonic() - 1.0)
 
 
+class TestListingFromLayers:
+    """A table the forward count answered lists its paths by walking its
+    kept layers back: the last layer's states, or both halves of each pair
+    the middle-layer join counted. No depth-first fill runs."""
+
+    @staticmethod
+    def listed(monkeypatch, graph):
+        # The paths, whether the join matched, and the depth-first fills run.
+        filled = count_depth_first_fills(monkeypatch)
+        table = LongestPathTable(graph)
+        joined = len(table._layers) - 1 < table.length
+        listed = list(table.paths)
+        assert table._layers is None  # dropped once listed
+        monkeypatch.undo()
+        return listed, joined, filled
+
+    def test_past_the_budget_the_fill_lists(self, monkeypatch):
+        filled = count_depth_first_fills(monkeypatch)
+        monkeypatch.setattr(paths, "FORWARD_STATES", 0)
+        for graph in (complete_graph(5), petersen_family(k=1)):
+            _, longest, _ = oracle_longest(graph)
+            filled.clear()
+            assert list(LongestPathTable(graph).paths) == longest
+            assert filled == [longest[0].length]
+
+    def test_join_route_matches_oracle(self, monkeypatch):
+        # A path with a chord over its first two edges has exactly two
+        # Hamiltonian paths.
+        chorded = [from_edge_list(n, [(i, i + 1) for i in range(n - 1)] + [(0, 2)])
+                   for n in (5, 6)]
+        graphs = [complete_graph(n) for n in range(3, 9)] + chorded
+        graphs += [f(n) for n in range(3, 13) for f in (path_graph, cycle_graph)]
+        for graph in graphs:
+            _, longest, _ = oracle_longest(graph)
+            assert self.listed(monkeypatch, graph) == (longest, True, [])
+            assert graph not in chorded or len(longest) == 2
+
+    def test_last_layer_route_matches_oracle(self, monkeypatch):
+        k24 = from_edge_list(6, [(i, j) for i in (0, 1) for j in range(2, 6)])
+        for graph in (petersen_family(k=1), k24, star_graph(3), star_graph(5),
+                      from_edge_list(5, [(0, 1), (2, 3), (3, 4)])):
+            best, longest, _ = oracle_longest(graph)
+            assert best < graph.n - 1
+            assert self.listed(monkeypatch, graph) == (longest, False, [])
+
+
 class TestPetersenFamily:
     """P - v with pendant paths or cliques on its ports: graphs with no
     vertex on all of their longest paths."""
@@ -583,12 +644,15 @@ class TestNoReferenceCycles:
         [
             longest_path_length,
             LongestPathTable,
-            enumerate_longest_paths,
+            enumerate_longest_paths,  # K7 lists through the join's halves
+            lambda g: enumerate_longest_paths(petersen_family(k=1)),  # the last layer
+            lambda g: enumerate_longest_paths(path_graph(200)),  # past the forward budget
             lambda g: enumerate_longest_paths(g, cap=10),
             enumerate_all_simple_paths,
             lambda g: subdivided_length(g, 2),
         ],
-        ids=["length", "summary", "enumerate", "enumerate_capped", "oracle", "subdivided"],
+        ids=["length", "summary", "enumerate", "enumerate_last_layer", "enumerate_depth_first",
+             "enumerate_capped", "oracle", "subdivided"],
     )
     def test_search_leaves_no_cyclic_garbage(self, search):
         g = complete_graph(7)

@@ -646,6 +646,32 @@ class TestAnalyzeOne:
         assert rec.pairs_examined == 10
         assert rec.tallies["prop1"] == {HOLDS: 10}
 
+    def test_known_pairs_are_read_from_the_memo(self, monkeypatch):
+        # K4 has 12 longest paths: 66 pairs over 220 triples. The pairs
+        # generator runs only for a triple with a pair not yet checked,
+        # and each pair's status, here naming the pair, lands in its place.
+        resumed = []
+        real = scan_module._TripleClaims.pairs
+
+        def counting(claims, triple):
+            resumed.append(triple)
+            return real(claims, triple)
+
+        def naming(graph, a, b, **kwargs):
+            return ClaimVerdict("prop1", f"{a.vertices}{b.vertices}")
+
+        monkeypatch.setattr(scan_module._TripleClaims, "pairs", counting)
+        monkeypatch.setattr(scan_module, "check_prop1", naming)
+        res = analyze_one(complete_graph(4))
+        seen, fresh = set(), 0
+        for entry in res["triples"]:
+            pairs = [(tuple(p), tuple(q)) for p, q in combinations(entry["paths"], 2)]
+            assert entry["verdicts"]["prop1"] == [f"{p}{q}" for p, q in pairs]
+            fresh += not seen.issuperset(pairs)
+            seen.update(pairs)
+        assert len(seen) == 66 and len(res["triples"]) == 220
+        assert len(resumed) == fresh < 220
+
     def test_star(self):
         res = analyze_one(star_graph(3))
         assert res["l"] == 2
