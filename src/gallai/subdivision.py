@@ -239,9 +239,10 @@ class Subdivisions:
     that graph's BFS distance lists by path mask, the lifts (each base
     path's vertex tuple to its lifted ``Path`` and whether that is a
     longest path there). ``distances`` holds the base graph's, so each
-    path is searched once per graph. ``holding`` keeps one ``holds``
-    verdict per tuple of witness values, so equal verdicts are one object:
-    read them, never change them. Keep one object per base graph.
+    path is searched once per graph, and ``base_f`` its f value by triple
+    of path masks. ``holding`` keeps one ``holds`` verdict per tuple of
+    witness values, so equal verdicts are one object: read them, never
+    change them. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
@@ -260,6 +261,7 @@ class Subdivisions:
             ],
         ] = {}
         self.distances: dict[int, list[int]] = {}
+        self.base_f: dict[tuple[int, int, int], int] = {}
         self.holding: dict[tuple, ClaimVerdict] = {}
 
     def verdicts(
@@ -296,7 +298,9 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
     if short is not None:
         return short
-    base_f = f_value(graph, triple, subdivisions.distances)[0]
+    masks = tuple(p.mask for p in triple.paths)
+    if (base_f := subdivisions.base_f.get(masks)) is None:
+        base_f = subdivisions.base_f[masks] = f_value(graph, triple, subdivisions.distances)[0]
     key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
     entry = subdivisions.memo.get(key)
     if entry is None:

@@ -14,8 +14,8 @@ from gallai.cli import main
 from gallai.generate import (
     _canonical_lanes,
     _canonical_masks,
+    connected_masks,
     generate_connected_graphs,
-    mask_is_connected,
     mask_to_graph,
 )
 from gallai.graphs import Graph, from_edge_list, is_connected, mask_to_graph6, to_graph6
@@ -217,6 +217,25 @@ class TestCanonicityTest:
             mask = base << 6 | col
             assert bool(lanes >> col & 1) == oracle_is_canonical(7, mask), (base, col)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_lanes_are_decided_independently(self, data):
+        # The top level searches only some lanes of each base: a lane's
+        # verdict must not depend on which other lanes are searched.
+        for k in range(1, 7):
+            for base in _canonical_masks(k):
+                lanes = data.draw(st.integers(0, (1 << (1 << k)) - 1))
+                assert _canonical_lanes(base, k, lanes) == canonical_lanes(base, k) & lanes
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_all_and_single_lanes(self, k):
+        every = (1 << (1 << k)) - 1
+        for base in _canonical_masks(k):
+            lanes = canonical_lanes(base, k)
+            assert _canonical_lanes(base, k, every) == _canonical_lanes(base, k, -1) == lanes
+            for col in range(1 << k):
+                assert _canonical_lanes(base, k, 1 << col) == lanes & 1 << col, (base, col)
+
     @pytest.mark.parametrize("base", [48561, 114029])
     def test_every_lane_of_seven_vertex_bases_decided_past_the_new_vertex(self, base):
         # Canonical 7-vertex bases with a lane that only an entry after the
@@ -275,10 +294,12 @@ class TestMaskOutput:
         assert mask_to_graph6(n, mask) == to_graph6(mask_to_graph(n, mask)) == plain_graph6(n, mask)
 
     def test_connectivity_on_every_canonical_mask(self):
+        # The top level searches only the connecting columns; the oracle
+        # filters every canonical mask by building its graph.
         for n in range(1, 9):
-            verdicts = [mask_is_connected(n, m) for m in _canonical_masks(n)]
-            assert verdicts == [is_connected(mask_to_graph(n, m)) for m in _canonical_masks(n)]
-        assert len(verdicts) == 12346 and sum(verdicts) == 11117
+            expected = [m for m in _canonical_masks(n) if is_connected(mask_to_graph(n, m))]
+            assert list(connected_masks(n)) == expected
+        assert len(_canonical_masks(8)) == 12346 and len(expected) == 11117
 
 
 class TestCompleteness:

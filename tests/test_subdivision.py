@@ -389,6 +389,32 @@ class TestSubdividedReuse:
                 expected.update((inst.graph.adjacency, p.mask) for p in inst.paths)
         assert sorted(calls) == sorted(expected)
 
+    @pytest.mark.parametrize("g6", ["E?^o", "C~"])
+    def test_one_base_value_per_mask_triple(self, g6, monkeypatch):
+        # The base f depends only on the three path masks, so it is summed
+        # once per mask triple over every t: K4's twelve longest paths
+        # share one vertex set, so all its triples share one base value.
+        g = parse_graph6(g6)
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        bases = []
+        real_f_value = subdivision.f_value
+
+        def counted(graph, triple, distances=None):
+            if graph is g:
+                bases.append(tuple(p.mask for p in triple.paths))
+            return real_f_value(graph, triple, distances)
+
+        monkeypatch.setattr(subdivision, "f_value", counted)
+        for triple in TripleStream(lp):
+            for tt in (0, 1, 2):
+                v = verify_proposition(subs, triple, tt)
+                assert v.witness["base_f"] == f_value(g, triple)[0]
+        monkeypatch.undo()
+        expected = {tuple(p.mask for p in triple.paths) for triple in TripleStream(lp)}
+        assert sorted(bases) == sorted(expected)
+        assert len(expected) < TripleStream(lp).total
+
     def test_shared_verdicts_equal_fresh_ones(self):
         # One Subdivisions per graph, its lifts and holding verdicts shared
         # by every triple, against one per instance, which shares nothing.
