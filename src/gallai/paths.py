@@ -24,14 +24,15 @@ Three searches serve ``LongestPathTable``:
   table lists no paths, since every verdict needs the complete set.
   ``enumerate_longest_paths`` returns a table with its paths listed.
 * ``longest_path_length`` finds ``l`` by branch and bound for the fill
-  past the forward budget (``subdivision.subdivided_length`` runs the same
-  search for a subdivided graph, on the graph before subdivision): it
-  drops a partial path when its length plus the number of unused vertices
-  still reachable from its head cannot beat the best length found so far.
-  It starts only at vertices that are not cut vertices, since a maximum
-  path never ends at one, and follows a head with one way on in a loop,
-  testing the bound once per branch: along such a chain the bound cannot
-  change.
+  past the forward budget. ``subdivision.subdivided_length`` runs the same
+  search, ``_longest_length``, scoring a path of k edges ``(t + 1) * k``
+  plus at most 2t for its ends; t = 0 scores the length. It drops a
+  partial path when k plus the unused vertices still reachable from its
+  head cannot beat the best score so far. It starts only at vertices that
+  are not cut vertices, since a maximum path never ends at one, follows a
+  head with one way on in a loop, tests the bound once per branch (along
+  such a chain it cannot change), scores only dead ends, and stops at
+  ``(t + 1) * (n - 1) + 2t``, which no path beats.
 
 The length search recurses once per branching vertex on a path, the fill
 and the walks once per path edge; a search that would go deeper than
@@ -202,50 +203,74 @@ def longest_path_length(graph: Graph, *, deadline: float | None = None) -> int:
 
     Disconnected graphs are allowed; the maximum ranges over components.
     """
-    adj = graph.adjacency
-    n = graph.n
-    best = 0
-    ticks = 0
+    return _longest_length(graph.adjacency, 0, deadline)
 
-    def dfs(head: int, used: int, length: int) -> None:
-        # Entered at a start or just past a branch. The bound is tested
-        # once, here: along a chain of forced steps the unused vertices
-        # reachable from the head and the edges needed to beat ``best``
-        # both fall by one per step, so a test further on would agree.
-        nonlocal best, ticks
+
+def _longest_length(adj: tuple[int, ...], t: int, deadline: float | None) -> int:
+    """The maximum of ``(t + 1) * k + t * e`` over the paths P = v0..vk of
+    k >= 1 edges, and 0 for a graph with no edge: e counts P's ends that
+    have an edge off P, once when both have only v0vk. At t = 0 it is the
+    longest-path length, and at t that of the t-fold subdivision, as
+    ``subdivision.subdivided_length`` derives.
+    """
+    n = len(adj)
+    step = t + 1
+    best = ticks = 0
+    short = -2 * t // step  # the most edges k for which no P beats ``best``
+
+    def grow(v0: int, head: int, used: int, k: int) -> None:
+        # P runs from v0 over k edges to ``head``. Entered at a start, with
+        # k = 0, or just past a branch.
+        nonlocal best, short, ticks
         ext = adj[head] & ~used
-        if ext:
-            _check_deadline(deadline, ticks)
-            ticks += 1
-            if not _reaches(adj, ext, used, best - length + 1):
-                return
         while ext and not ext & (ext - 1):  # one way on: take it
             used |= ext
             head = ext.bit_length() - 1
-            length += 1
+            k += 1
             ext = adj[head] & ~used
-        if length > best:
-            best = length
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            dfs(low.bit_length() - 1, used | low, length + 1)
+        if not ext:
+            # Only a dead end is scored: a forced step adds t + 1 and costs
+            # its end at most t, and past a branch that could beat ``best``
+            # every way on passes the bound and scores more. An end has an
+            # edge off P when it has two neighbours; adjacent ends with just
+            # two share v0vk, which needs k > 1, as a dead end at k = 1 has
+            # one. An isolated start scores 0.
+            if k > short:
+                a, a0 = adj[head], adj[v0]
+                e = (a0 & (a0 - 1) > 0) + (a & (a - 1) > 0)
+                if a0 >> head & 1 and a0.bit_count() == a.bit_count() == 2:
+                    e = 1
+                score = step * k + t * e
+                if score > best:
+                    best, short = score, (score - 2 * t) // step
+        else:
+            # The bound is tested once per branch: along a chain of forced
+            # steps the unused vertices reachable from the head and the
+            # edges needed to beat ``best`` both fall by one per step.
+            _check_deadline(deadline, ticks)
+            ticks += 1
+            if _reaches(adj, ext, used, short - k + 1):
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    grow(v0, low.bit_length() - 1, used | low, k + 1)
 
     # A maximum path cannot end at a cut vertex: the path minus that end
-    # lies on one side of it, and a neighbour on another side extends it.
+    # lies on one side of it, and an edge to another side adds t + 1 and
+    # loses at most t at that end.
     cuts = _cut_vertices(adj)
     try:
-        for start in range(n):
-            if not cuts >> start & 1:
-                dfs(start, 1 << start, 0)
-                if best == n - 1:
+        for v0 in range(n):
+            if not cuts >> v0 & 1:
+                grow(v0, v0, 1 << v0, 0)
+                if best >= step * (n - 1) + 2 * t:  # no path beats that
                     break
     except RecursionError:
         raise _too_deep(n) from None
     finally:
         # The closure refers to itself; dropping the name frees it, and all
         # it holds, with this call rather than at the next cyclic GC.
-        del dfs
+        del grow
     return best
 
 
@@ -548,7 +573,7 @@ class LongestPathTable:
         except RecursionError:
             raise _too_deep(n) from None
         finally:
-            del walk  # the closure cycle again, as in longest_path_length
+            del walk  # the closure cycle again, as in _longest_length
         return tuple(found)
 
     def _walk_layers(self) -> tuple[Path, ...]:
@@ -618,7 +643,7 @@ class LongestPathTable:
         except RecursionError:
             raise _too_deep(self._n) from None
         finally:
-            del back  # the closure cycle again, as in longest_path_length
+            del back  # the closure cycle again, as in _longest_length
         found.sort()
         return tuple([Path._trusted(vs, mask) for vs, mask in found])
 

@@ -17,7 +17,8 @@ The subdivided graph depends only on the base graph, the triple's set of
 distinct ends and t, so many triples share one. A ``Subdivisions`` object
 holds one base graph's memo of them, keyed on (end set, t): each is built
 once, and its longest-path length is read off the pendant graph, before
-subdivision, by ``subdivided_length``. Every path lifted through the
+subdivision, by ``subdivided_length``, which runs the length search of
+``paths`` with each path scored for t. Every path lifted through the
 stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
 many edges, so the subdivided graph's longest paths are never listed. It
@@ -35,15 +36,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
-from .graphs import Graph, _reaches, graph_key, iter_bits
+from .graphs import Graph, graph_key
 from .paths import (
     DEFAULT_PATH_CAP,
     BudgetError,
     LongestPathTable,
     Path,
-    _check_deadline,
-    _cut_vertices,
-    _too_deep,
+    _longest_length,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
 )
 from .triples import PathTriple, f_value
@@ -186,42 +185,10 @@ def subdivided_length(graph: Graph, t: int, *, deadline: float | None = None) ->
     different edges off P, 1 when they have one (both ends share the t
     vertices of v0vk) and 0 when none. Every other path lies within the
     chains at one vertex, and is shorter than two of them (or the one)
-    taken whole. The search is the branch and bound of
-    ``longest_path_length``: each further edge adds t + 1 and the ends at
-    most 2t. It starts only at vertices that are not cut vertices, since
-    an edge across one adds t + 1 and loses at most t at that end.
+    taken whole. At t = 0 this is ``longest_path_length``, and both are
+    the one branch and bound of ``paths``, over ``graph``'s paths.
     """
-    adj = graph.adjacency
-    best = ticks = 0
-
-    def grow(start: int, rest0: int, head: int, back: int, used: int, k: int) -> None:
-        # P runs from v0, the bit ``start``, over k edges to ``head``; ``back``
-        # is the bit before head, and ``rest0`` holds v0's neighbours off P.
-        nonlocal best, ticks
-        while True:
-            rest = adj[head] & ~back
-            # Ends whose only edge off P is v0vk share its chain: e = 1.
-            e = (rest0 > 0) + (rest > 0) - ((rest0, rest) == (1 << head, start))
-            best = max(best, (t + 1) * k + t * e)
-            ext = adj[head] & ~used
-            if not ext or ext & (ext - 1):
-                break  # else one way on: take it
-            used, back, head, k = used | ext, 1 << head, ext.bit_length() - 1, k + 1
-        _check_deadline(deadline, ticks)
-        ticks += 1
-        if ext and _reaches(adj, ext, used, (best - 2 * t) // (t + 1) - k + 1):
-            for w in iter_bits(ext):
-                grow(start, rest0, w, 1 << head, used | 1 << w, k + 1)
-
-    try:
-        for v0 in iter_bits(((1 << graph.n) - 1) & ~_cut_vertices(adj)):
-            for v1 in iter_bits(adj[v0]):
-                grow(1 << v0, adj[v0] & ~(1 << v1), v1, 1 << v0, 1 << v0 | 1 << v1, 1)
-    except RecursionError:
-        raise _too_deep(graph.n) from None
-    finally:
-        del grow  # the closure cycle, as in longest_path_length
-    return best
+    return _longest_length(graph.adjacency, t, deadline)
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,11 @@ def within_seconds(seconds, call):
 
 
 @st.composite
-def random_graphs(draw):
-    """Any graph on up to ten vertices, disconnected ones included. At most
-    two edges per vertex on average keeps an all-simple-paths listing
+def random_graphs(draw, max_n: int = 10):
+    """Any graph on up to ``max_n`` vertices, disconnected ones included. At
+    most two edges per vertex on average keeps an all-simple-paths listing
     small at ten vertices."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
     return from_edge_list(n, edges)

@@ -5,7 +5,7 @@ from functools import cached_property
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     oracle_isomorphic,
     oracle_longest_path_length,
     path_graph,
+    random_graphs,
     restrict_to_triple,
     spider_graph,
     star_graph,
@@ -609,12 +610,58 @@ class TestSubdividedLength:
         for index in range(0, stream.total, 1500):
             ext = attach_pendants(g, stream[index]).graph
             for t in (1, 2):
-                assert subdivided_length(ext, t) == longest_path_length(subdivide(ext, t).graph)
+                built = subdivide(ext, t).graph
+                assert subdivided_length(ext, t) == longest_path_length(built) \
+                    == oracle_longest_path_length(built)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_pendants(), st.integers(0, 3))
     def test_matches_the_search_on_random_graphs(self, g, t):
-        assert subdivided_length(g, t) == longest_path_length(subdivide(g, t).graph)
+        # Both sides run the one search of ``paths``; the oracle shares no code.
+        built = subdivide(g, t).graph
+        assert subdivided_length(g, t) == longest_path_length(built) \
+            == oracle_longest_path_length(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=8))
+    @example(from_edge_list(1, []))
+    @example(from_edge_list(8, []))
+    @example(from_edge_list(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]))
+    def test_zero_multiplicity_on_random_graphs(self, g):
+        # Disconnected, edgeless and one-vertex graphs included.
+        assert subdivided_length(g, 0) == longest_path_length(g) == oracle_longest_path_length(g)
+
+    def test_complete_graphs(self):
+        # K4 and K5 reach the stop value (t + 1)(n - 1) + 2t, every end
+        # with two edges off a Hamiltonian path; K3 ends short of it.
+        expected = {(3, 1): 5, (3, 2): 8, (4, 1): 8, (4, 2): 13, (5, 1): 10, (5, 2): 16}
+        for (n, t), length in expected.items():
+            g = complete_graph(n)
+            assert subdivided_length(g, t) == oracle_longest_path_length(subdivide(g, t).graph) \
+                == length
+
+    def test_no_stop_before_both_ends_score(self):
+        # The 6-cycle 0-1-3-4-2 with 5 on the chord 3-4. Every Hamiltonian
+        # path from vertex 0, the first start, ends next to it at a vertex
+        # of degree 2, so the two share their only edge off the path
+        # (e = 1). The longest subdivided path comes from 2-0-1-3-4-5,
+        # whose ends have different edges off it (e = 2): the search must
+        # not stop below (t + 1)(n - 1) + 2t.
+        g = from_edge_list(6, [(0, 1), (0, 2), (2, 4), (1, 3), (3, 4), (4, 5), (3, 5)])
+        for t in (1, 2):
+            assert subdivided_length(g, t) == oracle_longest_path_length(subdivide(g, t).graph) \
+                == 5 * (t + 1) + 2 * t
+
+    def test_chains_are_a_loop_and_branches_recurse(self):
+        # A 1,200-vertex path costs the search no stack at t = 1 either;
+        # a comb, which branches at every spine vertex, goes past the
+        # recursion limit.
+        assert subdivided_length(path_graph(1200), 1) == 2398
+        spine = 1200
+        comb = from_edge_list(2 * spine, [(i, i + 1) for i in range(spine - 1)]
+                              + [(i, spine + i) for i in range(spine)])
+        with pytest.raises(ValueError, match="recursion limit"):
+            subdivided_length(comb, 1)
 
     def test_expired_deadline_raises(self):
         with pytest.raises(BudgetError):
