@@ -15,10 +15,13 @@ sizes) fall through to explicit triple iteration.
 Triple iteration, in a scan and in ``analyze_one`` alike, runs through one
 ``_TripleClaims`` per graph, built only once the graph reaches it: it
 computes each parameter once per distinct input, decides the claim
-statuses once per ``(f, x_sizes, t_counts)``, checks each longest-path
-pair's ``prop1`` once, and holds the graph's ``Subdivisions``. The scan
+statuses once per ``(f, x_sizes, t_counts)``, and holds the graph's
+``Subdivisions``, which reads its base f from the same analyser. The scan
 and ``analyze_one`` keep only their folds over its verdicts: tallies and
-violations in one, shared report fragments in the other.
+violations in one, shared report fragments in the other. ``prop1`` holds
+for a pair exactly when its intersection is not empty, so ``analyze_one``
+reads it off the triple's pairwise sizes; the scan checks each distinct
+longest-path pair once, for its tally and a violation's replay witness.
 
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
@@ -53,9 +56,9 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .claims import (
+    HOLDS,
     PROVEN_CLAIMS,
     SKIPPED_BUDGET,
-    SKIPPED_TRUNCATED,
     TRIPLE_CLAIMS,
     VIOLATED,
     ClaimVerdict,
@@ -171,8 +174,12 @@ class ScanReport:
     records: list[GraphRecord]
     violations: list[ViolationRecord]
     internal_violation: bool
-    aborted: bool
     wall_time_s: float
+
+    @property
+    def aborted(self) -> bool:
+        # A proven claim's violation is what stops a scan early.
+        return self.internal_violation
 
     @property
     def exit_code(self) -> int:
@@ -201,28 +208,24 @@ class _TripleClaims:
     Built from a graph and its longest-path table, it holds every
     per-graph memo of the checks. Called on a triple, it gives the
     ``TripleAnalyzer``'s parameters and the triple claims' verdicts;
-    ``pairs`` gives the prop1 statuses of the triple's pairs, each pair
-    checked once per graph; ``subdivisions.verdicts`` gives the two
-    subdivision claims, and shares the analyser's BFS distance lists. Every
+    ``subdivisions.verdicts`` gives the two subdivision claims, and reads
+    each base f from the analyser's record of the triple's masks. Every
     claim predicate reads only n, l, the crossing convention and a
     triple's ``f``, ``x_sizes`` and ``t_counts``, and the first three are
     fixed per graph, so the statuses are decided once per ``(f, x_sizes,
     t_counts)`` and kept as verdicts without a witness, the tuple returned
     while none is violated; a violated one is checked again on each triple,
-    so that it carries that triple's own replay witness. Triples come from
-    ``table``, which keeps their paths, the pair memo's keys, alive.
+    so that it carries that triple's own replay witness.
     """
 
     def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool):
         self.graph = graph
-        self.table = table
         self.l = table.length
-        self.subdivisions = Subdivisions(graph, table)
-        self.analyze = TripleAnalyzer(graph, strict_t, self.subdivisions.distances)
+        self.analyze = TripleAnalyzer(graph, strict_t)
+        self.subdivisions = Subdivisions(graph, table, self.analyze)
         self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
         self.prop1 = "prop1" in checks
         self.statuses: dict[tuple, tuple[tuple[ClaimVerdict, ...], bool]] = {}
-        self.pair_statuses: dict[tuple, str] = {}
 
     def __call__(self, triple: PathTriple) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
         analysis = self.analyze(triple)
@@ -241,22 +244,6 @@ class _TripleClaims:
                 for c, v in zip(self.checkers, verdicts)
             )
         return analysis, verdicts
-
-    def pairs(self, triple: PathTriple) -> Iterator[tuple[str, ClaimVerdict | None]]:
-        """The prop1 status of each of the triple's three pairs, with the
-        verdict when the pair was checked just now and None when it was
-        checked before: each pair is checked once per graph, and only its
-        status is kept, under the identities of the table's two paths.
-        Lazy, so that a scan stops at the first violated pair."""
-        for a, b in combinations(triple.paths, 2):
-            key = (id(a), id(b))
-            status = self.pair_statuses.get(key)
-            if status is None:
-                verdict = check_prop1(self.graph, a, b, longest_paths=self.table)
-                self.pair_statuses[key] = verdict.status
-                yield verdict.status, verdict
-            else:
-                yield status, None
 
 
 class _ProvenClaimViolated(Exception):
@@ -321,6 +308,8 @@ def _examine_graph(
             return record, violations, False
 
         claims = _TripleClaims(graph, table, config.checks, config.strict_t)
+        # Each pair once, by the identities of the table's two paths.
+        checked: set[tuple[int, int]] = set()
         for triple in triples:
             analysis, verdicts = claims(triple)
             record.max_f = (
@@ -329,10 +318,11 @@ def _examine_graph(
             low_t = min(analysis.t_counts)
             record.min_t = low_t if record.min_t is None else min(record.min_t, low_t)
             if claims.prop1:
-                for _, verdict in claims.pairs(triple):
-                    if verdict is not None:
+                for a, b in combinations(triple.paths, 2):
+                    if (key := (id(a), id(b))) not in checked:
+                        checked.add(key)
                         record.pairs_examined += 1
-                        run(verdict)
+                        run(check_prop1(graph, a, b, longest_paths=table))
             for verdict in verdicts:
                 run(verdict)
             for pair in claims.subdivisions.verdicts(triple, config.subdivision_t):
@@ -359,15 +349,24 @@ def _resolve_source(config: ScanConfig) -> list[Graph]:
 
 def read_graphs(path: str, fmt: str) -> list[Graph]:
     """The graphs of a graph6 (one per line) or edge-list file, ``-`` for
-    stdin. Malformed input raises an error naming the file and the line."""
-    if path == "-":
-        text = sys.stdin.read()
+    stdin. Malformed input, a non-ASCII byte included, raises an error
+    naming the file and the line."""
+    source = None if path == "-" else path
+    if source is None:
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Numbered as the parsers number lines: by ``str.splitlines``.
+        line = len((data[:exc.start].decode("ascii") + "x").splitlines())
+        where = f"line {line}" if source is None else f"{source}: line {line}"
+        raise ValueError(f"{where}: non-ASCII byte 0x{data[exc.start]:02x}") from None
     if fmt == "graph6":
-        return parse_graph6_lines(text.splitlines(), None if path == "-" else path)
-    return [parse_edge_list(text, None if path == "-" else path)]
+        return parse_graph6_lines(text.splitlines(), source)
+    return [parse_edge_list(text, source)]
 
 
 def _scan_worker(item):
@@ -380,13 +379,11 @@ def scan(config: ScanConfig) -> ScanReport:
     start = time.monotonic()
     graphs = _resolve_source(config)
     results = []
-    aborted = False
     if config.jobs == 1 or len(graphs) < 2:
         for graph in graphs:
             outcome = _examine_graph(graph, config)
             results.append(outcome)
             if outcome[2]:
-                aborted = True
                 break
     else:
         from multiprocessing import get_context  # loaded only when workers run
@@ -399,7 +396,6 @@ def scan(config: ScanConfig) -> ScanReport:
             ):
                 results.append(outcome)
                 if outcome[2]:
-                    aborted = True
                     pool.terminate()
                     break
 
@@ -411,7 +407,6 @@ def scan(config: ScanConfig) -> ScanReport:
         records=records,
         violations=violations,
         internal_violation=internal,
-        aborted=aborted,
         wall_time_s=time.monotonic() - start,
     )
 
@@ -657,15 +652,11 @@ def analyze_one(
     held = []
     triples_out = []
     max_f = min_t = prop1 = None
-    known = claims.pair_statuses.get
     for triple in triples:
         analysis, verdicts = claims(triple)
         if claims.prop1:
-            # Read from the pair memo; check the pairs only if one is new.
-            a, b, c = map(id, triple.paths)
-            prop1 = (known((a, b)), known((a, c)), known((b, c)))
-            if None in prop1:
-                prop1 = tuple([status for status, _ in claims.pairs(triple)])
+            # Two longest paths meet exactly when they share a vertex.
+            prop1 = tuple([HOLDS if size else VIOLATED for size in analysis.pairwise_sizes])
         key = (id(verdicts), prop1)
         verdict_map = verdict_maps.get(key)
         if verdict_map is None:
@@ -745,7 +736,7 @@ def subdivision_sweep(
                             violations.append(
                                 {"claim": v.claim, "graph6": graph_key(graph), "witness": v.witness}
                             )
-                        elif v.status in (SKIPPED_BUDGET, SKIPPED_TRUNCATED):
+                        elif v.status == SKIPPED_BUDGET:
                             skipped += 1
                     t0 = time.monotonic()
             triples_skipped += triples.skipped

@@ -21,11 +21,11 @@ subdivision, by ``subdivided_length``, which runs the length search of
 ``paths`` with each path scored for t. Every path lifted through the
 stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
-many edges, so the subdivided graph's longest paths are never listed. It
-also keeps each graph's BFS distance lists by path mask, so each path's
-distances are computed once per graph, the base graph's included. Each
-entry keeps its lifted paths, so each path is lifted and checked once per
-subdivided graph.
+many edges, so the subdivided graph's longest paths are never listed. Each
+entry keeps its graph's BFS distance lists by path mask and its lifted
+paths, so each path's distances are computed, and each path lifted and
+checked, once per subdivided graph. The base graph's f comes from a
+``TripleAnalyzer``, once per triple of path masks.
 ``Subdivisions.verdicts`` gives a triple's two subdivision claims at one t.
 """
 
@@ -45,7 +45,7 @@ from .paths import (
     _longest_length,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
 )
-from .triples import PathTriple, f_value
+from .triples import PathTriple, TripleAnalyzer, f_value
 
 DEFAULT_VERIFY_MAX_VERTICES = 60
 DEFAULT_VERIFY_BUDGET_S = 120.0
@@ -205,18 +205,21 @@ class Subdivisions:
     map, the built instance, the exact longest-path length of its graph,
     that graph's BFS distance lists by path mask, the lifts (each base
     path's vertex tuple to its lifted ``Path`` and whether that is a
-    longest path there). ``distances`` holds the base graph's, so each
-    path is searched once per graph, and ``base_f`` its f value by triple
-    of path masks. ``holding`` keeps one ``holds`` verdict per tuple of
+    longest path there). ``analyze`` is the base graph's analyser, whose
+    per-mask-triple record gives a triple's base f: pass the one a caller
+    already keeps for the graph, so that f is computed once per triple of
+    path masks. ``holding`` keeps one ``holds`` verdict per tuple of
     witness values, so equal verdicts are one object: read them, never
     change them. Keep one object per base graph.
     """
 
-    def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None):
+    def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None,
+                 analyze: TripleAnalyzer | None = None):
         self.graph = graph
         self.longest_paths = (
             LongestPathTable(graph, DEFAULT_PATH_CAP) if longest_paths is None else longest_paths
         )
+        self.analyze = TripleAnalyzer(graph) if analyze is None else analyze
         self.memo: dict[
             tuple[tuple[int, ...], int],
             tuple[
@@ -227,8 +230,6 @@ class Subdivisions:
                 dict[tuple[int, ...], tuple[Path, bool]],
             ],
         ] = {}
-        self.distances: dict[int, list[int]] = {}
-        self.base_f: dict[tuple[int, int, int], int] = {}
         self.holding: dict[tuple, ClaimVerdict] = {}
 
     def verdicts(
@@ -265,9 +266,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     lp, short = _gate_longest("subdivision_prop", graph, triple.paths, subdivisions.longest_paths)
     if short is not None:
         return short
-    masks = tuple(p.mask for p in triple.paths)
-    if (base_f := subdivisions.base_f.get(masks)) is None:
-        base_f = subdivisions.base_f[masks] = f_value(graph, triple, subdivisions.distances)[0]
+    base_f = subdivisions.analyze.sets(triple)[0]
     key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
     entry = subdivisions.memo.get(key)
     if entry is None:

@@ -11,7 +11,9 @@ Everything but the crossing counts depends only on the three vertex sets,
 and a graph's longest paths share few of them (the 19,917 triples of the
 ``analyze_deep`` benchmark input lie over 55 sets of three), so a
 ``TripleAnalyzer`` computes those parameters once per graph and triple of
-sets. ``analyze_triple`` is a one-shot analyser.
+sets. That record is the one per-graph memo of them: ``analyze`` reads
+its prop1 statuses off the pairwise sizes, and the subdivision check its
+base f. ``analyze_triple`` is a one-shot analyser.
 """
 
 from __future__ import annotations
@@ -173,32 +175,23 @@ class TripleAnalyzer:
 
     ``f``, its witnesses, ``x_sizes`` and ``pairwise_sizes`` are computed
     once per triple of path masks, in path order, and shared by every
-    triple over the same vertex sets. A path's crossing count also reads
-    its vertex order, so it is counted once per path and pair of other
-    masks. ``distances`` is the BFS distance dict of ``f_value``: pass one
-    already kept for the graph (as ``Subdivisions.distances`` is) so that
-    each path is searched once.
+    triple over the same vertex sets; ``sets`` gives that record alone.
+    A path's crossing count also reads its vertex order, so it is counted
+    once per path and pair of other masks. ``distances`` is the BFS
+    distance dict of ``f_value``, so each path is searched once per graph.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        strict_t: bool = False,
-        distances: dict[int, list[int]] | None = None,
-    ):
+    def __init__(self, graph: Graph, strict_t: bool = False):
         self.graph = graph
         self.strict_t = strict_t
-        self.distances = {} if distances is None else distances
+        self.distances: dict[int, list[int]] = {}
         self._by_masks: dict[tuple[int, int, int], tuple] = {}
         self._t_counts: dict[tuple[tuple[int, ...], int, int], int] = {}
 
     def __call__(self, triple: PathTriple) -> TripleAnalysis:
+        f, witnesses, x_sizes, pairwise_sizes = self.sets(triple)
         p0, p1, p2 = triple.paths
-        key = m0, m1, m2 = p0.mask, p1.mask, p2.mask
-        sets = self._by_masks.get(key)
-        if sets is None:
-            sets = self._by_masks[key] = self._set_parameters(triple, m0, m1, m2)
-        f, witnesses, x_sizes, pairwise_sizes = sets
+        m0, m1, m2 = p0.mask, p1.mask, p2.mask
         t = self._t
         t_counts = (t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1))
         analysis = object.__new__(TripleAnalysis)  # a frozen __init__ is over twice as slow
@@ -206,14 +199,14 @@ class TripleAnalyzer:
                                  pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
         return analysis
 
-    def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
-        key = (vertices, mask_a, mask_b)
-        count = self._t_counts.get(key)
-        if count is None:
-            count = self._t_counts[key] = _crossings(vertices, mask_a, mask_b, self.strict_t)
-        return count
-
-    def _set_parameters(self, triple: PathTriple, m0: int, m1: int, m2: int) -> tuple:
+    def sets(self, triple: PathTriple) -> tuple:
+        """``(f, witnesses, x_sizes, pairwise_sizes)``: the parameters of
+        the triple's three vertex sets, computed once per triple of masks."""
+        p0, p1, p2 = triple.paths
+        key = m0, m1, m2 = p0.mask, p1.mask, p2.mask
+        sets = self._by_masks.get(key)
+        if sets is not None:
+            return sets
         f, witnesses = f_value(self.graph, triple, self.distances)
         common = m0 & m1 & m2
         # f vanishes exactly when the triple has a common vertex, and then
@@ -226,8 +219,15 @@ class TripleAnalyzer:
             (m2 & ~(m0 | m1)).bit_count(),
         )
         pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
-        return f, witnesses, x_sizes, pairwise_sizes
+        sets = self._by_masks[key] = f, witnesses, x_sizes, pairwise_sizes
+        return sets
 
+    def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
+        key = (vertices, mask_a, mask_b)
+        count = self._t_counts.get(key)
+        if count is None:
+            count = self._t_counts[key] = _crossings(vertices, mask_a, mask_b, self.strict_t)
+        return count
 
 def analyze_triple(
     graph: Graph, triple: PathTriple, *, strict_t: bool = False

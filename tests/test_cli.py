@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -368,6 +369,31 @@ def test_malformed_edge_list_names_its_line(tmp_path, capsys, command):
     assert code == 4
     assert out == ""
     assert f"{src}: line 3: edge (1, 3) has an endpoint outside 0..2" in err
+
+
+NON_ASCII_INPUTS = [
+    # (format, bytes, line of the bad byte, the byte)
+    ("graph6", "Bw\nB\u00e9\n".encode("utf-8"), 2, 0xc3),
+    ("edgelist", b"3 2\n0 1\n1 2\n\xff\n", 4, 0xff),
+]
+
+
+@pytest.mark.parametrize("command", [["scan"], ["analyze"], ["verify-prop", "--t", "1"]])
+@pytest.mark.parametrize("fmt, data, line, byte", NON_ASCII_INPUTS, ids=["graph6", "edgelist"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_non_ascii_byte_names_its_line(
+    tmp_path, capsys, monkeypatch, command, fmt, data, line, byte, from_stdin
+):
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        src, where = "-", f"line {line}"
+    else:
+        src = tmp_path / "bad.txt"
+        src.write_bytes(data)
+        where = f"{src}: line {line}"
+    code, out, err = run(capsys, *command, "--input", str(src), "--input-format", fmt)
+    assert (code, out) == (4, "")
+    assert err == f"gallai: error: {where}: non-ASCII byte {byte:#04x}\n"
 
 
 def test_repeated_edge_is_an_input_error(tmp_path, capsys):

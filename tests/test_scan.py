@@ -2,6 +2,7 @@
 single-graph deep dive."""
 
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
@@ -26,6 +27,7 @@ from conftest import (
 )
 from gallai.claims import HOLDS, TRIPLE_CLAIMS, VIOLATED, ClaimVerdict, check_prop1, triple_verdict
 from gallai import paths as paths_module
+from gallai import subdivision as subdivision_module
 from gallai import triples as triples_module
 from gallai.graphs import format_edge_list, from_edge_list, parse_graph6, to_graph6
 from gallai.paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
@@ -43,7 +45,7 @@ from gallai.scan import (
     subdivision_sweep,
 )
 from gallai.subdivision import Subdivisions, check_size_bound, verify_proposition
-from gallai.triples import PathTriple, TripleStream, analyze_triple, f_value
+from gallai.triples import PathTriple, TripleAnalyzer, TripleStream, analyze_triple, f_value
 
 # ``gallai.scan`` the attribute is the re-exported function, not the module.
 scan_module = importlib.import_module("gallai.scan")
@@ -338,6 +340,7 @@ class TestInjectedViolations:
         assert report.exit_code == EXIT_INTERNAL_VIOLATION
         assert report.internal_violation
         assert report.aborted
+        assert report.summary()["aborted"] is True
         # The triangle's first pair stops the scan: no later pair and no
         # four-vertex graph is examined.
         assert hit == [to_graph6(cycle_graph(3))]
@@ -626,7 +629,9 @@ class TestReportJson:
 
 class TestAnalyzeOne:
     def test_prop1_checked_once_per_pair(self, monkeypatch, tmp_path):
-        # C5 has five longest paths: ten pairs over ten triples.
+        # C5 has five longest paths: ten pairs over ten triples. analyze_one
+        # reads prop1 off the pairwise sizes and checks no pair; a scan of
+        # every triple checks each distinct pair once.
         pairs = []
 
         def counted(graph, a, b, **kwargs):
@@ -634,11 +639,10 @@ class TestAnalyzeOne:
             return check_prop1(graph, a, b, **kwargs)
 
         monkeypatch.setattr(scan_module, "check_prop1", counted)
-        res = analyze_one(cycle_graph(5))
-        assert len(pairs) == len(set(pairs)) == 10
-        assert all(t["verdicts"]["prop1"] == [HOLDS] * 3 for t in res["triples"])
-        # A scan of every triple shares the memo's once-per-pair rule.
-        pairs.clear()
+        for g in (cycle_graph(5), complete_graph(4)):
+            res = analyze_one(g)
+            assert all(t["verdicts"]["prop1"] == [HOLDS] * 3 for t in res["triples"])
+        assert pairs == []
         src = tmp_path / "c5.g6"
         src.write_text(to_graph6(cycle_graph(5)) + "\n")
         rec, = scan(ScanConfig(input_path=str(src), triple_mode="all")).records
@@ -646,31 +650,48 @@ class TestAnalyzeOne:
         assert rec.pairs_examined == 10
         assert rec.tallies["prop1"] == {HOLDS: 10}
 
-    def test_known_pairs_are_read_from_the_memo(self, monkeypatch):
-        # K4 has 12 longest paths: 66 pairs over 220 triples. The pairs
-        # generator runs only for a triple with a pair not yet checked,
-        # and each pair's status, here naming the pair, lands in its place.
-        resumed = []
-        real = scan_module._TripleClaims.pairs
+    @pytest.mark.parametrize("sizes, expected", [
+        ((0, 1, 2), [VIOLATED, HOLDS, HOLDS]),
+        ((1, 0, 2), [HOLDS, VIOLATED, HOLDS]),
+        ((1, 2, 0), [HOLDS, HOLDS, VIOLATED]),
+    ], ids=["pair01", "pair02", "pair12"])
+    def test_prop1_statuses_follow_the_pair_order(self, monkeypatch, sizes, expected):
+        # The pairwise sizes are of pairs (0,1), (0,2), (1,2), and the prop1
+        # list is in that order too: an empty intersection lands in its place.
+        class Forced(TripleAnalyzer):
+            def __call__(self, triple):
+                return dataclasses.replace(super().__call__(triple), pairwise_sizes=sizes)
 
-        def counting(claims, triple):
-            resumed.append(triple)
-            return real(claims, triple)
-
-        def naming(graph, a, b, **kwargs):
-            return ClaimVerdict("prop1", f"{a.vertices}{b.vertices}")
-
-        monkeypatch.setattr(scan_module._TripleClaims, "pairs", counting)
-        monkeypatch.setattr(scan_module, "check_prop1", naming)
+        monkeypatch.setattr(scan_module, "TripleAnalyzer", Forced)
         res = analyze_one(complete_graph(4))
-        seen, fresh = set(), 0
-        for entry in res["triples"]:
-            pairs = [(tuple(p), tuple(q)) for p, q in combinations(entry["paths"], 2)]
-            assert entry["verdicts"]["prop1"] == [f"{p}{q}" for p, q in pairs]
-            fresh += not seen.issuperset(pairs)
-            seen.update(pairs)
-        assert len(seen) == 66 and len(res["triples"]) == 220
-        assert len(resumed) == fresh < 220
+        assert len(res["triples"]) == 220
+        assert all(t["verdicts"]["prop1"] == expected for t in res["triples"])
+
+    def test_one_base_f_per_mask_triple_in_a_scan(self, monkeypatch, tmp_path):
+        # The scan's analyser and its subdivision checks share one record
+        # per triple of path masks, so the base graph's f is summed once
+        # for each, however many triples and t values reach it.
+        g = parse_graph6("KhAAPWU_?_@?")
+        bases = []
+        real = triples_module.f_value
+
+        def counted(graph, triple, distances=None):
+            if graph.n == g.n:
+                bases.append(tuple(p.mask for p in triple.paths))
+            return real(graph, triple, distances)
+
+        # Under both names that compute f: the analyser's and the check's.
+        monkeypatch.setattr(triples_module, "f_value", counted)
+        monkeypatch.setattr(subdivision_module, "f_value", counted)
+        src = tmp_path / "k1.g6"
+        src.write_text("KhAAPWU_?_@?\n")
+        report = scan(ScanConfig(input_path=str(src), subdivision_t=(1,), triple_cap=300))
+        assert report.records[0].tallies["subdivision_prop"] == {HOLDS: 300}
+        monkeypatch.undo()
+        expected = {tuple(p.mask for p in t.paths)
+                    for t in TripleStream(enumerate_longest_paths(g), 300)}
+        assert sorted(bases) == sorted(expected)
+        assert len(expected) < 300
 
     def test_star(self):
         res = analyze_one(star_graph(3))

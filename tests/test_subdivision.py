@@ -25,7 +25,7 @@ from conftest import (
 )
 import gallai.subdivision as subdivision
 import gallai.triples as triples
-from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED
+from gallai.claims import HOLDS, SKIPPED_BUDGET, SKIPPED_TRUNCATED, VIOLATED
 from gallai.graphs import _distance_list as distance_list
 from gallai.graphs import from_edge_list, is_connected, parse_graph6
 from gallai.paths import (
@@ -296,6 +296,18 @@ class TestVerifyProposition:
             assert v.witness == {"vertices": vertices, "max_vertices": 60}
         assert subs.memo == {}
 
+    def test_truncated_table_skips(self):
+        # The star's three longest paths are over a cap of one: the table
+        # knows only its length, so no triple is decided and nothing is
+        # stored, not even the base graph's distances.
+        g, t = star_triple()
+        table = LongestPathTable(g, 1)
+        assert table.truncated
+        subs = Subdivisions(g, table)
+        v = verify_proposition(subs, t, 1)
+        assert v.status == SKIPPED_TRUNCATED
+        assert subs.memo == {} and subs.analyze.distances == {}
+
     def test_adjacency_is_checked(self):
         # Reversing a stored chain keeps the lifted paths' lengths and vertex
         # sets, so only the edge-by-edge check can tell they are no longer
@@ -392,20 +404,21 @@ class TestSubdividedReuse:
 
     @pytest.mark.parametrize("g6", ["E?^o", "C~"])
     def test_one_base_value_per_mask_triple(self, g6, monkeypatch):
-        # The base f depends only on the three path masks, so it is summed
-        # once per mask triple over every t: K4's twelve longest paths
-        # share one vertex set, so all its triples share one base value.
+        # The base f depends only on the three path masks, so the analyser
+        # sums it once per mask triple over every t: K4's twelve longest
+        # paths share one vertex set, so all its triples share one base value.
         g = parse_graph6(g6)
         lp = enumerate_longest_paths(g)
         subs = Subdivisions(g, lp)
         bases = []
-        real_f_value = subdivision.f_value
+        real_f_value = triples.f_value
 
         def counted(graph, triple, distances=None):
             if graph is g:
                 bases.append(tuple(p.mask for p in triple.paths))
             return real_f_value(graph, triple, distances)
 
+        monkeypatch.setattr(triples, "f_value", counted)
         monkeypatch.setattr(subdivision, "f_value", counted)
         for triple in TripleStream(lp):
             for tt in (0, 1, 2):

@@ -483,13 +483,13 @@ class TestTripleAnalyzer:
             for t in sorted(triples, key=lambda t: t.paths):
                 assert analyze(t) == analyze_triple(g, t, strict_t=strict)
 
-    def test_fills_the_distances_it_is_given(self):
+    def test_fills_its_own_distances(self):
         # A triangle 3-4-5 with leaves 0, 1, 2 on vertex 5: its six longest
         # paths, leaf-5-3-4 and leaf-5-4-3, lie on three vertex sets.
         g = from_edge_list(6, [(0, 5), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
         lp = enumerate_longest_paths(g)
-        distances = {}
+        analyze = TripleAnalyzer(g)
         for t in TripleStream(lp):
-            TripleAnalyzer(g, distances=distances)(t)
-        assert sorted(distances) == [0b111001, 0b111010, 0b111100]
+            analyze(t)
+        assert sorted(analyze.distances) == [0b111001, 0b111010, 0b111100]
         assert len(lp.paths) == 6
