@@ -18,10 +18,11 @@ computes each parameter once per distinct input, decides the claim
 statuses once per ``(f, x_sizes, t_counts)``, and holds the graph's
 ``Subdivisions``, which reads its base f from the same analyser. The scan
 and ``analyze_one`` keep only their folds over its verdicts: tallies and
-violations in one, shared report fragments in the other. ``prop1`` holds
-for a pair exactly when its intersection is not empty, so ``analyze_one``
-reads it off the triple's pairwise sizes; the scan checks each distinct
-longest-path pair once, for its tally and a violation's replay witness.
+violations in one, triple entries made once per group in the other.
+``prop1`` holds for a pair exactly when its intersection is not empty, so
+``analyze_one`` reads it off the triple's pairwise sizes; the scan checks
+each distinct longest-path pair once, for its tally and a violation's
+replay witness.
 
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
@@ -36,8 +37,10 @@ never all of its records; ``emit_report`` encodes a scan's graph records
 through it too. The encoder sorts and quotes each dict shape (a key set
 at an indent) once per report, and within a record writes each shared
 fragment (a path's vertex list, a parameter list, a verdict map) once per
-indent and reuses the text; ``analyze_one`` builds each distinct fragment
-once per graph and puts that one object in every triple entry that holds it.
+indent and reuses the text. ``analyze_one``'s triple list writes its own
+text: every field of an entry but its paths and subdivision verdicts
+belongs to its group (the triple's path masks and crossing counts), so
+the group's fields are written once and joined with each entry's paths.
 """
 
 from __future__ import annotations
@@ -389,8 +392,9 @@ def scan(config: ScanConfig) -> ScanReport:
         from multiprocessing import get_context  # loaded only when workers run
 
         ctx = get_context("fork")
-        chunk = max(1, len(graphs) // (config.jobs * 8))
-        with ctx.Pool(processes=config.jobs) as pool:
+        workers = min(config.jobs, len(graphs))  # no idle workers on a small corpus
+        chunk = max(1, len(graphs) // (workers * 8))
+        with ctx.Pool(processes=workers) as pool:
             for outcome in pool.imap(
                 _scan_worker, ((g, config) for g in graphs), chunksize=chunk
             ):
@@ -435,7 +439,8 @@ def _encoder(shapes: dict):
     a dict of scalars and such lists (a verdict map with its ``prop1``
     list). A list of fragments (a triple's ``paths``) is joined from their
     texts. Row containers (a per-triple entry, a scan's graph record) are
-    not kept; a fragment that occurs once (a tally, a witness) is. An id
+    not kept; a fragment that occurs once (a tally, a witness) is.
+    ``analyze_one``'s triple list is written by its own ``text``. An id
     names an object only while it is alive, so a fragment memo lasts one
     document: ``report_chunks`` makes one encoder per record.
     """
@@ -489,6 +494,8 @@ def _encoder(shapes: dict):
         elif type(o[0]) is int and all(type(x) is int for x in o):
             text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
             fragment = True
+        elif type(o) is _TripleEntries:
+            return o.text(encode, pad)
         else:
             # Joined as it is when every item is a fragment in the memo.
             texts = list(map(ids.get, map(id, o)))
@@ -582,20 +589,50 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
 # single-graph deep dive
 # ---------------------------------------------------------------------------
 
-def _verdict_map(verdicts: tuple[ClaimVerdict, ...], prop1: tuple[str, ...] | None) -> dict:
-    # The prop1 statuses come as a tuple, to be hashable; the report lists them.
-    out = {v.claim: v.status for v in verdicts}
-    return out if prop1 is None else {**out, "prop1": list(prop1)}
+class _TripleEntries(list):
+    """``analyze_one``'s triple entries: a plain list of their dicts that
+    writes its own JSON text for ``report_json``. Entries with the same
+    path masks and crossing counts copy every field but ``paths`` and
+    ``subdivision`` from one dict, their group's, which ``groups`` holds
+    beside each entry; ``paths`` holds the record's one list per path.
+    ``text`` writes each group once, split before ``t_counts`` into a head
+    and a tail, and each path once, and joins every entry from those.
+    """
 
+    def __init__(self, paths: Iterable[list[int]]):
+        super().__init__()
+        self.groups: list[dict] = []
+        self.paths = list(paths)
 
-class _Fragments(dict):
-    # One object per distinct key, made from the key on first lookup.
-    def __init__(self, make):
-        self.make = make
+    def __reduce__(self):
+        # A copy is a plain list, written entry by entry, so it can be edited.
+        return list, (list(self),)
 
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+    def text(self, encode, pad: str) -> str:
+        inner, field = pad + "  ", pad + "    "
+        item = field + "  "
+        sep, between = ",\n" + item, ",\n" + inner
+        texts = {id(p): encode(p, item) for p in self.paths}
+        texts[id(None)] = ""  # no subdivision map
+        heads: dict[int, tuple[str, str, str]] = {}
+        parts = []
+        for entry, group in zip(self, self.groups):
+            known = heads.get(id(group))
+            if known is None:
+                # "paths" and "subdivision" sort just before "t_counts".
+                head, rest, tail = encode(group, inner).partition(f',\n{field}"t_counts": ')
+                known = heads[id(group)] = (f'{head},\n{field}"paths": [\n{item}',
+                                            f"\n{field}]", rest + tail)
+            head, close, tail = known
+            a, b, c = entry["paths"]
+            sub = entry.get("subdivision")
+            if id(sub) not in texts:
+                texts[id(sub)] = f',\n{field}"subdivision": {encode(sub, field)}'
+            parts += (between, head, texts[id(a)], sep, texts[id(b)], sep, texts[id(c)], close,
+                      texts[id(sub)], tail)
+        parts[0] = "[\n" + inner  # in place of the separator before the first entry
+        parts.append(f"\n{pad}]")
+        return "".join(parts)
 
 
 def analyze_one(
@@ -613,12 +650,16 @@ def analyze_one(
     (up to ``triple_cap``) gets its full parameter record and verdicts.
     Disconnected input is reported, not raised.
 
-    Triple entries share their fragments: per field, one list per path (by
-    ``Path`` identity), parameter tuple and witness set, one subdivision
-    result per set of statuses, and one verdict map per verdict tuple of
-    the status memo (by identity) and prop1 statuses, so ``report_json``
-    encodes each once per record. Treat the record as read-only: editing a
-    shared list or map in one entry changes every entry that holds it.
+    Every field of a triple entry but its paths and subdivision verdicts
+    depends only on the three paths' vertex sets and crossing counts. So a
+    triple costs its crossing counts and one lookup: the analysis, the
+    claim statuses and the field objects are made once per group of
+    triples with the same masks and counts, and every entry of the group
+    holds those same objects (``_TripleEntries``). The entries also share
+    one list per path and one subdivision map per set of statuses. Treat
+    the record as read-only: editing a shared list or map in one entry
+    changes every entry that holds it, and the triple list is written from
+    its groups. A copy (``copy.deepcopy``) holds a plain list to edit.
     """
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
     if not is_connected(graph):
@@ -642,47 +683,44 @@ def analyze_one(
         out["triples"] = []
         return out
     claims = _TripleClaims(graph, table, checks, strict_t)
-    # One object per field and fragment; fields never share one. Ids key
-    # the paths, which the table holds, and verdict tuples, which ``held`` does.
+    crossings = claims.analyze.t_counts
     path_lists = {id(p): list(p.vertices) for p in table.paths}
-    witness_lists = _Fragments(sorted)
-    x_lists, t_lists, pairwise_lists = _Fragments(list), _Fragments(list), _Fragments(list)
-    subdivision_maps = _Fragments(dict)
-    verdict_maps: dict = {}
-    held = []
-    triples_out = []
-    max_f = min_t = prop1 = None
+    groups: dict[tuple, dict] = {}
+    subdivision_maps: dict[tuple, dict] = {}
+    entries = _TripleEntries(path_lists.values())
     for triple in triples:
-        analysis, verdicts = claims(triple)
-        if claims.prop1:
-            # Two longest paths meet exactly when they share a vertex.
-            prop1 = tuple([HOLDS if size else VIOLATED for size in analysis.pairwise_sizes])
-        key = (id(verdicts), prop1)
-        verdict_map = verdict_maps.get(key)
-        if verdict_map is None:
-            verdict_map = verdict_maps[key] = _verdict_map(verdicts, prop1)
-            held.append(verdicts)
-        f, t_counts = analysis.f, analysis.t_counts
-        entry = {
-            "paths": [path_lists[id(p)] for p in triple.paths],
-            "f": f,
-            "witnesses": witness_lists[analysis.witnesses],
-            "x_sizes": x_lists[analysis.x_sizes],
-            "t_counts": t_lists[t_counts],
-            "pairwise_sizes": pairwise_lists[analysis.pairwise_sizes],
-            "verdicts": verdict_map,
-        }
-        if subdivision_t:
-            pairs = claims.subdivisions.verdicts(triple, subdivision_t)
-            entry["subdivision"] = {
-                str(t): subdivision_maps[tuple([(v.claim, v.status) for v in pair])]
-                for t, pair in zip(subdivision_t, pairs)
+        p0, p1, p2 = triple.paths
+        key = (p0.mask, p1.mask, p2.mask, crossings(triple))
+        group = groups.get(key)
+        if group is None:
+            analysis, verdicts = claims(triple)
+            verdict_map = {v.claim: v.status for v in verdicts}
+            if claims.prop1:
+                # Two longest paths meet exactly when they share a vertex.
+                verdict_map["prop1"] = [HOLDS if size else VIOLATED
+                                        for size in analysis.pairwise_sizes]
+            group = groups[key] = {
+                "f": analysis.f,
+                "witnesses": sorted(analysis.witnesses),
+                "x_sizes": list(analysis.x_sizes),
+                "t_counts": list(analysis.t_counts),
+                "pairwise_sizes": list(analysis.pairwise_sizes),
+                "verdicts": verdict_map,
             }
-        triples_out.append(entry)
-        low_t = min(t_counts)
-        max_f, min_t = (f, low_t) if max_f is None else (max(max_f, f), min(min_t, low_t))
-    out.update(triples_examined=triples.examined, triples=triples_out, max_f=max_f,
-               min_t=min_t, status="checked")
+        entry = {"paths": [path_lists[id(p0)], path_lists[id(p1)], path_lists[id(p2)]], **group}
+        if subdivision_t:
+            statuses = tuple([tuple([(v.claim, v.status) for v in pair])
+                              for pair in claims.subdivisions.verdicts(triple, subdivision_t)])
+            sub = subdivision_maps.get(statuses)
+            if sub is None:
+                sub = subdivision_maps[statuses] = {
+                    str(t): dict(pair) for t, pair in zip(subdivision_t, statuses)}
+            entry["subdivision"] = sub
+        entries.append(entry)
+        entries.groups.append(group)
+    out.update(triples_examined=triples.examined, triples=entries,
+               max_f=max(group["f"] for group in groups.values()),
+               min_t=min(min(group["t_counts"]) for group in groups.values()), status="checked")
     return out
 
 

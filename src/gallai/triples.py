@@ -9,11 +9,12 @@ layer the longest-path requirement on top where it matters.
 
 Everything but the crossing counts depends only on the three vertex sets,
 and a graph's longest paths share few of them (the 19,917 triples of the
-``analyze_deep`` benchmark input lie over 55 sets of three), so a
-``TripleAnalyzer`` computes those parameters once per graph and triple of
-sets. That record is the one per-graph memo of them: ``analyze`` reads
-its prop1 statuses off the pairwise sizes, and the subdivision check its
-base f. ``analyze_triple`` is a one-shot analyser.
+seed-1 ``analyze_deep`` benchmark input lie over 68 triples of masks,
+counted per graph as the memo keeps them, or 45 distinct ones across its
+32 graphs), so a ``TripleAnalyzer`` computes those parameters once per
+graph and triple of sets. That record is the one per-graph memo of them:
+``analyze`` reads its prop1 statuses off the pairwise sizes, and the
+subdivision check its base f. ``analyze_triple`` is a one-shot analyser.
 """
 
 from __future__ import annotations
@@ -190,10 +191,7 @@ class TripleAnalyzer:
 
     def __call__(self, triple: PathTriple) -> TripleAnalysis:
         f, witnesses, x_sizes, pairwise_sizes = self.sets(triple)
-        p0, p1, p2 = triple.paths
-        m0, m1, m2 = p0.mask, p1.mask, p2.mask
-        t = self._t
-        t_counts = (t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1))
+        t_counts = self.t_counts(triple)
         analysis = object.__new__(TripleAnalysis)  # a frozen __init__ is over twice as slow
         analysis.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
                                  pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
@@ -221,6 +219,13 @@ class TripleAnalyzer:
         pairwise_sizes = ((m0 & m1).bit_count(), (m0 & m2).bit_count(), (m1 & m2).bit_count())
         sets = self._by_masks[key] = f, witnesses, x_sizes, pairwise_sizes
         return sets
+
+    def t_counts(self, triple: PathTriple) -> tuple[int, int, int]:
+        """Each path's crossing count between the other two paths."""
+        p0, p1, p2 = triple.paths
+        m0, m1, m2 = p0.mask, p1.mask, p2.mask
+        t = self._t
+        return t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1)
 
     def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
         key = (vertices, mask_a, mask_b)

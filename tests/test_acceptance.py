@@ -36,6 +36,10 @@ GOLDEN_DIGESTS = {
         "cd7700d289db7551489675e195b084dc6f3e22c107c2c59354f06eeb7d2a8aea",
     "analyze --input <n <= 5> --triple-cap 300 --strict-t-convention":
         "34eb9eed8ac75f62bec515326f1d34662c6f4dc33107831a6892f825b6adace4",
+    # Every connected 6-vertex graph: many triples over few triples of
+    # path masks and crossing counts.
+    "analyze --input <n = 6> --triple-cap 300":
+        "af86f1bd04c61d899827263d39bf3f17743a122f1d868708383f801529c5e23b",
     # A Gallai-free graph: 42 longest paths whose 11,480 triples have
     # nonzero exclusive counts.
     "analyze --input KhAAPWU_?_@?":
@@ -203,11 +207,14 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     verify_input = capsys.readouterr().out
     free_file = tmp_path / "gallai_free.g6"
     free_file.write_text("KhAAPWU_?_@?\n")
+    n6_file = tmp_path / "n6.g6"
+    n6_file.write_text("".join(to_graph6(g) + "\n" for g in corpus(6)))
     analyze_runs = {
         "analyze --input <n <= 5> --t 1,2 --triple-cap 300":
             [str(corpus_file), "--t", "1,2", "--triple-cap", "300"],
         "analyze --input <n <= 5> --triple-cap 300 --strict-t-convention":
             [str(corpus_file), "--triple-cap", "300", "--strict-t-convention"],
+        "analyze --input <n = 6> --triple-cap 300": [str(n6_file), "--triple-cap", "300"],
         "analyze --input KhAAPWU_?_@?": [str(free_file)],
     }
     analyze_digests = {}

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gallai.subdivision as subdivision
-from conftest import complete_graph, star_graph, within_seconds
+from conftest import complete_graph, corpus_up_to, star_graph, within_seconds
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import Path as GraphPath, enumerate_longest_paths
@@ -144,6 +145,23 @@ class TestAnalyze:
         )
         assert code == 0
         assert "l=2" in out
+
+    # SHA-256 of the whole text rendering, one line per triple with its
+    # paths, f, crossing counts and exclusive counts.
+    TEXT_DIGESTS = {
+        "n <= 5": "c0bd5f32a910a2dfa792567a500c87a3ca06b65965db0bb2f290ab49ec43c652",
+        "KhAAPWU_?_@?": "f6b53b4d684589df207c9b05233aac15a18a38c2183b6ddf8fedce151f3b8044",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TEXT_DIGESTS))
+    def test_text_format_is_pinned(self, name, tmp_path, capsys):
+        src = tmp_path / "graphs.g6"
+        lines = ["KhAAPWU_?_@?"] if name == "KhAAPWU_?_@?" else map(to_graph6, corpus_up_to(5))
+        src.write_text("".join(line + "\n" for line in lines))
+        code, out, _ = run(capsys, "analyze", "--input", str(src), "--format", "text",
+                           "--triple-cap", "300")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TEXT_DIGESTS[name]
 
     def test_strict_convention_flag(self, tmp_path, capsys):
         src = tmp_path / "star.g6"

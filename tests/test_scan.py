@@ -1,12 +1,14 @@
 """Scan orchestration, shortcut soundness, report emission, and the
 single-graph deep dive."""
 
+import copy
 import csv
 import dataclasses
 import importlib
 import inspect
 import io
 import json
+import pickle
 import random
 from collections import Counter
 from functools import cached_property
@@ -296,6 +298,41 @@ class TestDeterminism:
         parallel = scan(ScanConfig(generate_n=5, jobs=4))
         assert emit_report(serial, "json") == emit_report(parallel, "json")
         assert emit_report(serial, "csv") == emit_report(parallel, "csv")
+
+    def test_no_more_workers_than_graphs(self, monkeypatch, tmp_path):
+        # A pool that records its size and runs the work in this process,
+        # so no worker is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def terminate(self):
+                pass
+
+        from multiprocessing import get_context
+
+        monkeypatch.setattr(get_context("fork"), "Pool", InlinePool)
+        src = tmp_path / "three.g6"
+        src.write_text("".join(to_graph6(g) + "\n"
+                               for g in (cycle_graph(5), complete_graph(4), star_graph(3))))
+        serial = scan(ScanConfig(input_path=str(src), triple_mode="all", jobs=1))
+        assert sizes == []
+        for jobs, workers in ((64, 3), (2, 2)):
+            capped = scan(ScanConfig(input_path=str(src), triple_mode="all", jobs=jobs))
+            assert sizes.pop() == workers
+            for fmt in ("json", "csv"):
+                assert emit_report(capped, fmt) == emit_report(serial, fmt)
 
     def test_repeat_runs_identical(self):
         a = emit_report(scan(ScanConfig(generate_n=4)), "json")
@@ -787,6 +824,18 @@ def fresh_record(graph, *, checks=ALL_CHECKS, triple_cap=100_000, subdivision_t=
     return out
 
 
+@st.composite
+def _connected_graphs(draw, min_n: int = 6, max_n: int = 9):
+    """A random spanning tree on n vertices plus up to n more edges: past
+    the exhaustive corpus, and sparse enough that the longest paths stay
+    well under the enumeration cap."""
+    n = draw(st.integers(min_n, max_n))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=n))
+    return from_edge_list(n, [*tree, *extra])
+
+
 class TestSharedFragments:
     """``analyze_one`` shares each fragment among its triple entries; its
     records equal the old ones, built with fresh lists for every triple."""
@@ -801,6 +850,28 @@ class TestSharedFragments:
             shared += len(lists) - len(set(lists))
         assert shared > 10_000
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=_connected_graphs(), strict=st.booleans(), prop1=st.booleans(),
+           claims=st.sets(st.sampled_from(ALL_CHECKS[1:])), cap=st.integers(1, 40),
+           ts=st.sampled_from([(), (1,), (0, 2)]))
+    def test_random_graphs_past_the_corpus(self, g, strict, prop1, claims, cap, ts):
+        checks = tuple(c for c in ALL_CHECKS if c in claims or prop1 and c == "prop1")
+        kw = dict(checks=checks, triple_cap=cap if ts else 4 * cap, subdivision_t=ts,
+                  strict_t=strict)
+        rec = analyze_one(g, **kw)
+        assert rec == fresh_record(g, **kw)
+        # The standard library's indenting encoder is the reference for the
+        # entries' own text.
+        assert "".join(report_chunks([rec])) == json.dumps([rec], indent=2, sort_keys=True)
+
+    def test_a_copied_record_can_be_edited(self):
+        res = analyze_one(parse_graph6("KhAAPWU_?_@?"), subdivision_t=(1,), triple_cap=30)
+        for copied in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+            assert type(copied["triples"]) is list and copied == res
+            copied["triples"][3]["f"] = 99
+            copied["triples"][4]["paths"][0] = [0]
+            assert report_json(copied) == json.dumps(copied, indent=2, sort_keys=True)
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_records_with_subdivisions_and_caps(self, strict):
         checks = ("prop1", "conj_Z", "case_bounds")
@@ -808,28 +879,52 @@ class TestSharedFragments:
             kw = dict(checks=checks, triple_cap=40, subdivision_t=(0, 2), strict_t=strict)
             assert analyze_one(g, **kw) == fresh_record(g, **kw)
 
+    # The fields an entry takes from its group: its triple of path masks
+    # with its crossing counts.
+    GROUP_FIELDS = ("witnesses", "x_sizes", "t_counts", "pairwise_sizes", "verdicts")
+
+    @staticmethod
+    def group_key(entry):
+        return (*(frozenset(p) for p in entry["paths"]), tuple(entry["t_counts"]))
+
     def test_fragments_are_shared_and_lists(self):
+        # C5's five longest paths each span all five vertices, and every
+        # triple crosses (5, 5, 5): one group, whose objects all ten share.
         res = analyze_one(cycle_graph(5), subdivision_t=(1,))
         first, *rest = res["triples"]
+        assert len(rest) == 9
         for entry in rest:
-            assert entry["verdicts"] is first["verdicts"]
+            assert self.group_key(entry) == self.group_key(first)
+            for k in self.GROUP_FIELDS:
+                assert entry[k] is first[k]
             assert entry["subdivision"]["1"] is first["subdivision"]["1"]
-            assert all(type(entry[k]) is list for k in ("paths", "witnesses", "x_sizes"))
+            assert all(type(entry[k]) is list for k in ("paths", *self.GROUP_FIELDS[:-1]))
         by_path = {}
         for entry in res["triples"]:
             for p in entry["paths"]:
                 assert by_path.setdefault(tuple(p), p) is p
 
     def test_fields_never_share_an_object(self):
-        fields = ("witnesses", "x_sizes", "t_counts", "pairwise_sizes", "verdicts")
-        for g in corpus_up_to(5):
+        # Each field holds one object per group, shared by the group's
+        # entries and by no other group or field.
+        groups_seen = 0
+        for g in [*corpus_up_to(5), parse_graph6("KhAAPWU_?_@?")]:
             res = analyze_one(g)
             owner = {}
-            for entry in res.get("triples", []):
+            groups = {}
+            entries = res.get("triples", [])
+            for entry in entries:
+                group = groups.setdefault(self.group_key(entry), entry)
+                for k in self.GROUP_FIELDS:
+                    assert entry[k] is group[k]
                 held = [("paths", p) for p in entry["paths"]]
-                held += [(k, entry[k]) for k in fields]
+                held += [(k, entry[k]) for k in self.GROUP_FIELDS]
                 for k, obj in held:
                     assert owner.setdefault(id(obj), k) == k
+            for k in self.GROUP_FIELDS:
+                assert len({id(entry[k]) for entry in entries}) == len(groups)
+            groups_seen += len(groups)
+        assert groups_seen > 1_000
 
 
 class TestSubdivisionSweep:
