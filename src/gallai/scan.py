@@ -759,7 +759,13 @@ def subdivision_sweep(
         for graph in generate_connected_graphs(n):
             graphs += 1
             lp = enumerate_longest_paths(graph)
-            if len(lp.paths) < 3:  # a truncated table lists none
+            if lp.truncated:
+                # It lists no paths, and skipping it would shrink the sweep
+                # without a word; n <= 8 stays far below the cap (K8 has
+                # 20,160 longest paths).
+                raise ValueError(
+                    f"graph {graph_key(graph)} has more longest paths than the cap")
+            if len(lp.paths) < 3:
                 continue
             eligible += 1
             triples = TripleStream(lp, triple_cap)

@@ -15,17 +15,18 @@ subdivided edges come last, in sorted-edge then position order.
 
 The subdivided graph depends only on the base graph, the triple's set of
 distinct ends and t, so many triples share one. A ``Subdivisions`` object
-holds one base graph's memo of them, keyed on (end set, t): each is built
+holds one base graph's memo of them, keyed on (end mask, t): each is built
 once, and its longest-path length is read off the pendant graph, before
 subdivision, by ``subdivided_length``, which runs the length search of
 ``paths`` with each path scored for t. Every path lifted through the
 stored edge chains is then decided against that length: a path of the
 subdivided graph (checked edge by edge) is longest exactly when it has that
 many edges, so the subdivided graph's longest paths are never listed. Each
-entry keeps its graph's BFS distance lists by path mask and its lifted
-paths, so each path's distances are computed, and each path lifted and
-checked, once per subdivided graph. The base graph's f comes from a
-``TripleAnalyzer``, once per triple of path masks.
+entry keeps every path it has lifted, with that decision and the lifted
+path's BFS distances packed one byte per vertex into an int, so each path
+is lifted, checked and searched once per subdivided graph, and a triple's
+subdivided f is the least byte of three stored ints summed. The base
+graph's f comes from a ``TripleAnalyzer``, once per triple of path masks.
 ``Subdivisions.verdicts`` gives a triple's two subdivision claims at one t.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
-from .graphs import Graph, graph_key
+from .graphs import Graph, _distance_list, graph_key
 from .paths import (
     DEFAULT_PATH_CAP,
     BudgetError,
@@ -45,7 +46,11 @@ from .paths import (
     _longest_length,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
 )
-from .triples import PathTriple, TripleAnalyzer, f_value
+from .triples import (
+    PathTriple,
+    TripleAnalyzer,
+    f_value,  # wrapped by name in perfbench/spans.py:110
+)
 
 DEFAULT_VERIFY_MAX_VERTICES = 60
 DEFAULT_VERIFY_BUDGET_S = 120.0
@@ -201,16 +206,21 @@ class Subdivisions:
     ``longest_paths`` is the base graph's longest-path table; without one,
     a capped table is filled, and its paths are never walked, since the
     checks read only its length and whether it was truncated. ``memo`` maps
-    an (end set, t) pair, the end set as a sorted tuple, to the pendant
-    map, the built instance, the exact longest-path length of its graph,
-    that graph's BFS distance lists by path mask, the lifts (each base
-    path's vertex tuple to its lifted ``Path`` and whether that is a
-    longest path there). ``analyze`` is the base graph's analyser, whose
-    per-mask-triple record gives a triple's base f: pass the one a caller
-    already keeps for the graph, so that f is computed once per triple of
-    path masks. ``holding`` keeps one ``holds`` verdict per tuple of
-    witness values, so equal verdicts are one object: read them, never
-    change them. Keep one object per base graph.
+    an (end mask, t) pair, the end mask the OR of ``1 << e`` over the
+    triple's path ends, to five things: the pendant map, the built
+    instance, the exact longest-path length of its graph, the lifts and the
+    distances. The lifts map each base path's vertex tuple to its lifted
+    ``Path``, whether that is a longest path there, and its BFS distances
+    in that graph, one byte per vertex of an int (vertex v in byte v). The
+    distances hold those ints by lifted mask, so that lifts over one vertex
+    set (possible at t = 0) share a search. ``analyze`` is the base graph's
+    analyser, whose per-mask-triple record gives a triple's base f: pass
+    the one a caller already keeps for the graph, so that f is computed
+    once per triple of path masks. ``holding`` keeps one ``holds`` verdict
+    of either claim per tuple of witness values, so equal verdicts are one
+    object: read them, never change them. ``path_masks`` maps a base path's
+    vertex tuple to its vertex, edge and end masks, which count a triple's
+    union for the size bound. Keep one object per base graph.
     """
 
     def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None,
@@ -221,26 +231,40 @@ class Subdivisions:
         )
         self.analyze = TripleAnalyzer(graph) if analyze is None else analyze
         self.memo: dict[
-            tuple[tuple[int, ...], int],
+            tuple[int, int],
             tuple[
                 dict[int, int],
                 SubdividedInstance,
                 int,
-                dict[int, list[int]],
-                dict[tuple[int, ...], tuple[Path, bool]],
+                dict[tuple[int, ...], tuple[Path, bool, int]],
+                dict[int, int],
             ],
         ] = {}
         self.holding: dict[tuple, ClaimVerdict] = {}
+        self.path_masks: dict[tuple[int, ...], tuple[int, int, int]] = {}
+
+    def _masks(self, path: Path) -> tuple[int, int, int]:
+        masks = self.path_masks.get(path.vertices)
+        if masks is None:
+            masks = self.path_masks[path.vertices] = _path_masks(path)
+        return masks
 
     def verdicts(
         self, triple: PathTriple, t_values: Iterable[int]
     ) -> Iterator[tuple[ClaimVerdict, ClaimVerdict]]:
         """The triple's ``subdivision_prop`` and ``size_bound`` verdicts at
-        each t of ``t_values``, in order; the triple's union is counted once."""
-        sizes = union_sizes(triple)
+        each t of ``t_values``, in order. The triple's union is counted once,
+        from masks kept once per path, and a ``holds`` size bound is shared
+        like a ``holds`` proposition."""
+        sizes = union_sizes(triple, self._masks)
         for t in t_values:
-            yield (verify_proposition(self, triple, t),
-                   check_size_bound(self.graph, triple, t, sizes))
+            key = ("size_bound", t, sizes)
+            bound = self.holding.get(key)
+            if bound is None:
+                bound = check_size_bound(self.graph, triple, t, sizes)
+                if bound.status == HOLDS:
+                    self.holding[key] = bound
+            yield verify_proposition(self, triple, t), bound
 
 
 def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -> ClaimVerdict:
@@ -250,14 +274,18 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     longest path there (a path of that graph, edge by edge, with its exact
     longest-path length, which ``subdivided_length`` reads off the pendant
     graph), the minimum distance sum equals (t + 1) times the base value,
-    and some witness of the minimum is an original vertex of the base graph
-    (an id below ``graph.n``).
+    and some vertex where it is reached is an original vertex of the base
+    graph (an id below ``graph.n``).
 
     The constructed graph and its length come from the memo of
     ``subdivisions``, filled on the first triple with this end set and t;
-    each path is lifted and checked once per entry. A ``holds`` verdict is
-    shared with every triple whose witness is equal; a ``violated`` one is
-    built for its own triple and never stored. A graph that would have more than
+    each path is lifted, checked and given its BFS distances in that graph
+    once per entry. The three packed distance ints of a triple, summed,
+    hold its distance sums one byte per vertex, so the subdivided f is
+    their least byte and an original witness one among the first
+    ``graph.n``. A ``holds`` verdict is shared with every triple whose
+    witness is equal; a ``violated`` one is built for its own triple and
+    never stored. A graph that would have more than
     ``DEFAULT_VERIFY_MAX_VERTICES`` vertices (counted before it is built),
     or a length search past ``DEFAULT_VERIFY_BUDGET_S`` seconds, gives
     ``skipped_budget`` rather than a guess, and stores nothing.
@@ -267,12 +295,14 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     if short is not None:
         return short
     base_f = subdivisions.analyze.sets(triple)[0]
-    key = (tuple(sorted({e for p in triple.paths for e in p.ends})), t)
+    p0, p1, p2 = triple.paths
+    v0, v1, v2 = p0.vertices, p1.vertices, p2.vertices
+    key = (1 << v0[0] | 1 << v0[-1] | 1 << v1[0] | 1 << v1[-1] | 1 << v2[0] | 1 << v2[-1], t)
     entry = subdivisions.memo.get(key)
     if entry is None:
         # One pendant per distinct end, then t new vertices on every edge:
         # the graph's size is known before it is built.
-        ends = len(key[0])
+        ends = key[0].bit_count()
         vertices = graph.n + ends + t * (graph.m + ends)
         if vertices > DEFAULT_VERIFY_MAX_VERTICES:
             return ClaimVerdict(
@@ -280,6 +310,7 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
                 SKIPPED_BUDGET,
                 {"vertices": vertices, "max_vertices": DEFAULT_VERIFY_MAX_VERTICES},
             )
+        assert 3 * (vertices - 1) < 256, "distance sums would not fit a byte"
         ext = attach_pendants(graph, triple)
         inst = subdivide(ext.graph, t)
         deadline = time.monotonic() + DEFAULT_VERIFY_BUDGET_S
@@ -289,19 +320,28 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
             return ClaimVerdict(
                 "subdivision_prop", SKIPPED_BUDGET, {"budget_s": DEFAULT_VERIFY_BUDGET_S})
         entry = subdivisions.memo[key] = (ext.pendant_map, inst, length, {}, {})
-    pendant_map, inst, sub_length, sub_distances, lifts = entry
-    adj = inst.graph.adjacency
-    for p in triple.paths:
-        if p.vertices not in lifts:
+    pendant_map, inst, sub_length, lifts, distances = entry
+    for vs, p in ((v0, p0), (v1, p1), (v2, p2)):
+        if vs not in lifts:
             q = _lift(_extend(p, pendant_map), inst.chains)
+            adj = inst.graph.adjacency
+            dist = distances.get(q.mask)
+            if dist is None:
+                # The base graph's f, computed first, found it connected, so
+                # this graph is too and no distance is missing.
+                dist = distances[q.mask] = int.from_bytes(
+                    bytes(_distance_list(adj, inst.graph.n, q.mask)), "little")
             # Lifting builds paths of the subdivided graph; the adjacency
             # check still holds the decision to the strength of a
             # longest-path listing.
-            lifts[p.vertices] = q, q.length == sub_length and all(
-                adj[a] >> b & 1 for a, b in zip(q.vertices, q.vertices[1:]))
-    (l0, m0), (l1, m1), (l2, m2) = [lifts[p.vertices] for p in triple.paths]
-    sub_f, sub_witnesses = f_value(inst.graph, PathTriple((l0, l1, l2)), sub_distances)
-    original_witness = any(w < graph.n for w in sub_witnesses)
+            lifts[vs] = q, q.length == sub_length and all(
+                adj[a] >> b & 1 for a, b in zip(q.vertices, q.vertices[1:])), dist
+    (_, m0, d0), (_, m1, d1), (_, m2, d2) = lifts[v0], lifts[v1], lifts[v2]
+    # One byte per vertex: a sum of three distances in a graph of at most
+    # 86 vertices is under 256, so no byte carries into the next.
+    totals = (d0 + d1 + d2).to_bytes(inst.graph.n, "little")
+    sub_f = min(totals)
+    original_witness = sub_f in totals[:graph.n]
     expected = (t + 1) * base_f
     values = (t, base_f, sub_f, expected, lp.length, sub_length, m0, m1, m2, original_witness)
     verdict = subdivisions.holding.get(values)
@@ -330,19 +370,23 @@ def verify_proposition(subdivisions: Subdivisions, triple: PathTriple, t: int) -
     return ClaimVerdict("subdivision_prop", VIOLATED, info)
 
 
-def union_sizes(triple: PathTriple) -> tuple[int, int, int]:
+def _path_masks(path: Path) -> tuple[int, int, int]:
+    # The path's vertex mask, edge mask (edge ab, a < b, at bit
+    # b(b - 1)/2 + a, so no vertex count is needed) and end mask.
+    vs = path.vertices
+    edges = 0
+    for a, b in zip(vs, vs[1:]):
+        edges |= 1 << (b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b)
+    return path.mask, edges, 1 << vs[0] | 1 << vs[-1]
+
+
+def union_sizes(triple: PathTriple, masks=_path_masks) -> tuple[int, int, int]:
     """The vertex and edge counts of the triple's union, and its number of
-    distinct path ends, counted from the paths without building the union
-    as a graph; none of them depends on t."""
-    p0, p1, p2 = triple.paths
-    n0 = (p0.mask | p1.mask | p2.mask).bit_count()
-    m0 = len({
-        (a, b) if a < b else (b, a)
-        for p in triple.paths
-        for a, b in zip(p.vertices, p.vertices[1:])
-    })
-    ends = len({e for p in triple.paths for e in p.ends})
-    return n0, m0, ends
+    distinct path ends, counted from the paths' masks (``masks`` gives
+    them, ``_path_masks`` or a memo of it) without building the union as a
+    graph; none of them depends on t."""
+    (n0, m0, e0), (n1, m1, e1), (n2, m2, e2) = map(masks, triple.paths)
+    return (n0 | n1 | n2).bit_count(), (m0 | m1 | m2).bit_count(), (e0 | e1 | e2).bit_count()
 
 
 def check_size_bound(

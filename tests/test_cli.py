@@ -519,6 +519,29 @@ def test_benchmark_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracer_traces_verify_prop(tmp_path):
+    # A traced verify-prop call passes through the wrapped verify_proposition
+    # once per (triple, t) instance and exits cleanly.
+    root = Path(__file__).resolve().parents[1]
+    src = tmp_path / "k4.g6"
+    src.write_text("C~\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    script = (
+        "import sys\n"
+        "from spans import Tracer, install\n"
+        "tracer = Tracer('t')\n"
+        "code = install(tracer)(sys.argv[1:])\n"
+        "print(code, sum(s[0] == 'subdivision.verify' for s in tracer.spans))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify-prop", "--input", str(src), "--t", "1,2",
+         "--triple-cap", "5", "--out", str(tmp_path / "out.json")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "10"]
+
+
 def test_benchmark_smoke_run_passes():
     # Every workload on a tiny load, its output checked: a src/ change that
     # breaks a workload's output fails here before the benchmark runs.

@@ -458,7 +458,9 @@ class TestClaimStatusMemo:
             searched[adj, mask] += 1
             return real(adj, n, mask)
 
+        # Under both names that search: the base f's and the lifts'.
         monkeypatch.setattr(triples_module, "_distance_list", counting)
+        monkeypatch.setattr(subdivision_module, "_distance_list", counting)
         for g in [*corpus_up_to(5), parse_graph6("KhAAPWU_?_@?")]:
             searched.clear()
             res = analyze_one(g, triple_cap=300, subdivision_t=(1,))
@@ -945,6 +947,15 @@ class TestSubdivisionSweep:
         assert capped["instances"] < 40
         assert capped["triples_skipped"] > 200
         assert capped["violations"] == []
+
+    def test_truncated_table_is_an_error(self, monkeypatch):
+        # A table over its cap lists no paths, so the triangle's three
+        # longest paths over a cap of two would leave it looking like a
+        # graph without triples; the sweep names it instead.
+        monkeypatch.setattr(scan_module, "enumerate_longest_paths",
+                            lambda graph: LongestPathTable(graph, 2))
+        with pytest.raises(ValueError, match="^graph Bw has more longest paths than the cap$"):
+            subdivision_sweep(3, (1,))
 
     def test_arguments_are_checked_before_any_work(self, monkeypatch):
         def refuse(n):

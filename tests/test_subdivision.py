@@ -3,6 +3,7 @@ verification of the scaling behaviour."""
 
 from functools import cached_property
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +14,7 @@ from conftest import (
     corpus,
     corpus_up_to,
     cycle_graph,
+    enumerate_all_simple_paths,
     neighbors,
     oracle_isomorphic,
     oracle_longest_path_length,
@@ -25,7 +27,7 @@ from conftest import (
 )
 import gallai.subdivision as subdivision
 import gallai.triples as triples
-from gallai.claims import HOLDS, SKIPPED_BUDGET, SKIPPED_TRUNCATED, VIOLATED
+from gallai.claims import HOLDS, SKIPPED_BUDGET, SKIPPED_TRUNCATED, VIOLATED, ClaimVerdict
 from gallai.graphs import _distance_list as distance_list
 from gallai.graphs import from_edge_list, is_connected, parse_graph6
 from gallai.paths import (
@@ -42,6 +44,7 @@ from gallai.subdivision import (
     check_size_bound,
     subdivide,
     subdivided_length,
+    union_sizes,
     verify_proposition,
 )
 from gallai.triples import PathTriple, TripleStream, f_value
@@ -316,7 +319,7 @@ class TestVerifyProposition:
         g, t = star_triple()
         subs = Subdivisions(g)
         assert verify_proposition(subs, t, 2).status == HOLDS
-        (_, inst, _, _, lifts), = subs.memo.values()
+        (_, inst, _, lifts, _), = subs.memo.values()
         inst.chains[(0, 1)] = inst.chains[(0, 1)][::-1]
         lifts.clear()
         v = verify_proposition(subs, t, 2)
@@ -326,17 +329,29 @@ class TestVerifyProposition:
 
 
 def oracle_subdivision(g, triple, t):
-    """The per-instance check without a memo: build the instance and look
-    the lifted paths up among the subdivided graph's listed longest paths.
-    Returns the subdivided length, the membership list and the status."""
+    """The per-instance check without a memo: build the instance, look the
+    lifted paths up among the subdivided graph's listed longest paths and
+    take f from ``f_value`` on it. Returns the witness fields it decides,
+    named as in a verdict, and the status."""
     base_f, _ = f_value(g, triple)
     inst = build_instance(g, triple, t)
     lp_sub = enumerate_longest_paths(inst.graph)
     assert not lp_sub.truncated
-    members = [p in lp_sub.paths for p in inst.paths]
     sub_f, witnesses = f_value(inst.graph, PathTriple(inst.paths))
-    holds = all(members) and sub_f == (t + 1) * base_f and min(witnesses) < g.n
-    return lp_sub.length, members, HOLDS if holds else VIOLATED
+    fields = {
+        "subdivided_length": lp_sub.length,
+        "lifted_longest": [p in lp_sub.paths for p in inst.paths],
+        "subdivided_f": sub_f,
+        "expected_f": (t + 1) * base_f,
+        "original_witness": min(witnesses) < g.n,
+    }
+    holds = (all(fields["lifted_longest"]) and sub_f == fields["expected_f"]
+             and fields["original_witness"])
+    return fields, HOLDS if holds else VIOLATED
+
+
+def oracle_fields(verdict, fields):
+    return {name: verdict.witness[name] for name in fields}
 
 
 class TestSubdividedReuse:
@@ -348,9 +363,8 @@ class TestSubdividedReuse:
             for triple in TripleStream(lp):
                 for tt in (0, 1, 2):
                     v = verify_proposition(subs, triple, tt)
-                    length, members, status = oracle_subdivision(g, triple, tt)
-                    assert v.witness["subdivided_length"] == length
-                    assert v.witness["lifted_longest"] == members
+                    fields, status = oracle_subdivision(g, triple, tt)
+                    assert oracle_fields(v, fields) == fields
                     assert v.status == status
                     checked += 1
             # One entry per distinct (end set, t).
@@ -360,6 +374,47 @@ class TestSubdividedReuse:
             }
             assert len(subs.memo) == 3 * len(end_sets)
         assert checked > 0
+
+    def test_sums_of_paths_that_are_not_longest(self):
+        # Three longest paths of a graph this small always share a vertex, so
+        # every valid instance has f = 0 at a common vertex. Shorter paths,
+        # passed with a stand-in table of their length, have positive sums
+        # and lifts that are not longest: every field is still the oracle's.
+        positive = 0
+        for g in [*corpus_up_to(5), path_graph(7), spider_graph(3, 2)]:
+            by_length = {}
+            for p in enumerate_all_simple_paths(g):
+                by_length.setdefault(p.length, []).append(p)
+            for k, paths in by_length.items():
+                if k == 0:
+                    continue
+                subs = Subdivisions(g, SimpleNamespace(length=k, truncated=False))
+                for triple in list(combinations(paths, 3))[::7][:4]:
+                    triple = PathTriple(triple)
+                    for t in (0, 1, 2):
+                        v = verify_proposition(subs, triple, t)
+                        fields, status = oracle_subdivision(g, triple, t)
+                        assert oracle_fields(v, fields) == fields and v.status == status
+                        positive += fields["expected_f"] > 0
+        assert positive > 100
+
+    @pytest.mark.parametrize("g6, t", [("Cs", 8), ("Dhc", 5), ("Bw", 9)])
+    def test_packed_distances_near_the_vertex_limit(self, g6, t):
+        # The star, C5 and the triangle at a t whose graphs have 54 to 60
+        # vertices: each lift keeps its distances one byte per vertex, and
+        # the f and witness read off their sum are the oracle's.
+        g = parse_graph6(g6)
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        for triple in list(TripleStream(lp))[:3]:
+            v = verify_proposition(subs, triple, t)
+            fields, status = oracle_subdivision(g, triple, t)
+            assert oracle_fields(v, fields) == fields and v.status == status == HOLDS
+        for _, inst, _, lifts, _ in subs.memo.values():
+            n, adj = inst.graph.n, inst.graph.adjacency
+            assert 54 <= n <= 60
+            for q, _, packed in lifts.values():
+                assert list(packed.to_bytes(n, "little")) == distance_list(adj, n, q.mask)
 
     def test_entry_is_read_instead_of_enumerating(self, monkeypatch):
         g, t = star_triple()
@@ -377,9 +432,9 @@ class TestSubdividedReuse:
     @pytest.mark.parametrize("g6", ["E?^o", "C~"])
     def test_one_distance_search_per_path_and_graph(self, g6, monkeypatch):
         # Over every t, each distinct path mask gets one BFS in the base
-        # graph and one in each subdivided graph it is lifted into. The
-        # twelve longest paths of E?^o have four vertex sets, those of K4
-        # (C~) one.
+        # graph (through the analyser's f_value) and one in each subdivided
+        # graph it is lifted into (kept with its lift). The twelve longest
+        # paths of E?^o have four vertex sets, those of K4 (C~) one.
         g = parse_graph6(g6)
         lp = enumerate_longest_paths(g)
         subs = Subdivisions(g, lp)
@@ -390,6 +445,7 @@ class TestSubdividedReuse:
             return distance_list(adj, n, mask)
 
         monkeypatch.setattr(triples, "_distance_list", counted)
+        monkeypatch.setattr(subdivision, "_distance_list", counted)
         chosen = list(TripleStream(lp))[:30]
         for triple in chosen:
             for tt in (0, 1, 2):
@@ -562,10 +618,11 @@ class TestSubdividedReuse:
 
 
 @st.composite
-def small_connected_graphs(draw):
-    """A random spanning tree on three to seven vertices plus up to n more
-    edges: every subdivided graph at t <= 2 stays within the vertex limit."""
-    n = draw(st.integers(3, 7))
+def small_connected_graphs(draw, min_n=3):
+    """A random spanning tree on ``min_n`` to seven vertices plus up to n
+    more edges: every subdivided graph at t <= 2 stays within the vertex
+    limit."""
+    n = draw(st.integers(min_n, 7))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n)))
@@ -696,10 +753,24 @@ class TestSubdivisionLaw:
         if g not in self.shared:
             self.shared[g] = Subdivisions(g, lp)
         v = verify_proposition(self.shared[g], triple, t)
-        length, members, status = oracle_subdivision(g, triple, t)
+        fields, status = oracle_subdivision(g, triple, t)
         assert v.status == status == HOLDS
-        assert v.witness["subdivided_length"] == length
-        assert v.witness["lifted_longest"] == members
+        assert oracle_fields(v, fields) == fields
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_connected_graphs(min_n=4))
+    def test_subdivided_f_matches_a_fresh_instance(self, g):
+        # The f read off the per-path distance lists of a shared entry,
+        # against f_value on an instance built for the triple alone, over
+        # the first 30 triples of a graph at each t.
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        for triple in TripleStream(lp, 30):
+            for t in (0, 1, 2):
+                v = verify_proposition(subs, triple, t)
+                fields, _ = oracle_subdivision(g, triple, t)
+                del fields["subdivided_length"], fields["lifted_longest"]
+                assert oracle_fields(v, fields) == fields
 
 
 class TestRestrictToTriple:
@@ -769,6 +840,35 @@ class TestSizeBound:
         t = PathTriple(tuple(lp.paths[:3]))
         for tt in (0, 1, 2):
             assert check_size_bound(g, t, tt).status == HOLDS
+
+    def test_verdicts_share_holding_bounds(self, monkeypatch):
+        # Subdivisions.verdicts counts the union from masks kept per path and
+        # keeps one holds verdict per (t, sizes): each equals a fresh
+        # check_size_bound.
+        for g in corpus_up_to(5):
+            lp = enumerate_longest_paths(g)
+            subs = Subdivisions(g, lp)
+            shared = {}
+            for triple in list(TripleStream(lp))[:200]:
+                for t, (_, bound) in zip((0, 1, 2), subs.verdicts(triple, (0, 1, 2))):
+                    assert bound == check_size_bound(g, triple, t)
+                    assert shared.setdefault((t, union_sizes(triple)), bound) is bound
+        # A violated bound keeps its own triple's paths and is never stored.
+        g = parse_graph6("C~")
+        lp = enumerate_longest_paths(g)
+        subs = Subdivisions(g, lp)
+        real = subdivision.check_size_bound
+
+        def violated(graph, triple, t, sizes=None):
+            v = real(graph, triple, t, sizes)
+            return ClaimVerdict("size_bound", VIOLATED, dict(v.witness, paths=[
+                list(p.vertices) for p in triple.paths]))
+
+        monkeypatch.setattr(subdivision, "check_size_bound", violated)
+        bounds = [bound for triple in TripleStream(lp)
+                  for _, bound in subs.verdicts(triple, (1,))]
+        assert len({id(b) for b in bounds}) == len(bounds) == 220
+        assert not any(key[0] == "size_bound" for key in subs.holding)
 
     def test_counted_size_matches_the_built_instance(self):
         # The vertex count is computed, not built; the built instance of the
