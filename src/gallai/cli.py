@@ -22,11 +22,11 @@ from .graphs import (
     Graph,
     format_edge_list,
     graph_key,
-    is_connected,
     mask_to_graph6,
     parse_graph6_lines,  # wrapped by name in perfbench/spans.py:96
     to_graph6,  # also wrapped by name in perfbench/spans.py:95
 )
+# enumerate_longest_paths is not called here: wrapped by name in perfbench/spans.py:92
 from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
 from .scan import (
     ALL_CHECKS,
@@ -37,6 +37,7 @@ from .scan import (
     TRIPLE_MODES,
     analyze_one,
     emit_report,
+    gated_table,
     read_graphs,
     report_chunks,
     report_json,
@@ -246,21 +247,15 @@ def _export_graph(graph: Graph) -> dict:
 def _subdivided(graphs: list[Graph], t: int, index: int):
     """Each graph's ``subdivide`` record, with its subdivided graph or None."""
     for graph in graphs:
-        if not is_connected(graph):
-            yield {"graph6": graph_key(graph), "status": "disconnected"}, None
+        status, table = gated_table(graph)
+        if status:
+            # No paths listed (disconnected, or truncated): unknown, not vacuous.
+            yield {"graph6": graph_key(graph), "status": status}, None
             continue
-        lp = enumerate_longest_paths(graph)
-        if lp.truncated:
-            # A truncated table lists no paths: not vacuous, but unknown.
-            yield {"graph6": graph_key(graph), "status": "skipped_truncated"}, None
-            continue
-        triples = TripleStream(lp)
+        triples = TripleStream(table)
         if index >= triples.total:
-            yield {
-                "graph6": graph_key(graph),
-                "status": "vacuous",
-                "triples_total": triples.total,
-            }, None
+            yield {"graph6": graph_key(graph), "status": "vacuous",
+                   "triples_total": triples.total}, None
             continue
         triple = triples[index]
         inst = build_instance(graph, triple, t)
@@ -314,30 +309,21 @@ def _cmd_verify_prop(args) -> int:
     def records():
         nonlocal worst_status
         for graph in graphs:
-            if not is_connected(graph):
-                yield {"graph6": graph_key(graph), "status": "disconnected", "verdicts": []}
-                continue
-            lp = enumerate_longest_paths(graph)
-            if lp.truncated:
-                # A truncated table lists no triples; one record says why.
-                yield {"graph6": graph_key(graph), "status": "skipped_truncated", "verdicts": []}
+            status, table = gated_table(graph)
+            if status:
+                # No triples listed (disconnected, or truncated); one record says why.
+                yield {"graph6": graph_key(graph), "status": status, "verdicts": []}
                 continue
             verdicts: list[dict] = []
-            subdivisions = Subdivisions(graph, lp)
+            subdivisions = Subdivisions(graph, table)
             # One list per path, so that the encoder writes each path once.
-            vertex_lists = {id(p): list(p.vertices) for p in lp.paths}
-            for triple in TripleStream(lp, args.triple_cap):
+            vertex_lists = {id(p): list(p.vertices) for p in table.paths}
+            for triple in TripleStream(table, args.triple_cap):
                 paths = [vertex_lists[id(p)] for p in triple.paths]
                 for t in args.t:
                     v = verify_proposition(subdivisions, triple, t)
                     verdicts.append(
-                        {
-                            "t": t,
-                            "paths": paths,
-                            "status": v.status,
-                            "witness": v.witness,
-                        }
-                    )
+                        {"t": t, "paths": paths, "status": v.status, "witness": v.witness})
                     if v.status == VIOLATED:
                         worst_status = EXIT_INTERNAL_VIOLATION
             yield {"graph6": graph_key(graph), "verdicts": verdicts}

@@ -1,11 +1,18 @@
 """Corpus scanning, single-graph analysis, and report emission.
 
+Every command starts each graph at one front end, ``gated_table``: a
+disconnected graph has status ``disconnected`` and no table; otherwise its
+``LongestPathTable`` counts the longest paths without listing them, and
+stops as soon as there are more than the cap with status
+``skipped_truncated`` and a table that lists nothing. ``_corpus`` is the
+generated corpus of a scan and of a subdivision sweep, and
+``_check_settings`` the one check of check names and multiplicities.
+
 A scan walks a corpus of connected graphs and evaluates the enabled claim
 checks on longest-path pairs and triples. Each graph's record (longest-path
 length, number of longest paths, size of their common intersection) comes
-from a ``LongestPathTable``, which counts the paths without listing them
-and stops as soon as there are more than the enumeration cap; the paths are
-walked from the same table only when a pair or triple is actually examined.
+from that table, whose paths are walked only when a pair or triple is
+examined.
 The default triple mode applies a sound shortcut: when some vertex lies on
 every longest path, every pair and triple trivially intersects there, so
 per-triple work is skipped and the graph is recorded as such. Graphs whose
@@ -53,7 +60,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
@@ -62,6 +69,7 @@ from .claims import (
     HOLDS,
     PROVEN_CLAIMS,
     SKIPPED_BUDGET,
+    SKIPPED_TRUNCATED,
     TRIPLE_CLAIMS,
     VIOLATED,
     ClaimVerdict,
@@ -77,9 +85,10 @@ from .graphs import (
     parse_edge_list,
     parse_graph6_lines,
 )
+# enumerate_longest_paths and analyze_triple are not called here: they are
+# wrapped by name in perfbench/spans.py:99 and :101.
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
 from .subdivision import Subdivisions
-# analyze_triple is not called here: perfbench/spans.py wraps it by name.
 from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream, analyze_triple
 
 SCHEMA_VERSION = 1
@@ -126,20 +135,37 @@ class ScanConfig:
             raise ValueError(f"generate_n must be within 1..{MAX_GENERATION_N}")
         if self.input_format not in ("graph6", "edgelist"):
             raise ValueError("input_format must be 'graph6' or 'edgelist'")
-        unknown = set(self.checks) - set(ALL_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+        _check_settings(self.checks, self.subdivision_t)
         if self.triple_mode not in TRIPLE_MODES:
             raise ValueError(f"triple_mode must be one of {TRIPLE_MODES}")
         if self.triple_cap < 1 or self.enumeration_cap < 1:
             raise ValueError("caps must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if any(t < 0 for t in self.subdivision_t):
-            raise ValueError("subdivision multiplicities must be nonnegative")
-        for name, values in (("checks", self.checks), ("subdivision_t", self.subdivision_t)):
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value")
+
+
+def _check_settings(checks: tuple[str, ...], subdivision_t: tuple[int, ...]) -> None:
+    # The one check of these two settings, for a scan, analyze_one and a sweep.
+    unknown = set(checks) - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if any(t < 0 for t in subdivision_t):
+        raise ValueError("subdivision multiplicities must be nonnegative")
+    for name, values in (("checks", checks), ("subdivision_t", subdivision_t)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat a value")
+
+
+def gated_table(
+    graph: Graph, cap: int = DEFAULT_PATH_CAP
+) -> tuple[str | None, LongestPathTable | None]:
+    """Every command's start on a graph: ``("disconnected", None)``, or its
+    longest-path table under ``cap`` with status ``"skipped_truncated"``
+    when it has more than ``cap`` paths (so it lists none), else None."""
+    if not is_connected(graph):
+        return "disconnected", None
+    table = LongestPathTable(graph, cap)
+    return SKIPPED_TRUNCATED if table.truncated else None, table
 
 
 @dataclass
@@ -262,19 +288,14 @@ def _examine_graph(
     record = GraphRecord(graph6=g6, n=graph.n, m=graph.m, status="checked")
     violations: list[ViolationRecord] = []
 
-    if not is_connected(graph):
-        record.status = "disconnected"
+    status, table = gated_table(graph, config.enumeration_cap)
+    if table is not None:
+        record.l, record.truncated = table.length, table.truncated
+        record.num_longest = config.enumeration_cap if status else table.count
+    if status:
+        record.status = status
         return record, violations, False
 
-    table = LongestPathTable(graph, config.enumeration_cap)
-    record.l = table.length
-    record.truncated = table.truncated
-    if table.truncated:
-        record.num_longest = config.enumeration_cap
-        record.status = "skipped_truncated"
-        return record, violations, False
-
-    record.num_longest = table.count
     record.gallai_size = table.core.bit_count()
     record.triples_total = comb(table.count, 3)
     vacuous = table.count < 3
@@ -341,12 +362,14 @@ def _examine_graph(
             record.triples_skipped = triples.skipped
 
 
+def _corpus(max_n: int) -> Iterator[Graph]:
+    """Every connected graph on 1..max_n vertices, lazily, by vertex count."""
+    return chain.from_iterable(map(generate_connected_graphs, range(1, max_n + 1)))
+
+
 def _resolve_source(config: ScanConfig) -> list[Graph]:
     if config.generate_n is not None:
-        graphs = []
-        for n in range(1, config.generate_n + 1):
-            graphs.extend(generate_connected_graphs(n))
-        return graphs
+        return list(_corpus(config.generate_n))
     return read_graphs(config.input_path, config.input_format)
 
 
@@ -648,7 +671,8 @@ def analyze_one(
 
     Unlike a scan this never takes the common-vertex shortcut: every triple
     (up to ``triple_cap``) gets its full parameter record and verdicts.
-    Disconnected input is reported, not raised.
+    Disconnected input is reported, not raised; ``checks`` and
+    ``subdivision_t`` are checked as a ``ScanConfig`` checks them.
 
     Every field of a triple entry but its paths and subdivision verdicts
     depends only on the three paths' vertex sets and crossing counts. So a
@@ -661,26 +685,21 @@ def analyze_one(
     changes every entry that holds it, and the triple list is written from
     its groups. A copy (``copy.deepcopy``) holds a plain list to edit.
     """
+    _check_settings(checks, subdivision_t)
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
-    if not is_connected(graph):
-        out["status"] = "disconnected"
+    status, table = gated_table(graph, enumeration_cap)
+    if table is not None:
+        out.update(l=table.length, truncated=table.truncated,
+                   num_longest=enumeration_cap if status else table.count)
+    if status:
+        out["status"] = status
         return out
-    table = LongestPathTable(graph, enumeration_cap)
-    out["l"] = table.length
-    out["num_longest"] = enumeration_cap if table.truncated else table.count
-    out["truncated"] = table.truncated
-    if table.truncated:
-        out["status"] = "skipped_truncated"
-        return out
-    gallai = gallai_vertex_set(graph, longest_paths=table)
-    out["gallai_vertices"] = sorted(gallai)
-    out["gallai_size"] = len(gallai)
-    out["strict_crossings"] = strict_t
+    gallai = sorted(gallai_vertex_set(graph, longest_paths=table))
     triples = TripleStream(table, triple_cap)
-    out["triples_total"] = triples.total
+    out.update(gallai_vertices=gallai, gallai_size=len(gallai), strict_crossings=strict_t,
+               triples_total=triples.total)
     if triples.total == 0:
-        out["status"] = "vacuous"
-        out["triples"] = []
+        out.update(status="vacuous", triples=[])
         return out
     claims = _TripleClaims(graph, table, checks, strict_t)
     crossings = claims.analyze.t_counts
@@ -746,8 +765,7 @@ def subdivision_sweep(
     """
     if not 1 <= max_n <= MAX_GENERATION_N:
         raise ValueError(f"max_n must be within 1..{MAX_GENERATION_N}")
-    if len(set(t_values)) != len(t_values):
-        raise ValueError("subdivision_t must not repeat a value")
+    _check_settings((), t_values)
     graphs = 0
     eligible = 0
     instances = 0
@@ -755,35 +773,32 @@ def subdivision_sweep(
     triples_skipped = 0
     worst_s = 0.0
     violations: list[dict] = []
-    for n in range(1, max_n + 1):
-        for graph in generate_connected_graphs(n):
-            graphs += 1
-            lp = enumerate_longest_paths(graph)
-            if lp.truncated:
-                # It lists no paths, and skipping it would shrink the sweep
-                # without a word; n <= 8 stays far below the cap (K8 has
-                # 20,160 longest paths).
-                raise ValueError(
-                    f"graph {graph_key(graph)} has more longest paths than the cap")
-            if len(lp.paths) < 3:
-                continue
-            eligible += 1
-            triples = TripleStream(lp, triple_cap)
-            subdivisions = Subdivisions(graph, lp)
-            for triple in triples:
+    for graph in _corpus(max_n):
+        graphs += 1
+        status, table = gated_table(graph)
+        if status:
+            # It lists no paths, and skipping it would shrink the sweep
+            # without a word; n <= 8 stays far below the cap (K8 has
+            # 20,160 longest paths).
+            raise ValueError(f"graph {graph_key(graph)} has more longest paths than the cap")
+        if table.count < 3:
+            continue
+        eligible += 1
+        triples = TripleStream(table, triple_cap)
+        subdivisions = Subdivisions(graph, table)
+        for triple in triples:
+            t0 = time.monotonic()
+            for verdicts in subdivisions.verdicts(triple, t_values):
+                worst_s = max(worst_s, time.monotonic() - t0)
+                instances += 1
+                for v in verdicts:
+                    if v.status == VIOLATED:
+                        violations.append(
+                            {"claim": v.claim, "graph6": graph_key(graph), "witness": v.witness})
+                    elif v.status == SKIPPED_BUDGET:
+                        skipped += 1
                 t0 = time.monotonic()
-                for verdicts in subdivisions.verdicts(triple, t_values):
-                    worst_s = max(worst_s, time.monotonic() - t0)
-                    instances += 1
-                    for v in verdicts:
-                        if v.status == VIOLATED:
-                            violations.append(
-                                {"claim": v.claim, "graph6": graph_key(graph), "witness": v.witness}
-                            )
-                        elif v.status == SKIPPED_BUDGET:
-                            skipped += 1
-                    t0 = time.monotonic()
-            triples_skipped += triples.skipped
+        triples_skipped += triples.skipped
     return {
         "max_n": max_n,
         "t_values": list(t_values),

@@ -39,7 +39,6 @@ from typing import Iterable, Iterator
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
 from .graphs import Graph, _distance_list, graph_key
 from .paths import (
-    DEFAULT_PATH_CAP,
     BudgetError,
     LongestPathTable,
     Path,
@@ -203,9 +202,9 @@ def subdivided_length(graph: Graph, t: int, *, deadline: float | None = None) ->
 class Subdivisions:
     """The subdivision checks of one base graph, sharing their built graphs.
 
-    ``longest_paths`` is the base graph's longest-path table; without one,
-    a capped table is filled, and its paths are never walked, since the
-    checks read only its length and whether it was truncated. ``memo`` maps
+    ``longest_paths`` is the base graph's longest-path table, as
+    ``scan.gated_table`` builds it; the checks read only its length and
+    whether it was truncated, so its paths are never walked. ``memo`` maps
     an (end mask, t) pair, the end mask the OR of ``1 << e`` over the
     triple's path ends, to five things: the pendant map, the built
     instance, the exact longest-path length of its graph, the lifts and the
@@ -223,12 +222,10 @@ class Subdivisions:
     union for the size bound. Keep one object per base graph.
     """
 
-    def __init__(self, graph: Graph, longest_paths: LongestPathTable | None = None,
+    def __init__(self, graph: Graph, longest_paths: LongestPathTable,
                  analyze: TripleAnalyzer | None = None):
         self.graph = graph
-        self.longest_paths = (
-            LongestPathTable(graph, DEFAULT_PATH_CAP) if longest_paths is None else longest_paths
-        )
+        self.longest_paths = longest_paths
         self.analyze = TripleAnalyzer(graph) if analyze is None else analyze
         self.memo: dict[
             tuple[int, int],

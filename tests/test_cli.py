@@ -463,7 +463,7 @@ def test_deep_path_search_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, target", [
     (["analyze"], "analyze_one"),
-    (["verify-prop", "--t", "1"], "enumerate_longest_paths"),
+    (["verify-prop", "--t", "1"], "gated_table"),
 ])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch, command, target, to_file):
@@ -491,6 +491,31 @@ def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch, command, targ
     assert out == ""
     assert not out_file.exists()
     assert err == "gallai: error: second graph fails\n"
+
+
+def test_one_skip_vocabulary_across_commands(tmp_path, capsys):
+    # Every command starts a graph at one front end, so all four name a
+    # disconnected graph and a truncated table (K9's 181,440 longest paths
+    # are over the default cap) the same way. P3 has one longest path, and
+    # a decided verify-prop record carries verdicts, not a status.
+    src = tmp_path / "mixed.g6"
+    src.write_text("Fs?GG\nH~~~~~~\nBg\nC~\n")
+    skipped = ["disconnected", "skipped_truncated"]
+    expected = {
+        ("scan",): [*skipped, "vacuous", "shortcut"],
+        ("analyze", "--triple-cap", "1"): [*skipped, "vacuous", "checked"],
+        ("verify-prop", "--t", "1", "--triple-cap", "1"): [*skipped, None, None],
+        ("subdivide", "--t", "1"): [*skipped, "vacuous", "ok"],
+    }
+    for command, statuses in expected.items():
+        code, out, _ = run(capsys, *command, "--input", str(src))
+        assert code == 0
+        records = json.loads(out)
+        records = records["graphs"] if command == ("scan",) else records
+        by_graph = {r["graph6"]: r for r in records}
+        assert [by_graph[g].get("status") for g in ("Fs?GG", "H~~~~~~", "Bg", "C~")] == statuses
+        if command[0] == "verify-prop":
+            assert [len(r["verdicts"]) for r in records] == [0, 0, 0, 1]
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -776,6 +776,25 @@ class TestAnalyzeOne:
         res = analyze_one(cycle_graph(5), subdivision_t=(0, 1))
         json.dumps(res)
 
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was examined before the settings were checked")
+
+        monkeypatch.setattr(scan_module, "gated_table", refuse)
+
+    def test_unknown_check_rejected(self, monkeypatch):
+        # Once a check name that is not a claim gave entries with no verdicts.
+        self.refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"^unknown checks: \['bogus'\]$"):
+            analyze_one(parse_graph6("C~"), checks=("bogus",), triple_cap=2)
+
+    def test_repeated_multiplicity_rejected(self, monkeypatch):
+        # Once t = (1, 1) collapsed to one "1" key of each subdivision map.
+        self.refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match="^subdivision_t must not repeat a value$"):
+            analyze_one(parse_graph6("C~"), subdivision_t=(1, 1))
+
 
 def fresh_record(graph, *, checks=ALL_CHECKS, triple_cap=100_000, subdivision_t=(),
                  strict_t=False) -> dict:
@@ -952,8 +971,8 @@ class TestSubdivisionSweep:
         # A table over its cap lists no paths, so the triangle's three
         # longest paths over a cap of two would leave it looking like a
         # graph without triples; the sweep names it instead.
-        monkeypatch.setattr(scan_module, "enumerate_longest_paths",
-                            lambda graph: LongestPathTable(graph, 2))
+        monkeypatch.setattr(scan_module, "LongestPathTable",
+                            lambda graph, cap: LongestPathTable(graph, 2))
         with pytest.raises(ValueError, match="^graph Bw has more longest paths than the cap$"):
             subdivision_sweep(3, (1,))
 
@@ -967,3 +986,6 @@ class TestSubdivisionSweep:
         for max_n in (0, 9):
             with pytest.raises(ValueError, match="max_n must be within 1..8"):
                 subdivision_sweep(max_n, (1,), triple_cap=1)
+        # Once this failed only inside the first subdivision, with its message.
+        with pytest.raises(ValueError, match="^subdivision multiplicities must be nonnegative$"):
+            subdivision_sweep(3, (-1,))

@@ -47,6 +47,7 @@ from gallai.subdivision import (
     union_sizes,
     verify_proposition,
 )
+from gallai.scan import gated_table
 from gallai.triples import PathTriple, TripleStream, f_value
 
 
@@ -54,6 +55,11 @@ def star_triple():
     g = star_graph(3)
     lp = enumerate_longest_paths(g)
     return g, PathTriple(tuple(lp.paths))
+
+
+def subdivisions(g):
+    # The checks of a base graph over the table every command starts it with.
+    return Subdivisions(g, gated_table(g)[1])
 
 
 class TestAttachPendants:
@@ -231,14 +237,14 @@ class TestVerifyProposition:
     def test_star_small_multiplicities(self):
         g, t = star_triple()
         for tt in (0, 1, 2):
-            v = verify_proposition(Subdivisions(g), t, tt)
+            v = verify_proposition(subdivisions(g), t, tt)
             assert v.status == HOLDS, v.witness
             assert v.witness["subdivided_f"] == 0
             assert v.witness["original_witness"]
 
     def test_star_lengths(self):
         g, t = star_triple()
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         assert verify_proposition(subs, t, 1).witness["subdivided_length"] == 8
         assert verify_proposition(subs, t, 2).witness["subdivided_length"] == 12
 
@@ -253,8 +259,7 @@ class TestVerifyProposition:
 
     def test_no_table_walks_no_path(self, monkeypatch):
         # The gate reads only the table's length and truncation flag, so the
-        # table filled for a graph given without one never walks its paths:
-        # K8 has 20,160 of them.
+        # table the front end builds is never walked: K8 has 20,160 paths.
         def refuse(table):
             raise AssertionError("walked the longest paths")
 
@@ -262,7 +267,7 @@ class TestVerifyProposition:
         walked.__set_name__(LongestPathTable, "paths")
         monkeypatch.setattr(LongestPathTable, "paths", walked)
         g = complete_graph(8)
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         assert (subs.longest_paths.length, subs.longest_paths.truncated) == (7, False)
         t = PathTriple.make(
             g, range(8), [0, 2, 1, *range(3, 8)], [0, 1, 3, 2, *range(4, 8)])
@@ -274,13 +279,13 @@ class TestVerifyProposition:
         g = star_graph(3)
         t = PathTriple((Path((0, 1)), Path((0, 2)), Path((0, 3))))
         with pytest.raises(ValueError):
-            verify_proposition(Subdivisions(g), t, 1)
+            verify_proposition(subdivisions(g), t, 1)
 
     def test_budget_skip(self, monkeypatch):
         # Seven vertices and six edges after the pendants; t = 9 gives
         # 7 + 9 * 6 = 61 vertices, one over the limit.
         g, t = star_triple()
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         v = verify_proposition(subs, t, 9)
         assert v.status == SKIPPED_BUDGET
         assert v.witness == {"vertices": 61, "max_vertices": 60}
@@ -317,7 +322,7 @@ class TestVerifyProposition:
         # paths of the subdivided graph. The entry's lifts are dropped with
         # it, so that every path is lifted through the reversed chain.
         g, t = star_triple()
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         assert verify_proposition(subs, t, 2).status == HOLDS
         (_, inst, _, lifts, _), = subs.memo.values()
         inst.chains[(0, 1)] = inst.chains[(0, 1)][::-1]
@@ -418,7 +423,7 @@ class TestSubdividedReuse:
 
     def test_entry_is_read_instead_of_enumerating(self, monkeypatch):
         g, t = star_triple()
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         first = verify_proposition(subs, t, 1)
         assert len(subs.memo) == 1
 
@@ -597,7 +602,7 @@ class TestSubdividedReuse:
             raise BudgetError("deadline passed")
 
         monkeypatch.setattr(subdivision, "subdivided_length", out_of_time)
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         v = verify_proposition(subs, t, 1)
         assert v.status == SKIPPED_BUDGET
         assert v.witness == {"budget_s": 120.0}
@@ -610,7 +615,7 @@ class TestSubdividedReuse:
         # The real search, with a budget that has run out before it starts.
         g, t = star_triple()
         monkeypatch.setattr(subdivision, "DEFAULT_VERIFY_BUDGET_S", -1)
-        subs = Subdivisions(g)
+        subs = subdivisions(g)
         v = verify_proposition(subs, t, 1)
         assert v.status == SKIPPED_BUDGET
         assert v.witness == {"budget_s": -1}
