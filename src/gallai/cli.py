@@ -35,6 +35,7 @@ from .scan import (
     EXIT_OK,
     ScanConfig,
     TRIPLE_MODES,
+    TripleRows,
     analyze_one,
     emit_report,
     gated_table,
@@ -314,18 +315,24 @@ def _cmd_verify_prop(args) -> int:
                 # No triples listed (disconnected, or truncated); one record says why.
                 yield {"graph6": graph_key(graph), "status": status, "verdicts": []}
                 continue
-            verdicts: list[dict] = []
             subdivisions = Subdivisions(graph, table)
-            # One list per path, so that the encoder writes each path once.
-            vertex_lists = {id(p): list(p.vertices) for p in table.paths}
-            for triple in TripleStream(table, args.triple_cap):
-                paths = [vertex_lists[id(p)] for p in triple.paths]
+            triples = TripleStream(table, args.triple_cap)
+            verdicts = TripleRows([list(p.vertices) for p in table.paths])
+            fields = verdicts.fields
+            # One fields dict per t, status and witness, which it holds (so the
+            # id names no other): a holds witness is shared by equal values.
+            known: dict[tuple, int] = {}
+            for at in triples.indices():
+                triple = triples.at(*at)
                 for t in args.t:
                     v = verify_proposition(subdivisions, triple, t)
-                    verdicts.append(
-                        {"t": t, "paths": paths, "status": v.status, "witness": v.witness})
-                    if v.status == VIOLATED:
-                        worst_status = EXIT_INTERNAL_VIOLATION
+                    f = known.get(key := (t, v.status, id(v.witness)))
+                    if f is None:
+                        f = known[key] = len(fields)
+                        fields.append({"t": t, "status": v.status, "witness": v.witness})
+                        if v.status == VIOLATED:
+                            worst_status = EXIT_INTERNAL_VIOLATION
+                    verdicts.add(f, at)
             yield {"graph6": graph_key(graph), "verdicts": verdicts}
 
     _write_out([*report_chunks(records()), "\n"], args.out)

@@ -19,12 +19,14 @@ per-triple work is skipped and the graph is recorded as such. Graphs whose
 longest paths have empty common intersection (none exist at these corpus
 sizes) fall through to explicit triple iteration.
 
-Triple iteration, in a scan and in ``analyze_one`` alike, runs through one
+Triple iteration, in a scan and in ``analyze_one`` alike, walks the
+table's triples as path indices ``(i, j, k)`` and runs through one
 ``_TripleClaims`` per graph, built only once the graph reaches it: it
-computes each parameter once per distinct input, decides the claim
-statuses once per ``(f, x_sizes, t_counts)``, and holds the graph's
-``Subdivisions``, which reads its base f from the same analyser. The scan
-and ``analyze_one`` keep only their folds over its verdicts: tallies and
+computes each parameter once per distinct input, its crossing counts once
+per path index and pair of other masks, decides the claim statuses once
+per ``(f, x_sizes, t_counts)``, and holds the graph's ``Subdivisions``,
+which reads its base f from the same analyser. The scan and
+``analyze_one`` keep only their folds over its verdicts: tallies and
 violations in one, triple entries made once per group in the other.
 ``prop1`` holds for a pair exactly when its intersection is not empty, so
 ``analyze_one`` reads it off the triple's pairwise sizes; the scan checks
@@ -44,10 +46,12 @@ never all of its records; ``emit_report`` encodes a scan's graph records
 through it too. The encoder sorts and quotes each dict shape (a key set
 at an indent) once per report, and within a record writes each shared
 fragment (a path's vertex list, a parameter list, a verdict map) once per
-indent and reuses the text. ``analyze_one``'s triple list writes its own
-text: every field of an entry but its paths and subdivision verdicts
-belongs to its group (the triple's path masks and crossing counts), so
-the group's fields are written once and joined with each entry's paths.
+indent and reuses the text. A ``TripleRows`` list, ``analyze_one``'s
+triple entries and ``verify-prop``'s verdicts, writes its own text: every
+field of a row but its paths comes from one of a few shared dicts (an
+entry's group, the triple's path masks and crossing counts, with its
+subdivision verdicts; a verdict's t, status and witness), so each of those
+and each path is written once, and a row is joined from them by index.
 """
 
 from __future__ import annotations
@@ -57,10 +61,11 @@ import io
 import json
 import sys
 import time
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
@@ -235,8 +240,8 @@ class _TripleClaims:
     """The one per-graph checker of ``scan`` and ``analyze_one``.
 
     Built from a graph and its longest-path table, it holds every
-    per-graph memo of the checks. Called on a triple, it gives the
-    ``TripleAnalyzer``'s parameters and the triple claims' verdicts;
+    per-graph memo of the checks. Called on a triple and its path indices, it
+    gives the ``TripleAnalyzer``'s parameters and the triple claims' verdicts;
     ``subdivisions.verdicts`` gives the two subdivision claims, and reads
     each base f from the analyser's record of the triple's masks. Every
     claim predicate reads only n, l, the crossing convention and a
@@ -250,14 +255,15 @@ class _TripleClaims:
     def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool):
         self.graph = graph
         self.l = table.length
-        self.analyze = TripleAnalyzer(graph, strict_t)
+        self.analyze = TripleAnalyzer(graph, strict_t, table.paths)
         self.subdivisions = Subdivisions(graph, table, self.analyze)
         self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
         self.prop1 = "prop1" in checks
         self.statuses: dict[tuple, tuple[tuple[ClaimVerdict, ...], bool]] = {}
 
-    def __call__(self, triple: PathTriple) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
-        analysis = self.analyze(triple)
+    def __call__(self, triple: PathTriple, i: int, j: int, k: int
+                 ) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
+        analysis = self.analyze(triple, self.analyze.t_counts(i, j, k))
         key = (analysis.f, analysis.x_sizes, analysis.t_counts)
         known = self.statuses.get(key)
         if known is None:
@@ -332,21 +338,23 @@ def _examine_graph(
             return record, violations, False
 
         claims = _TripleClaims(graph, table, config.checks, config.strict_t)
-        # Each pair once, by the identities of the table's two paths.
+        paths = table.paths
+        # Each pair once, by its two path indices.
         checked: set[tuple[int, int]] = set()
-        for triple in triples:
-            analysis, verdicts = claims(triple)
+        for i, j, k in triples.indices():
+            triple = triples.at(i, j, k)
+            analysis, verdicts = claims(triple, i, j, k)
             record.max_f = (
                 analysis.f if record.max_f is None else max(record.max_f, analysis.f)
             )
             low_t = min(analysis.t_counts)
             record.min_t = low_t if record.min_t is None else min(record.min_t, low_t)
             if claims.prop1:
-                for a, b in combinations(triple.paths, 2):
-                    if (key := (id(a), id(b))) not in checked:
-                        checked.add(key)
+                for a, b in ((i, j), (i, k), (j, k)):
+                    if (a, b) not in checked:
+                        checked.add((a, b))
                         record.pairs_examined += 1
-                        run(check_prop1(graph, a, b, longest_paths=table))
+                        run(check_prop1(graph, paths[a], paths[b], longest_paths=table))
             for verdict in verdicts:
                 run(verdict)
             for pair in claims.subdivisions.verdicts(triple, config.subdivision_t):
@@ -462,8 +470,8 @@ def _encoder(shapes: dict):
     a dict of scalars and such lists (a verdict map with its ``prop1``
     list). A list of fragments (a triple's ``paths``) is joined from their
     texts. Row containers (a per-triple entry, a scan's graph record) are
-    not kept; a fragment that occurs once (a tally, a witness) is.
-    ``analyze_one``'s triple list is written by its own ``text``. An id
+    not kept; a fragment that occurs once (a tally, a witness) is. A
+    ``TripleRows`` list is written by its own ``text``. An id
     names an object only while it is alive, so a fragment memo lasts one
     document: ``report_chunks`` makes one encoder per record.
     """
@@ -508,7 +516,8 @@ def _encoder(shapes: dict):
                     parts.append(head + int.__repr__(v))
                     continue
                 text = ids.get(id(v))
-                parts.append(head + (encode(v, inner) if text is None else text))
+                # Not joined to its head: a triple list's text runs to megabytes.
+                parts += (head, encode(v, inner) if text is None else text)
                 if fragment and isinstance(v, _CONTAINERS):
                     # A list is in the memo exactly when it holds scalars only.
                     fragment = not isinstance(v, dict) and (not v or id(v) in ids)
@@ -517,7 +526,7 @@ def _encoder(shapes: dict):
         elif type(o[0]) is int and all(type(x) is int for x in o):
             text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
             fragment = True
-        elif type(o) is _TripleEntries:
+        elif type(o) is TripleRows:
             return o.text(encode, pad)
         else:
             # Joined as it is when every item is a fragment in the memo.
@@ -612,48 +621,52 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
 # single-graph deep dive
 # ---------------------------------------------------------------------------
 
-class _TripleEntries(list):
-    """``analyze_one``'s triple entries: a plain list of their dicts that
-    writes its own JSON text for ``report_json``. Entries with the same
-    path masks and crossing counts copy every field but ``paths`` and
-    ``subdivision`` from one dict, their group's, which ``groups`` holds
-    beside each entry; ``paths`` holds the record's one list per path.
-    ``text`` writes each group once, split before ``t_counts`` into a head
-    and a tail, and each path once, and joins every entry from those.
+class TripleRows(list):
+    """A list of row dicts, one per path triple, that writes its own JSON
+    text for ``report_json``: ``analyze_one``'s triple entries and a
+    ``verify-prop`` record's verdicts. A row holds three of ``paths``, the
+    record's one list per path, under ``"paths"``, and the fields of one
+    dict of ``fields``; ``rows`` holds beside each row that dict's index
+    and the three path indices. ``text`` writes each path and each fields
+    dict once, the latter split where ``"paths"`` sorts among its keys,
+    and joins every row from those texts by index, none written again.
     """
 
-    def __init__(self, paths: Iterable[list[int]]):
+    def __init__(self, paths: list[list[int]]):
         super().__init__()
-        self.groups: list[dict] = []
-        self.paths = list(paths)
+        self.paths = paths
+        self.fields: list[dict] = []
+        self.rows: list[tuple[int, int, int, int]] = []
 
     def __reduce__(self):
         # A copy is a plain list, written entry by entry, so it can be edited.
         return list, (list(self),)
 
+    def add(self, f: int, at: tuple[int, int, int]) -> None:
+        """Append the row of ``fields[f]`` and the paths at indices ``at``."""
+        i, j, k = at
+        row = self.fields[f].copy()
+        row["paths"] = [self.paths[i], self.paths[j], self.paths[k]]
+        self.append(row)
+        self.rows.append((f, i, j, k))
+
     def text(self, encode, pad: str) -> str:
         inner, field = pad + "  ", pad + "    "
         item = field + "  "
-        sep, between = ",\n" + item, ",\n" + inner
-        texts = {id(p): encode(p, item) for p in self.paths}
-        texts[id(None)] = ""  # no subdivision map
-        heads: dict[int, tuple[str, str, str]] = {}
+        sep = ",\n" + item
+        paths = [encode(p, item) for p in self.paths]
+        opens, closes = [], []
+        for fields in self.fields:
+            keys = sorted(fields)
+            texts = [f"\n{field}{_quote(k)}: {encode(fields[k], field)}" for k in keys]
+            cut = bisect(keys, "paths")
+            opens.append("{" + ",".join([*texts[:cut], f'\n{field}"paths": [\n{item}']))
+            closes.append(",".join([f"\n{field}]", *texts[cut:]]) + f"\n{inner}}}")
+        between = ",\n" + inner
         parts = []
-        for entry, group in zip(self, self.groups):
-            known = heads.get(id(group))
-            if known is None:
-                # "paths" and "subdivision" sort just before "t_counts".
-                head, rest, tail = encode(group, inner).partition(f',\n{field}"t_counts": ')
-                known = heads[id(group)] = (f'{head},\n{field}"paths": [\n{item}',
-                                            f"\n{field}]", rest + tail)
-            head, close, tail = known
-            a, b, c = entry["paths"]
-            sub = entry.get("subdivision")
-            if id(sub) not in texts:
-                texts[id(sub)] = f',\n{field}"subdivision": {encode(sub, field)}'
-            parts += (between, head, texts[id(a)], sep, texts[id(b)], sep, texts[id(c)], close,
-                      texts[id(sub)], tail)
-        parts[0] = "[\n" + inner  # in place of the separator before the first entry
+        for f, i, j, k in self.rows:
+            parts += (between, opens[f], paths[i], sep, paths[j], sep, paths[k], closes[f])
+        parts[0] = "[\n" + inner  # in place of the separator before the first row
         parts.append(f"\n{pad}]")
         return "".join(parts)
 
@@ -674,16 +687,17 @@ def analyze_one(
     Disconnected input is reported, not raised; ``checks`` and
     ``subdivision_t`` are checked as a ``ScanConfig`` checks them.
 
-    Every field of a triple entry but its paths and subdivision verdicts
-    depends only on the three paths' vertex sets and crossing counts. So a
-    triple costs its crossing counts and one lookup: the analysis, the
-    claim statuses and the field objects are made once per group of
-    triples with the same masks and counts, and every entry of the group
-    holds those same objects (``_TripleEntries``). The entries also share
-    one list per path and one subdivision map per set of statuses. Treat
-    the record as read-only: editing a shared list or map in one entry
-    changes every entry that holds it, and the triple list is written from
-    its groups. A copy (``copy.deepcopy``) holds a plain list to edit.
+    Every field of a triple entry but its paths depends only on the three
+    paths' vertex sets and crossing counts, and its subdivision statuses.
+    So a triple, walked as path indices, costs its crossing counts and one
+    lookup: a ``PathTriple`` (unless ``subdivision_t`` needs one for each),
+    the analysis, the claim statuses and the field objects are made once
+    per group of triples with equal masks, counts and statuses, and every
+    entry of the group holds those same objects (``TripleRows``). The
+    entries also share one list per path and one subdivision map per set of
+    statuses. Treat the record as read-only: editing a shared list or map
+    in one entry changes every entry that holds it, and the triple list is
+    written from its groups. A copy (``copy.deepcopy``) holds a plain list.
     """
     _check_settings(checks, subdivision_t)
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
@@ -702,44 +716,42 @@ def analyze_one(
         out.update(status="vacuous", triples=[])
         return out
     claims = _TripleClaims(graph, table, checks, strict_t)
-    crossings = claims.analyze.t_counts
-    path_lists = {id(p): list(p.vertices) for p in table.paths}
-    groups: dict[tuple, dict] = {}
+    masks, crossings = claims.analyze.masks, claims.analyze.t_counts
+    entries = TripleRows([list(p.vertices) for p in table.paths])
+    fields = entries.fields
+    groups: dict[tuple, int] = {}
     subdivision_maps: dict[tuple, dict] = {}
-    entries = _TripleEntries(path_lists.values())
-    for triple in triples:
-        p0, p1, p2 = triple.paths
-        key = (p0.mask, p1.mask, p2.mask, crossings(triple))
-        group = groups.get(key)
-        if group is None:
-            analysis, verdicts = claims(triple)
+    for at in triples.indices():
+        i, j, k = at
+        key = (masks[i], masks[j], masks[k], crossings(i, j, k))
+        if subdivision_t:
+            statuses = tuple([tuple([(v.claim, v.status) for v in pair]) for pair in
+                              claims.subdivisions.verdicts(triples.at(i, j, k), subdivision_t)])
+            key += (statuses,)
+        f = groups.get(key)
+        if f is None:
+            analysis, verdicts = claims(triples.at(i, j, k), i, j, k)
             verdict_map = {v.claim: v.status for v in verdicts}
             if claims.prop1:
                 # Two longest paths meet exactly when they share a vertex.
                 verdict_map["prop1"] = [HOLDS if size else VIOLATED
                                         for size in analysis.pairwise_sizes]
-            group = groups[key] = {
+            f = groups[key] = len(fields)
+            fields.append({
                 "f": analysis.f,
                 "witnesses": sorted(analysis.witnesses),
                 "x_sizes": list(analysis.x_sizes),
                 "t_counts": list(analysis.t_counts),
                 "pairwise_sizes": list(analysis.pairwise_sizes),
                 "verdicts": verdict_map,
-            }
-        entry = {"paths": [path_lists[id(p0)], path_lists[id(p1)], path_lists[id(p2)]], **group}
-        if subdivision_t:
-            statuses = tuple([tuple([(v.claim, v.status) for v in pair])
-                              for pair in claims.subdivisions.verdicts(triple, subdivision_t)])
-            sub = subdivision_maps.get(statuses)
-            if sub is None:
-                sub = subdivision_maps[statuses] = {
-                    str(t): dict(pair) for t, pair in zip(subdivision_t, statuses)}
-            entry["subdivision"] = sub
-        entries.append(entry)
-        entries.groups.append(group)
+            })
+            if subdivision_t:
+                fields[f]["subdivision"] = subdivision_maps.setdefault(statuses, {
+                    str(t): dict(pair) for t, pair in zip(subdivision_t, statuses)})
+        entries.add(f, at)
     out.update(triples_examined=triples.examined, triples=entries,
-               max_f=max(group["f"] for group in groups.values()),
-               min_t=min(min(group["t_counts"]) for group in groups.values()), status="checked")
+               max_f=max(group["f"] for group in fields),
+               min_t=min(min(group["t_counts"]) for group in fields), status="checked")
     return out
 
 

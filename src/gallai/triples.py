@@ -14,7 +14,8 @@ counted per graph as the memo keeps them, or 45 distinct ones across its
 32 graphs), so a ``TripleAnalyzer`` computes those parameters once per
 graph and triple of sets. That record is the one per-graph memo of them:
 ``analyze`` reads its prop1 statuses off the pairwise sizes, and the
-subdivision check its base f. ``analyze_triple`` is a one-shot analyser.
+subdivision check its base f; it keeps crossing counts by path index, as
+``TripleStream.indices`` walks. ``analyze_triple`` is a one-shot analyser.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
+from typing import Iterator, Sequence
 
 from .graphs import Graph, _distance_list
 from .paths import LongestPathTable, Path
@@ -83,12 +85,20 @@ class TripleStream:
     def skipped(self) -> int:
         return self.total - self.examined
 
-    def __iter__(self):
+    def indices(self) -> Iterator[tuple[int, int, int]]:
+        """The triples as ``(i, j, k)``, ``i < j < k``, indices into
+        ``paths``, up to the cap: the one walk of the stream."""
+        for at in islice(combinations(range(len(self.paths)), 3), self.cap):
+            self.examined += 1
+            yield at
+
+    def at(self, i: int, j: int, k: int) -> PathTriple:
         # The table lists its paths sorted and distinct, so every
         # combination of them is a triple in canonical order.
-        for combo in islice(combinations(self.paths, 3), self.cap):
-            self.examined += 1
-            yield PathTriple._trusted(combo)
+        return PathTriple._trusted((self.paths[i], self.paths[j], self.paths[k]))
+
+    def __iter__(self):
+        return (self.at(*at) for at in self.indices())
 
     def __getitem__(self, index: int) -> PathTriple:
         """The triple at ``index`` in canonical order, found by counting
@@ -177,21 +187,25 @@ class TripleAnalyzer:
     ``f``, its witnesses, ``x_sizes`` and ``pairwise_sizes`` are computed
     once per triple of path masks, in path order, and shared by every
     triple over the same vertex sets; ``sets`` gives that record alone.
-    A path's crossing count also reads its vertex order, so it is counted
-    once per path and pair of other masks. ``distances`` is the BFS
-    distance dict of ``f_value``, so each path is searched once per graph.
+    A path's crossing count also reads its vertex order: ``t_counts`` gives
+    a triple's by its indices in ``paths``, once per index and pair of other
+    masks, and a call takes them (or counts a triple of no list afresh).
+    ``distances`` is the BFS distance dict of ``f_value``, one search a path.
     """
 
-    def __init__(self, graph: Graph, strict_t: bool = False):
+    def __init__(self, graph: Graph, strict_t: bool = False, paths: Sequence[Path] = ()):
         self.graph = graph
         self.strict_t = strict_t
         self.distances: dict[int, list[int]] = {}
         self._by_masks: dict[tuple[int, int, int], tuple] = {}
-        self._t_counts: dict[tuple[tuple[int, ...], int, int], int] = {}
+        self.paths = paths
+        self.masks = [p.mask for p in paths]
+        self._t_counts: dict[tuple[int, int, int], int] = {}
 
-    def __call__(self, triple: PathTriple) -> TripleAnalysis:
+    def __call__(self, triple: PathTriple, t_counts: tuple | None = None) -> TripleAnalysis:
         f, witnesses, x_sizes, pairwise_sizes = self.sets(triple)
-        t_counts = self.t_counts(triple)
+        if t_counts is None:  # a triple of no path list: counted afresh
+            t_counts = TripleAnalyzer(self.graph, self.strict_t, triple.paths).t_counts(0, 1, 2)
         analysis = object.__new__(TripleAnalysis)  # a frozen __init__ is over twice as slow
         analysis.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
                                  pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
@@ -220,19 +234,21 @@ class TripleAnalyzer:
         sets = self._by_masks[key] = f, witnesses, x_sizes, pairwise_sizes
         return sets
 
-    def t_counts(self, triple: PathTriple) -> tuple[int, int, int]:
-        """Each path's crossing count between the other two paths."""
-        p0, p1, p2 = triple.paths
-        m0, m1, m2 = p0.mask, p1.mask, p2.mask
-        t = self._t
-        return t(p0.vertices, m1, m2), t(p1.vertices, m0, m2), t(p2.vertices, m0, m1)
+    def t_counts(self, i: int, j: int, k: int) -> tuple[int, int, int]:
+        """The crossing counts of ``paths[i]``, ``paths[j]`` and
+        ``paths[k]``, each between the other two."""
+        masks, memo = self.masks, self._t_counts
+        mi, mj, mk = masks[i], masks[j], masks[k]
+        keys = a, b, c = (i, mj, mk), (j, mi, mk), (k, mi, mj)
+        try:
+            return memo[a], memo[b], memo[c]
+        except KeyError:
+            for key in keys:
+                if key not in memo:
+                    p, mask_a, mask_b = key
+                    memo[key] = _crossings(self.paths[p].vertices, mask_a, mask_b, self.strict_t)
+            return memo[a], memo[b], memo[c]
 
-    def _t(self, vertices: tuple[int, ...], mask_a: int, mask_b: int) -> int:
-        key = (vertices, mask_a, mask_b)
-        count = self._t_counts.get(key)
-        if count is None:
-            count = self._t_counts[key] = _crossings(vertices, mask_a, mask_b, self.strict_t)
-        return count
 
 def analyze_triple(
     graph: Graph, triple: PathTriple, *, strict_t: bool = False

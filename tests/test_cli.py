@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import copy
 import hashlib
+import importlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +14,15 @@ from pathlib import Path
 import pytest
 
 import gallai.subdivision as subdivision
-from conftest import complete_graph, corpus_up_to, star_graph, within_seconds
+from conftest import complete_graph, corpus_up_to, cycle_graph, star_graph, within_seconds
+from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict
 from gallai.cli import main
 from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import Path as GraphPath, enumerate_longest_paths
+from gallai.scan import report_json
 from gallai.triples import TripleStream
+
+cli = importlib.import_module("gallai.cli")
 
 
 def run(capsys, *argv):
@@ -318,6 +325,50 @@ class TestVerifyProp:
         payload = json.loads(out)
         assert payload[0] == {"graph6": "H~~~~~~", "status": "skipped_truncated", "verdicts": []}
         assert {v["status"] for v in payload[1]["verdicts"]} == {"holds"}
+
+    def test_verdict_rows_match_the_standard_encoder(self, tmp_path, monkeypatch):
+        # The verdict lists are written by their own rows. Scripted verdicts
+        # give an empty list (a disconnected graph, a path), one holds
+        # verdict with one witness at t = 1 and 2, violated verdicts and
+        # skipped_budget ones; the standard library's indenting encoder
+        # is the reference.
+        holds = ClaimVerdict("subdivision_prop", HOLDS, {"base_f": 0, "lifted_longest": [True]})
+        calls, returned = iter(range(10**6)), {}
+
+        def scripted(subdivisions, triple, t):
+            kind = next(calls) // 2 % 4
+            paths = [list(p.vertices) for p in triple.paths]
+            v = holds if kind < 2 else ClaimVerdict(
+                "subdivision_prop", VIOLATED if kind == 2 else SKIPPED_BUDGET,
+                {"t": t, "paths": paths} if kind == 2 else {"vertices": 99, "max_vertices": 60})
+            returned.setdefault(to_graph6(subdivisions.graph), []).append(
+                {"t": t, "paths": paths, "status": v.status, "witness": v.witness})
+            return v
+
+        kept, real = [], cli.report_chunks
+
+        def keeping(records, pad=""):
+            kept.extend(records)
+            return real(kept, pad)
+
+        monkeypatch.setattr(cli, "verify_proposition", scripted)
+        monkeypatch.setattr(cli, "report_chunks", keeping)
+        graphs = ["Fs?GG", "Bg", to_graph6(cycle_graph(5)), to_graph6(star_graph(3))]
+        src, out = tmp_path / "in.g6", tmp_path / "out.json"
+        src.write_text("\n".join(graphs) + "\n")
+        assert main(["verify-prop", "--input", str(src), "--t", "1,2", "--out", str(out)]) == 3
+        expected = [{"graph6": "Fs?GG", "status": "disconnected", "verdicts": []},
+                    *({"graph6": g, "verdicts": returned.get(g, [])} for g in graphs[1:])]
+        assert kept == expected
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        first, second = kept[2]["verdicts"][:2]
+        assert (first["t"], second["t"]) == (1, 2) and first["witness"] is second["witness"]
+        assert len(kept[2]["verdicts"]) == 20 and len(kept[3]["verdicts"]) == 2
+        for copied in (copy.deepcopy(kept[2]), pickle.loads(pickle.dumps(kept[2]))):
+            assert type(copied["verdicts"]) is list and copied == kept[2]
+            copied["verdicts"][0]["status"] = "edited"
+            copied["verdicts"][1]["paths"][0] = [0]
+            assert report_json(copied) == json.dumps(copied, indent=2, sort_keys=True)
 
     def test_each_subdivided_graph_searched_once(self, tmp_path, capsys, monkeypatch):
         # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs, each

@@ -698,8 +698,9 @@ class TestAnalyzeOne:
         # The pairwise sizes are of pairs (0,1), (0,2), (1,2), and the prop1
         # list is in that order too: an empty intersection lands in its place.
         class Forced(TripleAnalyzer):
-            def __call__(self, triple):
-                return dataclasses.replace(super().__call__(triple), pairwise_sizes=sizes)
+            def __call__(self, triple, t_counts=None):
+                return dataclasses.replace(super().__call__(triple, t_counts),
+                                           pairwise_sizes=sizes)
 
         monkeypatch.setattr(scan_module, "TripleAnalyzer", Forced)
         res = analyze_one(complete_graph(4))
@@ -924,6 +925,20 @@ class TestSharedFragments:
         for entry in res["triples"]:
             for p in entry["paths"]:
                 assert by_path.setdefault(tuple(p), p) is p
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_crossing_counts_split_mask_triples(self, strict):
+        # The one graph known whose triples over one triple of path masks
+        # cross differently: 18 mask triples split within its first 3,000
+        # triples, the first at triple 2,897, so a group key without the
+        # crossing counts fails here and not on the small graphs above.
+        g = parse_graph6("KhAAPWU_?_@?")
+        rec = analyze_one(g, triple_cap=3000, strict_t=strict)
+        assert rec == fresh_record(g, triple_cap=3000, strict_t=strict)
+        counts: dict[tuple, set] = {}
+        for entry in rec["triples"]:
+            counts.setdefault(self.group_key(entry)[:3], set()).add(tuple(entry["t_counts"]))
+        assert sum(len(c) > 1 for c in counts.values()) == 18
 
     def test_fields_never_share_an_object(self):
         # Each field holds one object per group, shared by the group's
