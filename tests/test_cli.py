@@ -8,16 +8,28 @@ import json
 import os
 import pickle
 import subprocess
+import contextlib
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gallai.subdivision as subdivision
-from conftest import complete_graph, corpus_up_to, cycle_graph, star_graph, within_seconds
+from conftest import (
+    complete_graph,
+    corpus_up_to,
+    cycle_graph,
+    random_graphs,
+    star_graph,
+    within_seconds,
+)
 from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict
 from gallai.cli import main
-from gallai.graphs import parse_edge_list, parse_graph6, to_graph6
+from gallai.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import Path as GraphPath, enumerate_longest_paths
 from gallai.scan import report_json
 from gallai.triples import TripleStream
@@ -50,6 +62,42 @@ class TestGen:
         assert code == 0
         assert out == ""
         assert len(target.read_text().splitlines()) == 6
+
+    def test_out_overwrites_a_longer_file_in_place(self, tmp_path, capsys):
+        _, report, _ = run(capsys, "gen", "--n", "4")
+        target = tmp_path / "c4.g6"
+        target.write_text("x" * 10 * len(report))
+        target.chmod(0o640)
+        before = target.stat()
+        code, out, _ = run(capsys, "gen", "--n", "4", "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == report
+        after = target.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    def test_out_through_a_symlink(self, tmp_path, capsys):
+        _, report, _ = run(capsys, "gen", "--n", "4")
+        target, link = tmp_path / "c4.g6", tmp_path / "link.g6"
+        target.write_text("old report\n" * 100)
+        link.symlink_to(target.name)
+        code, _, _ = run(capsys, "gen", "--n", "4", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == report
+
+    def test_new_out_file_gets_the_mode_of_open(self, tmp_path, capsys):
+        reference = tmp_path / "reference"
+        open(reference, "w").close()  # the mode the current umask gives
+        target = tmp_path / "c4.g6"
+        code, _, _ = run(capsys, "gen", "--n", "4", "--out", str(target))
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_out_dev_null(self, capsys):
+        # Not a regular file, so the writer does not truncate it.
+        code, out, err = run(capsys, "gen", "--n", "4", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
 
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "12")
@@ -542,6 +590,52 @@ def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch, command, targ
     assert out == ""
     assert not out_file.exists()
     assert err == "gallai: error: second graph fails\n"
+    if to_file:
+        # An earlier report keeps its bytes and its inode.
+        earlier = b'[{"earlier": "report"}]\n' * 50
+        out_file.write_bytes(earlier)
+        inode = out_file.stat().st_ino
+        calls.clear()
+        code, out, err = run(capsys, *command, "--input", str(src), *extra)
+        assert (code, len(calls), out, err) == (4, 2, "", "gallai: error: second graph fails\n")
+        assert out_file.read_bytes() == earlier
+        assert out_file.stat().st_ino == inode
+
+
+@st.composite
+def _fuzzed_input(draw):
+    """Random bytes, or the text of a few small graphs cut short, in either format."""
+    fmt = draw(st.sampled_from(["graph6", "edgelist"]))
+    if draw(st.booleans()):
+        return fmt, draw(st.binary(max_size=40))
+    graphs = draw(st.lists(random_graphs(max_n=7), min_size=1, max_size=3))
+    if fmt == "graph6":
+        text = "".join(to_graph6(g) + "\n" for g in graphs)
+    else:
+        text = format_edge_list(graphs[0])
+    return fmt, text.encode("ascii")[:draw(st.integers(0, len(text)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_input())
+def test_fuzzed_input_exits_cleanly(case):
+    # Malformed input is a configuration error on one stderr line naming the
+    # file, never a traceback (main would let the exception out).
+    fmt, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "fuzz.txt")
+        with open(src, "wb") as fh:
+            fh.write(data)
+        for command in (["scan"], ["analyze", "--triple-cap", "2"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--input", src, "--input-format", fmt])
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert code == 4
+                assert err.getvalue().startswith(f"gallai: error: {src}: ")
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_one_skip_vocabulary_across_commands(tmp_path, capsys):
