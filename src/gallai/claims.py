@@ -28,11 +28,11 @@ are classified separately from conjecture violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .graphs import Graph, graph_key, is_connected, iter_bits
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, Path
+from .record import FrozenRecord
 from .triples import PathTriple, TripleAnalysis, analyze_triple
 
 HOLDS = "holds"
@@ -62,17 +62,15 @@ class TruncatedEnumerationError(RuntimeError):
     enumeration was capped."""
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
+class ClaimVerdict(FrozenRecord):
     """Outcome of one claim check.
 
     A ``violated`` verdict always carries a witness complete enough to
     replay the violation from scratch.
     """
 
-    claim: str
-    status: str
-    witness: dict[str, Any] | None = None
+    def __init__(self, claim: str, status: str, witness: dict[str, Any] | None = None):
+        self.__dict__.update(claim=claim, status=status, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62
+EDGE_LIST_MAX_N = 10_000  # see parse_edge_list
 
 
 class Graph6Error(ValueError):
@@ -246,7 +247,16 @@ def parse_edge_list(text: str, source: str | None = None) -> Graph:
     """Decode ``n m`` and then ``m`` distinct edges as endpoint pairs,
     separated by any whitespace. A ``ValueError`` names the 1-based line at
     fault (a bad or repeated pair's first, the header's for a wrong count),
-    after ``source``."""
+    after ``source``.
+
+    The header's ``n`` may be at most ``EDGE_LIST_MAX_N`` (10,000), checked
+    before anything of that size is built. Building a graph costs time and
+    memory linear in ``n`` whatever its edges (about 1 s and 20 MB per
+    million vertices), so a ten-byte header could otherwise cost hours. The
+    limit is far above graph6's 62 and above what a longest-path search
+    reaches: a path much past 1,000 vertices exceeds Python's default
+    recursion limit, and a scan of a 2,000-vertex star already takes
+    seconds."""
     prefix = "" if source is None else f"{source}: "
     # Every line break is whitespace, so these are the tokens of text.split().
     tokens = [(tok, number) for number, line in enumerate(text.splitlines(), 1)
@@ -266,6 +276,9 @@ def parse_edge_list(text: str, source: str | None = None) -> Graph:
                          f"edges but carries {(len(numbers) - 2) // 2} endpoint pairs")
     if n < 1:
         raise ValueError(f"{prefix}line {tokens[0][1]}: graph needs at least one vertex")
+    if n > EDGE_LIST_MAX_N:
+        raise ValueError(f"{prefix}line {tokens[0][1]}: edge-list header declares {n} "
+                         f"vertices, more than the {EDGE_LIST_MAX_N} allowed")
     edges = list(zip(numbers[2::2], numbers[3::2]))
     seen = set()
     for (u, v), (_, number) in zip(edges, tokens[2::2]):

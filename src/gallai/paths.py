@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .graphs import Graph, _reaches, iter_bits
+from .record import FrozenRecord
 
 DEFAULT_PATH_CAP = 100_000
 MAX_UNCAPPED_STATES = 250_000
@@ -76,27 +76,41 @@ def _too_deep(n: int) -> ValueError:
                       f"Python's recursion limit ({sys.getrecursionlimit()})")
 
 
-@dataclass(frozen=True, order=True)
-class Path:
+class Path(FrozenRecord):
     """Simple path stored as a vertex tuple, canonical under reversal.
 
     A path and its reversal are the same object; construction keeps
     whichever orientation is lexicographically smaller. Single-vertex
-    paths are allowed.
+    paths are allowed. Paths compare, order and hash as ``(vertices,)``.
     """
 
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        vs = tuple(self.vertices)
+    def __init__(self, vertices: tuple[int, ...]):
+        vs = tuple(vertices)
         if not vs:
             raise ValueError("path needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise ValueError("path vertices must be distinct")
         rev = vs[::-1]
-        if rev < vs:
-            vs = rev
-        object.__setattr__(self, "vertices", vs)
+        self.__dict__["vertices"] = rev if rev < vs else vs
+
+    # A cached mask is not a field, so these read the vertices alone.
+    def __eq__(self, other):
+        return self.vertices == other.vertices if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __lt__(self, other):
+        return self.vertices < other.vertices if type(other) is type(self) else NotImplemented
+
+    def __le__(self, other):
+        return self.vertices <= other.vertices if type(other) is type(self) else NotImplemented
+
+    def __gt__(self, other):
+        return self.vertices > other.vertices if type(other) is type(self) else NotImplemented
+
+    def __ge__(self, other):
+        return self.vertices >= other.vertices if type(other) is type(self) else NotImplemented
 
     @classmethod
     def make(cls, graph: Graph, vertices) -> "Path":

@@ -56,14 +56,12 @@ and each path is written once, and a row is joined from them by index.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
 import time
 from bisect import bisect
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -93,6 +91,7 @@ from .graphs import (
 # enumerate_longest_paths and analyze_triple are not called here: they are
 # wrapped by name in perfbench/spans.py:99 and :101.
 from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
+from .record import FrozenRecord, Record
 from .subdivision import Subdivisions
 from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream, analyze_triple
 
@@ -113,8 +112,7 @@ EXIT_INTERNAL_VIOLATION = 3
 EXIT_CONFIG_ERROR = 4
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(FrozenRecord):
     """What to scan and how hard to look.
 
     Exactly one of ``generate_n`` (scan every connected graph on 1..n
@@ -122,18 +120,16 @@ class ScanConfig:
     subdivision checks at those multiplicities to every examined triple.
     """
 
-    generate_n: int | None = None
-    input_path: str | None = None
-    input_format: str = "graph6"
-    checks: tuple[str, ...] = ALL_CHECKS
-    triple_mode: str = "shortcut-first"
-    triple_cap: int = 100_000
-    enumeration_cap: int = DEFAULT_PATH_CAP
-    subdivision_t: tuple[int, ...] = ()
-    jobs: int = 1
-    strict_t: bool = False
-
-    def __post_init__(self):
+    def __init__(self, generate_n: int | None = None, input_path: str | None = None,
+                 input_format: str = "graph6", checks: tuple[str, ...] = ALL_CHECKS,
+                 triple_mode: str = "shortcut-first", triple_cap: int = 100_000,
+                 enumeration_cap: int = DEFAULT_PATH_CAP, subdivision_t: tuple[int, ...] = (),
+                 jobs: int = 1, strict_t: bool = False):
+        self.__dict__.update(
+            generate_n=generate_n, input_path=input_path, input_format=input_format,
+            checks=checks, triple_mode=triple_mode, triple_cap=triple_cap,
+            enumeration_cap=enumeration_cap, subdivision_t=subdivision_t, jobs=jobs,
+            strict_t=strict_t)
         if (self.generate_n is None) == (self.input_path is None):
             raise ValueError("exactly one of generate_n and input_path is required")
         if self.generate_n is not None and not 1 <= self.generate_n <= MAX_GENERATION_N:
@@ -173,42 +169,48 @@ def gated_table(
     return SKIPPED_TRUNCATED if table.truncated else None, table
 
 
-@dataclass
-class GraphRecord:
-    """Everything the scan learned about one graph."""
+class GraphRecord(Record):
+    """Everything the scan learned about one graph. ``tallies`` maps a
+    claim to its count of each verdict status; a new record gets a new dict."""
 
-    graph6: str
-    n: int
-    m: int
-    status: str
-    l: int | None = None
-    num_longest: int | None = None
-    truncated: bool = False
-    gallai_size: int | None = None
-    triples_total: int | None = None
-    triples_examined: int = 0
-    triples_skipped: int = 0
-    pairs_examined: int = 0
-    max_f: int | None = None
-    min_t: int | None = None
-    tallies: dict = field(default_factory=dict)
-
-
-@dataclass
-class ViolationRecord:
-    graph6: str
-    claim: str
-    witness: dict
+    def __init__(self, graph6: str, n: int, m: int, status: str, l: int | None = None,
+                 num_longest: int | None = None, truncated: bool = False,
+                 gallai_size: int | None = None, triples_total: int | None = None,
+                 triples_examined: int = 0, triples_skipped: int = 0, pairs_examined: int = 0,
+                 max_f: int | None = None, min_t: int | None = None, tallies: dict | None = None):
+        self.graph6 = graph6
+        self.n = n
+        self.m = m
+        self.status = status
+        self.l = l
+        self.num_longest = num_longest
+        self.truncated = truncated
+        self.gallai_size = gallai_size
+        self.triples_total = triples_total
+        self.triples_examined = triples_examined
+        self.triples_skipped = triples_skipped
+        self.pairs_examined = pairs_examined
+        self.max_f = max_f
+        self.min_t = min_t
+        self.tallies = {} if tallies is None else tallies
 
 
-@dataclass
-class ScanReport:
+class ViolationRecord(Record):
+    def __init__(self, graph6: str, claim: str, witness: dict):
+        self.graph6 = graph6
+        self.claim = claim
+        self.witness = witness
+
+
+class ScanReport(Record):
     """Aggregate scan outcome; ordering is canonical and reproducible."""
 
-    records: list[GraphRecord]
-    violations: list[ViolationRecord]
-    internal_violation: bool
-    wall_time_s: float
+    def __init__(self, records: list[GraphRecord], violations: list[ViolationRecord],
+                 internal_violation: bool, wall_time_s: float):
+        self.records = records
+        self.violations = violations
+        self.internal_violation = internal_violation
+        self.wall_time_s = wall_time_s
 
     @property
     def aborted(self) -> bool:
@@ -451,7 +453,9 @@ def scan(config: ScanConfig) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 # A graph record's fields, with the violation count in place of the tallies.
-_CSV_COLUMNS = (*(f.name for f in fields(GraphRecord) if f.name != "tallies"), "violations")
+_CSV_COLUMNS = ("graph6", "n", "m", "status", "l", "num_longest", "truncated", "gallai_size",
+                "triples_total", "triples_examined", "triples_skipped", "pairs_examined",
+                "max_f", "min_t", "violations")
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -588,6 +592,8 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
         graphs = report_chunks((vars(rec) for rec in report.records), "  ")
         return "".join(['{\n  "graphs": ', *graphs, ",", rest[1:], "\n"])
     if fmt == "csv":
+        import csv  # here alone: no call that writes JSON or text pays for it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)

@@ -33,7 +33,6 @@ graph's f comes from a ``TripleAnalyzer``, once per triple of path masks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict, _gate_longest
@@ -45,6 +44,7 @@ from .paths import (
     _longest_length,
     enumerate_longest_paths,  # wrapped by name in perfbench/spans.py:109
 )
+from .record import FrozenRecord
 from .triples import (
     PathTriple,
     TripleAnalyzer,
@@ -55,18 +55,15 @@ DEFAULT_VERIFY_MAX_VERTICES = 60
 DEFAULT_VERIFY_BUDGET_S = 120.0
 
 
-@dataclass(frozen=True)
-class PendantExtension:
+class PendantExtension(FrozenRecord):
     """A graph with one new leaf per distinct path end, plus the extended
     paths and the end-to-pendant map."""
 
-    graph: Graph
-    paths: tuple[Path, Path, Path]
-    pendant_map: dict[int, int]
+    def __init__(self, graph: Graph, paths: tuple[Path, Path, Path], pendant_map: dict[int, int]):
+        self.__dict__.update(graph=graph, paths=paths, pendant_map=pendant_map)
 
 
-@dataclass(frozen=True)
-class SubdividedInstance:
+class SubdividedInstance(FrozenRecord):
     """Result of subdividing every edge of a source graph t times.
 
     Construction arithmetic is enforced at build time:
@@ -77,19 +74,15 @@ class SubdividedInstance:
     so further source paths can be lifted without building again.
     """
 
-    source: Graph
-    source_paths: tuple[Path, ...]
-    t: int
-    graph: Graph
-    paths: tuple[Path, ...]
-    chains: dict[tuple[int, int], tuple[int, ...]]
-
-    def __post_init__(self):
-        m0 = self.source.m
-        assert self.graph.n == self.source.n + self.t * m0
-        assert self.graph.m == (self.t + 1) * m0
-        for src, lifted in zip(self.source_paths, self.paths):
-            assert len(lifted) == (self.t + 1) * (len(src) - 1) + 1
+    def __init__(self, source: Graph, source_paths: tuple[Path, ...], t: int, graph: Graph,
+                 paths: tuple[Path, ...], chains: dict[tuple[int, int], tuple[int, ...]]):
+        m0 = source.m
+        assert graph.n == source.n + t * m0
+        assert graph.m == (t + 1) * m0
+        for src, lifted in zip(source_paths, paths):
+            assert len(lifted) == (t + 1) * (len(src) - 1) + 1
+        self.__dict__.update(source=source, source_paths=source_paths, t=t, graph=graph,
+                             paths=paths, chains=chains)
 
 
 def attach_pendants(graph: Graph, triple: PathTriple) -> PendantExtension:

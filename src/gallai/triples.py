@@ -20,32 +20,29 @@ subdivision check its base f; it keeps crossing counts by path index, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 from typing import Iterator, Sequence
 
 from .graphs import Graph, _distance_list
 from .paths import LongestPathTable, Path
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class PathTriple:
+class PathTriple(FrozenRecord):
     """Three pairwise-distinct paths of one graph, kept in sorted order.
 
     The triple is an unordered set; sorting the canonical vertex tuples
     makes iteration and reports deterministic.
     """
 
-    paths: tuple[Path, Path, Path]
-
-    def __post_init__(self):
-        ps = tuple(sorted(self.paths))
+    def __init__(self, paths: tuple[Path, Path, Path]):
+        ps = tuple(sorted(paths))
         if len(ps) != 3:
             raise ValueError("a path triple needs exactly three paths")
         if len(set(ps)) != 3:
             raise ValueError("paths of a triple must be pairwise distinct")
-        object.__setattr__(self, "paths", ps)
+        self.__dict__["paths"] = ps
 
     @classmethod
     def make(cls, graph: Graph, p1, p2, p3) -> "PathTriple":
@@ -163,8 +160,7 @@ def _crossings(vertices: tuple[int, ...], mask_a: int, mask_b: int, strict: bool
     return count
 
 
-@dataclass(frozen=True)
-class TripleAnalysis:
+class TripleAnalysis(FrozenRecord):
     """All computed parameters of one triple.
 
     ``x_sizes`` counts each path's vertices on neither other path, and
@@ -173,12 +169,11 @@ class TripleAnalysis:
     convention produced ``t_counts`` so reports can flag it.
     """
 
-    f: int
-    witnesses: frozenset[int]
-    x_sizes: tuple[int, int, int]
-    t_counts: tuple[int, int, int]
-    pairwise_sizes: tuple[int, int, int]
-    strict_crossings: bool = False
+    def __init__(self, f: int, witnesses: frozenset[int], x_sizes: tuple[int, int, int],
+                 t_counts: tuple[int, int, int], pairwise_sizes: tuple[int, int, int],
+                 strict_crossings: bool = False):
+        self.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
+                             pairwise_sizes=pairwise_sizes, strict_crossings=strict_crossings)
 
 
 class TripleAnalyzer:
@@ -206,7 +201,7 @@ class TripleAnalyzer:
         f, witnesses, x_sizes, pairwise_sizes = self.sets(triple)
         if t_counts is None:  # a triple of no path list: counted afresh
             t_counts = TripleAnalyzer(self.graph, self.strict_t, triple.paths).t_counts(0, 1, 2)
-        analysis = object.__new__(TripleAnalysis)  # a frozen __init__ is over twice as slow
+        analysis = object.__new__(TripleAnalysis)  # as __init__ does, without the call
         analysis.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
                                  pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
         return analysis

@@ -9,6 +9,10 @@ deterministic across parallelism settings.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,12 +80,14 @@ def _claim_violations(result: dict, claim: str) -> list[dict]:
     return [v for v in result["violations"] if v["claim"] == claim]
 
 
+# The checks of the "scan --n 7" reports in GOLDEN_DIGESTS.
+SCAN_N7_CHECKS = ("prop1", "conj_Z", "lemma21", "lemma22", "lemma23", "thm1", "case_bounds",
+                  "conj4")
+
+
 @pytest.fixture(scope="module")
 def full_scan_report():
-    return scan(ScanConfig(generate_n=7, checks=("prop1", "conj_Z", "lemma21",
-                                                 "lemma22", "lemma23", "thm1",
-                                                 "case_bounds", "conj4"),
-                           jobs=1))
+    return scan(ScanConfig(generate_n=7, checks=SCAN_N7_CHECKS, jobs=1))
 
 
 def test_criterion_1_exhaustive_scan(full_scan_report):
@@ -244,6 +250,32 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS
+
+
+def test_cold_start_loads_csv_only_to_write_csv():
+    # A cold CLI call pays for every module it imports: gallai.cli loads no
+    # dataclasses (nor the inspect chain under it) and no csv, and a scan
+    # with its JSON report loads neither; writing CSV loads csv, and the
+    # CSV report keeps its golden digest.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import hashlib, sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        "    return sorted({'csv', 'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "import gallai.cli\n"
+        "from gallai.scan import ScanConfig, emit_report, scan\n"
+        "print(loaded())\n"
+        f"report = scan(ScanConfig(generate_n=7, checks={SCAN_N7_CHECKS!r}))\n"
+        "emit_report(report, 'json')\n"
+        "print(loaded())\n"
+        "print(hashlib.sha256(emit_report(report, 'csv').encode('utf-8')).hexdigest())\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", GOLDEN_DIGESTS["scan --n 7 csv"], "['csv']"]
 
 
 def test_criterion_7_parallel_determinism(full_scan_report):

@@ -602,6 +602,17 @@ def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch, command, targ
         assert out_file.stat().st_ino == inode
 
 
+@pytest.mark.parametrize("command", [["scan"], ["analyze"], ["verify-prop", "--t", "1"]])
+def test_huge_edge_list_header_is_a_config_error(tmp_path, capsys, command):
+    src = tmp_path / "big.txt"
+    src.write_text("2000000000 0")
+    code, out, err = within_seconds(0.5, lambda: run(
+        capsys, *command, "--input", str(src), "--input-format", "edgelist"))
+    assert (code, out) == (4, "")
+    assert err == (f"gallai: error: {src}: line 1: edge-list header declares 2000000000 "
+                   "vertices, more than the 10000 allowed\n")
+
+
 @st.composite
 def _fuzzed_input(draw):
     """Random bytes, or the text of a few small graphs cut short, in either format."""

@@ -15,8 +15,11 @@ from conftest import (
     oracle_pair_distance,
     path_graph,
     star_graph,
+    within_seconds,
 )
 from gallai.graphs import (
+    EDGE_LIST_MAX_N,
+    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
     _distance_list,
@@ -262,6 +265,21 @@ class TestEdgeListFormat:
     def test_tokens_may_span_lines(self):
         # Any whitespace separates tokens, as before lines were tracked.
         assert parse_edge_list("3\t2 0\n1\r\n1 \x0c 2") == path_graph(3)
+
+    @pytest.mark.parametrize("n", [2_000_000, 2_000_000_000])
+    def test_huge_header_fails_before_building(self, n):
+        # A graph is built in time linear in n: a ten-byte header must not
+        # cost seconds (n = 2,000,000 took 2.2 s and 47 MB unbounded).
+        expected = (rf"^in\.txt: line 1: edge-list header declares {n} vertices, "
+                    rf"more than the {EDGE_LIST_MAX_N} allowed$")
+        with pytest.raises(ValueError, match=expected):
+            within_seconds(0.1, lambda: parse_edge_list(f"{n} 0", "in.txt"))
+
+    def test_header_limit_is_inclusive(self):
+        assert EDGE_LIST_MAX_N >= GRAPH6_MAX_N
+        assert parse_edge_list(f"{EDGE_LIST_MAX_N} 0").n == EDGE_LIST_MAX_N
+        with pytest.raises(ValueError, match=r"^line 2: edge-list header declares"):
+            parse_edge_list(f"\n{EDGE_LIST_MAX_N + 1} 1\n0 1\n")
 
 
 class TestConnectivity:

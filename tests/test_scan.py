@@ -3,7 +3,6 @@ single-graph deep dive."""
 
 import copy
 import csv
-import dataclasses
 import importlib
 import inspect
 import io
@@ -47,7 +46,14 @@ from gallai.scan import (
     subdivision_sweep,
 )
 from gallai.subdivision import Subdivisions, check_size_bound, verify_proposition
-from gallai.triples import PathTriple, TripleAnalyzer, TripleStream, analyze_triple, f_value
+from gallai.triples import (
+    PathTriple,
+    TripleAnalysis,
+    TripleAnalyzer,
+    TripleStream,
+    analyze_triple,
+    f_value,
+)
 
 # ``gallai.scan`` the attribute is the re-exported function, not the module.
 scan_module = importlib.import_module("gallai.scan")
@@ -699,8 +705,9 @@ class TestAnalyzeOne:
         # list is in that order too: an empty intersection lands in its place.
         class Forced(TripleAnalyzer):
             def __call__(self, triple, t_counts=None):
-                return dataclasses.replace(super().__call__(triple, t_counts),
-                                           pairwise_sizes=sizes)
+                a = super().__call__(triple, t_counts)
+                return TripleAnalysis(a.f, a.witnesses, a.x_sizes, a.t_counts, sizes,
+                                      a.strict_crossings)
 
         monkeypatch.setattr(scan_module, "TripleAnalyzer", Forced)
         res = analyze_one(complete_graph(4))
