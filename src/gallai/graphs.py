@@ -255,8 +255,7 @@ def parse_edge_list(text: str, source: str | None = None) -> Graph:
     million vertices), so a ten-byte header could otherwise cost hours. The
     limit is far above graph6's 62 and above what a longest-path search
     reaches: a path much past 1,000 vertices exceeds Python's default
-    recursion limit, and a scan of a 2,000-vertex star already takes
-    seconds."""
+    recursion limit."""
     prefix = "" if source is None else f"{source}: "
     # Every line break is whitespace, so these are the tokens of text.split().
     tokens = [(tok, number) for number, line in enumerate(text.splitlines(), 1)

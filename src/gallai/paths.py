@@ -31,8 +31,10 @@ Three searches serve ``LongestPathTable``:
   head cannot beat the best score so far. It starts only at vertices that
   are not cut vertices, since a maximum path never ends at one, follows a
   head with one way on in a loop, tests the bound once per branch (along
-  such a chain it cannot change), scores only dead ends, and stops at
-  ``(t + 1) * (n - 1) + 2t``, which no path beats.
+  such a chain it cannot change), scores only dead ends, and stops at a
+  score no path beats: with d vertices of degree at most 1, of which a
+  path holds j = min(2, d) at most, and only as ends with no edge off it,
+  ``(t + 1) * (n - 1 - d + j) + t * (2 - j)``.
 
 The length search recurses once per branching vertex on a path, the fill
 and the walks once per path edge; a search that would go deeper than
@@ -273,11 +275,16 @@ def _longest_length(adj: tuple[int, ...], t: int, deadline: float | None) -> int
     # lies on one side of it, and an edge to another side adds t + 1 and
     # loses at most t at that end.
     cuts = _cut_vertices(adj)
+    # No path scores more: it holds a vertex of degree at most 1 only as an
+    # end, which has no edge off it, so a star stops after its first start.
+    leaves = sum(a & (a - 1) == 0 for a in adj)
+    ends = min(2, leaves)
+    top = step * (n - 1 - leaves + ends) + t * (2 - ends)
     try:
         for v0 in range(n):
             if not cuts >> v0 & 1:
                 grow(v0, v0, 1 << v0, 0)
-                if best >= step * (n - 1) + 2 * t:  # no path beats that
+                if best >= top:
                     break
     except RecursionError:
         raise _too_deep(n) from None

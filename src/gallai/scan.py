@@ -43,15 +43,14 @@ human-readable text rendering.
 record-by-record form: the CLI builds its per-graph records lazily and
 encodes each as soon as it is built, so a run holds the report's text but
 never all of its records; ``emit_report`` encodes a scan's graph records
-through it too. The encoder sorts and quotes each dict shape (a key set
-at an indent) once per report, and within a record writes each shared
-fragment (a path's vertex list, a parameter list, a verdict map) once per
-indent and reuses the text. A ``TripleRows`` list, ``analyze_one``'s
-triple entries and ``verify-prop``'s verdicts, writes its own text: every
-field of a row but its paths comes from one of a few shared dicts (an
-entry's group, the triple's path masks and crossing counts, with its
-subdivision verdicts; a verdict's t, status and witness), so each of those
-and each path is written once, and a row is joined from them by index.
+through it too. The encoder keeps no memo: it writes every object where
+it finds it, sorting a dict's keys each time. Only a ``TripleRows`` list,
+``analyze_one``'s triple entries and ``verify-prop``'s verdicts, writes
+shared text once: every field of a row but its paths comes from one of a
+few shared dicts (an entry's group, the triple's path masks and crossing
+counts, with its subdivision verdicts; a verdict's t, status and
+witness), so each of those and each path is written once, and a row is
+joined from them by index.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ import json
 import sys
 import time
 from bisect import bisect
-from collections import defaultdict
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -461,99 +459,44 @@ _CSV_COLUMNS = ("graph6", "n", "m", "status", "l", "num_longest", "truncated", "
 _CONTAINERS = (list, tuple, dict)
 
 
-def _encoder(shapes: dict):
-    """A fresh encoding function ``encode(obj, pad)`` with its own fragment
-    memo, sharing the shape memo ``shapes``.
-
-    ``shapes`` maps a dict's key tuple and indent to its sorted keys, the
-    quoted head of each and its close. It holds no ids, so it lasts a whole
-    report. The fragment memo keeps text by id, one ``{id: text}`` dict per
-    indent, so an object placed at many positions is encoded once per
-    indent. A fragment is a container that holds no dict and no list of
-    containers: a list of scalars (a path's vertices, a parameter list), or
-    a dict of scalars and such lists (a verdict map with its ``prop1``
-    list). A list of fragments (a triple's ``paths``) is joined from their
-    texts. Row containers (a per-triple entry, a scan's graph record) are
-    not kept; a fragment that occurs once (a tally, a witness) is. A
-    ``TripleRows`` list is written by its own ``text``. An id
-    names an object only while it is alive, so a fragment memo lasts one
-    document: ``report_chunks`` makes one encoder per record.
-    """
-    by_indent: defaultdict[int, dict[int, str]] = defaultdict(dict)
-
-    def encode(o, pad: str) -> str:
-        if isinstance(o, str):
-            return _quote(o)
-        if type(o) is int:
-            return int.__repr__(o)
-        if not o or not isinstance(o, _CONTAINERS):
-            # Past the containers, so that they pay nothing for the literals.
-            if o is True:
-                return "true"
-            if o is False:
-                return "false"
-            return "null" if o is None else json.dumps(o)  # floats, empty containers
-        depth = len(pad)
-        memo = by_indent[depth]
-        text = memo.get(id(o))
-        if text is not None:
-            return text
-        inner = pad + "  "
-        sep = ",\n" + inner
-        ids = by_indent[depth + 2]
-        if isinstance(o, dict):
-            shape = shapes.get((keys := tuple(o), depth))
-            if shape is None:
-                order = sorted(o)
-                heads = [f"{sep}{_quote(k if isinstance(k, str) else json.dumps(k))}: "
-                         for k in order]
-                heads[0] = "{" + heads[0][1:]
-                shape = order, heads, f"\n{pad}}}"
-                if type(keys[0]) is str:  # 1, 1.0 and True are equal keys; so are 0.0, -0.0
-                    shapes[keys, depth] = shape
-            order, heads, close = shape
-            # A fragment until a value is a dict or a list of containers.
-            fragment = True
-            parts = []
-            for head, v in zip(heads, map(o.__getitem__, order)):
-                if type(v) is int:
-                    parts.append(head + int.__repr__(v))
-                    continue
-                text = ids.get(id(v))
-                # Not joined to its head: a triple list's text runs to megabytes.
-                parts += (head, encode(v, inner) if text is None else text)
-                if fragment and isinstance(v, _CONTAINERS):
-                    # A list is in the memo exactly when it holds scalars only.
-                    fragment = not isinstance(v, dict) and (not v or id(v) in ids)
-            parts.append(close)
-            text = "".join(parts)
-        elif type(o[0]) is int and all(type(x) is int for x in o):
-            text = f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
-            fragment = True
-        elif type(o) is TripleRows:
-            return o.text(encode, pad)
-        else:
-            # Joined as it is when every item is a fragment in the memo.
-            texts = list(map(ids.get, map(id, o)))
-            fragment = False
-            if None in texts:
-                texts = [encode(x, inner) for x in o]
-                fragment = not any(isinstance(x, _CONTAINERS) for x in o)
-            text = f"[\n{inner}{sep.join(texts)}\n{pad}]"
-        if fragment:
-            memo[id(o)] = text
-        return text
-
-    return encode
+def _encode(o, pad: str) -> str:
+    """The text of ``o`` laid out as a value at indent ``pad``."""
+    if isinstance(o, str):
+        return _quote(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if not o or not isinstance(o, _CONTAINERS):
+        # Past the containers, so that they pay nothing for the literals.
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        return "null" if o is None else json.dumps(o)  # floats, empty containers
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(o, dict):
+        parts = []
+        for k in sorted(o):
+            # A value is a piece of its own: a triple list's text runs to
+            # megabytes, and joining it to its key's head would copy it.
+            parts += (f"{sep}{_quote(k if isinstance(k, str) else json.dumps(k))}: ",
+                      _encode(o[k], inner))
+        parts[0] = "{" + parts[0][1:]
+        parts.append(f"\n{pad}}}")
+        return "".join(parts)
+    if type(o[0]) is int and all(type(x) is int for x in o):
+        return f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
+    if type(o) is TripleRows:
+        return o.text(_encode, pad)
+    return f"[\n{inner}{sep.join([_encode(x, inner) for x in o])}\n{pad}]"
 
 
 def report_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
     per container (a list of ints in one go) rather than by ``json``'s
-    pure-Python indenting encoder, which collects every token first. Its
-    one encoder (see ``_encoder``) sorts each dict shape once, and encodes
-    a fragment held at several positions once per indent."""
-    return _encoder({})(obj, "")
+    pure-Python indenting encoder, which collects every token first. A
+    ``TripleRows`` list writes its own text."""
+    return _encode(obj, "")
 
 
 def report_chunks(records: Iterable, pad: str = "") -> Iterator[str]:
@@ -563,17 +506,15 @@ def report_chunks(records: Iterable, pad: str = "") -> Iterator[str]:
     them, then ``"\\n]"``; ``"[]"`` alone when there are no records. Each
     record is encoded as soon as ``records`` yields it, so a caller that
     builds records lazily holds only their text, never the whole list of
-    records. The shape memo lasts the call; the fragment memo one record,
-    since a freed record's ids may name the next one's objects. With
-    ``pad``, the list is laid out as a value at that indent (``emit_report``
-    puts a scan's graph records under its ``"graphs"`` key this way).
+    records. With ``pad``, the list is laid out as a value at that indent
+    (``emit_report`` puts a scan's graph records under its ``"graphs"`` key
+    this way).
     """
-    shapes: dict = {}
     inner = pad + "  "
     first = sep = "[\n" + inner
     for record in records:
         yield sep
-        yield _encoder(shapes)(record, inner)
+        yield _encode(record, inner)
         sep = ",\n" + inner
     yield "[]" if sep is first else f"\n{pad}]"
 

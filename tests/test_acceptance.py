@@ -29,6 +29,9 @@ EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 GOLDEN_DIGESTS = {
     "scan --n 7 json": "e7707ecf13834bed882274a2f515def9893ca839ae1393270b98f14b4ed99694",
     "scan --n 7 csv": "85afd37057c2b0f0590ba09176a9db2f1bd07ac0f30c416d901a73cdae759dbb",
+    # The CLI's default checks over all 11,117 graphs on eight vertices.
+    "scan --n 8 json": "39a90f6586178ef1faa822835cd634922d76562875d37d1158ea057c18351e4d",
+    "scan --n 8 csv": "002b90167952cefc4ce29671a0d41e9e9be1753450823aa859a3653b8bd459cf",
     "verify-prop --n 4 --t 1,2": "eefc30e94533f74862e0a577219dc75959fdc8460efb62086d7cfd3122a32ce3",
     "verify-prop --n 5 --t 1,2": "6a66f221e6f157325ef988f230c5ba16a0b5d215682cf112629c409d94f8b774",
     # The per-verdict witnesses, which the --n summaries do not carry.
@@ -236,9 +239,12 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     assert main(["verify-prop", "--input", str(free_file), "--t", "1",
                  "--triple-cap", "300"]) == 0
     verify_free = capsys.readouterr().out
+    scan_n8 = scan(ScanConfig(generate_n=8))
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
         "scan --n 7 csv": _sha256(emit_report(full_scan_report, "csv")),
+        "scan --n 8 json": _sha256(emit_report(scan_n8, "json")),
+        "scan --n 8 csv": _sha256(emit_report(scan_n8, "csv")),
         "verify-prop --n 4 --t 1,2": _sha256(verify_n4),
         "verify-prop --n 5 --t 1,2": _sha256(verify_n5),
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -34,7 +35,20 @@ from gallai.paths import (
     enumerate_longest_paths,
     longest_path_length,
 )
-from gallai.subdivision import subdivided_length
+from gallai.subdivision import subdivide, subdivided_length
+
+
+@st.composite
+def leafy_trees(draw, max_n: int = 14):
+    """A random tree, or a caterpillar (a path, the spine, with every other
+    vertex hung on it): trees with many vertices of degree 1."""
+    n = draw(st.integers(1, max_n))
+    spine = draw(st.integers(1, n))
+    caterpillar = draw(st.booleans())
+    edges = [(v - 1, v) for v in range(1, spine)]
+    for v in range(spine, n):
+        edges.append((draw(st.integers(0, (spine if caterpillar else v) - 1)), v))
+    return from_edge_list(n, edges)
 
 
 class TestPath:
@@ -83,6 +97,13 @@ class TestLongestPathLength:
 
     def test_star(self):
         assert longest_path_length(star_graph(3)) == 2
+
+    def test_large_star_stops_at_two(self):
+        # A path holds at most two vertices of degree 1, as its ends, so the
+        # first start's score (l = 2, and 2 + 2t at multiplicity t) ends the
+        # search; trying every pair of leaves took seconds at this size.
+        for t in range(3):
+            assert within_seconds(2, lambda: subdivided_length(star_graph(2000), t)) == 2 + 2 * t
 
     def test_edgeless(self):
         assert longest_path_length(from_edge_list(3, [])) == 0
@@ -134,6 +155,13 @@ class TestLongestPathLength:
     def test_matches_oracle_on_random_graphs(self, g):
         # Disconnected graphs included: every component has a start.
         assert longest_path_length(g) == oracle_longest_path_length(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(leafy_trees(), st.integers(0, 2))
+    def test_matches_oracle_on_leafy_trees(self, g, t):
+        # Most vertices have degree 1, so the bound they set stops the search.
+        assert longest_path_length(g) == oracle_longest_path_length(g)
+        assert subdivided_length(g, t) == oracle_longest_path_length(subdivide(g, t).graph)
 
     def test_no_longest_path_ends_at_a_cut_vertex(self):
         # The start rule: a skipped vertex never ends a longest path.

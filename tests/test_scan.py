@@ -184,6 +184,18 @@ class TestRecordsWithoutEnumeration:
         assert (out["status"], out["num_longest"], out["truncated"]) == (
             "skipped_truncated", DEFAULT_PATH_CAP, True)
 
+    def test_large_star_stops_at_the_cap(self, tmp_path):
+        # A 2,000-leaf star: no path holds more than two leaves, so the
+        # length search stops at l = 2 after its first start rather than
+        # trying every pair of leaves, and the 1,999,000 longest paths pass
+        # the cap.
+        src = tmp_path / "star.txt"
+        src.write_text(format_edge_list(star_graph(2000)))
+        config = ScanConfig(input_path=str(src), input_format="edgelist")
+        rec = within_seconds(2, lambda: scan(config).records[0])
+        assert (rec.status, rec.l, rec.num_longest, rec.truncated) == (
+            "skipped_truncated", 2, DEFAULT_PATH_CAP, True)
+
     def test_records_match_enumeration(self):
         for rec, g in zip(scan(ScanConfig(generate_n=6)).records,
                           sorted(corpus_up_to(6), key=to_graph6)):
@@ -588,7 +600,8 @@ class TestReportJson:
     @example([{1: 1}, {1.0: 1}, {True: 1}, {0.0: [{0: 1}]}, {-0.0: [{False: 1}]},
               {"b": 1, "a": 2}, {"a": 2, "b": 1}, {"a": {"b": 1, "a": 2}}])
     def test_shapes_shared_across_records(self, records):
-        # One report_chunks call keeps one shape memo for all its records.
+        # Records in one report_chunks call, with key sets repeated in
+        # another order and keys equal but written apart (1, 1.0, True).
         expected = json.dumps(records, indent=2, sort_keys=True)
         assert "".join(report_chunks(records)) == expected
         assert report_json(records) == expected
@@ -660,7 +673,7 @@ class TestReportJson:
 
     def test_memo_lasts_one_record(self):
         # Each record is freed once encoded, so the next record's lists
-        # may take over its ids; no text may carry over between records.
+        # may reuse its ids; each record's text depends on its values alone.
         records = ({"v": [i, i + 1], "w": {"k": [i]}} for i in range(300))
         expected = [{"v": [i, i + 1], "w": {"k": [i]}} for i in range(300)]
         assert "".join(report_chunks(records)) == json.dumps(expected, indent=2, sort_keys=True)
