@@ -28,8 +28,9 @@ from .graphs import (
     parse_graph6_lines,  # wrapped by name in perfbench/spans.py:96
     to_graph6,  # also wrapped by name in perfbench/spans.py:95
 )
-# enumerate_longest_paths is not called here: wrapped by name in perfbench/spans.py:92
-from .paths import DEFAULT_PATH_CAP, enumerate_longest_paths
+from .paths import DEFAULT_PATH_CAP
+# Not called here: imported for the benchmark's spans alone.
+from .paths import enumerate_longest_paths  # wrapped by name in perfbench/spans.py:92
 from .scan import (
     ALL_CHECKS,
     EXIT_CONFIG_ERROR,
@@ -71,9 +72,16 @@ def _write_out(pieces: list[str], out: str | None) -> None:
     An existing file is overwritten in place and its old tail cut last:
     truncating it first (``open(out, "w")``) can cost more wall time than
     the run, and in place it keeps its inode, mode and links. Only a
-    regular file is truncated, so ``/dev/null`` and pipes still work."""
+    regular file is truncated, so ``/dev/null`` and pipes still work.
+
+    A reader closing stdout early (``| head``) leaves the exit code as it
+    is: stdout then points at ``os.devnull``, so the flush at exit passes."""
     if out is None or out == "-":
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
@@ -112,6 +120,8 @@ def _parse_checks(value: str) -> tuple[str, ...]:
     names = tuple(tok for tok in value.split(",") if tok.strip() != "")
     try:
         _check_settings(names, ())
+        if not names:  # a run of no check would report success, having checked nothing
+            raise ValueError(f"no check named in {value!r}")
     except ValueError as exc:
         hint = f"pick from {', '.join(ALL_CHECKS)} or 'all'"
         raise argparse.ArgumentTypeError(f"{exc}; {hint}") from None

@@ -19,19 +19,16 @@ per-triple work is skipped and the graph is recorded as such. Graphs whose
 longest paths have empty common intersection (none exist at these corpus
 sizes) fall through to explicit triple iteration.
 
-Triple iteration, in a scan and in ``analyze_one`` alike, walks the
-table's triples as path indices ``(i, j, k)`` and runs through one
-``_TripleClaims`` per graph, built only once the graph reaches it: it
-computes each parameter once per distinct input, its crossing counts once
-per path index and pair of other masks, decides the claim statuses once
-per ``(f, x_sizes, t_counts)``, and holds the graph's ``Subdivisions``,
-which reads its base f from the same analyser. The scan and
-``analyze_one`` keep only their folds over its verdicts: tallies and
-violations in one, triple entries made once per group in the other.
-``prop1`` holds for a pair exactly when its intersection is not empty, so
-``analyze_one`` reads it off the triple's pairwise sizes; the scan checks
-each distinct longest-path pair once, for its tally and a violation's
-replay witness.
+A scan and ``analyze_one`` walk a graph's triples alike, as path indices
+``(i, j, k)``, through one ``_TripleClaims.walk``: it groups the triples
+by path masks and crossing counts (and subdivision statuses, when those
+are checked), and analyses and checks only the first triple of each
+group. The scan folds the walk into tallies and violations, and reads
+``max_f`` and ``min_t`` off the groups; ``analyze_one`` makes its triple
+entries' fields once per group. ``prop1`` holds for a pair exactly when
+its intersection is not empty, so ``analyze_one`` reads it off the
+triple's pairwise sizes; the scan checks each distinct longest-path pair
+once, for its tally and a violation's replay witness.
 
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
@@ -86,12 +83,13 @@ from .graphs import (
     parse_edge_list,
     parse_graph6_lines,
 )
-# enumerate_longest_paths and analyze_triple are not called here: they are
-# wrapped by name in perfbench/spans.py:99 and :101.
-from .paths import DEFAULT_PATH_CAP, LongestPathTable, enumerate_longest_paths
+from .paths import DEFAULT_PATH_CAP, LongestPathTable
 from .record import FrozenRecord, Record
 from .subdivision import Subdivisions
-from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream, analyze_triple
+from .triples import PathTriple, TripleAnalysis, TripleAnalyzer, TripleStream
+# Not called here: imported for the benchmark's spans alone.
+from .paths import enumerate_longest_paths  # wrapped by name in perfbench/spans.py:99
+from .triples import analyze_triple  # wrapped by name in perfbench/spans.py:101
 
 SCHEMA_VERSION = 1
 
@@ -237,48 +235,58 @@ class ScanReport(Record):
 
 
 class _TripleClaims:
-    """The one per-graph checker of ``scan`` and ``analyze_one``.
+    """The one grouped walk of a graph's triples, for ``scan`` and
+    ``analyze_one``.
 
-    Built from a graph and its longest-path table, it holds every
-    per-graph memo of the checks. Called on a triple and its path indices, it
-    gives the ``TripleAnalyzer``'s parameters and the triple claims' verdicts;
-    ``subdivisions.verdicts`` gives the two subdivision claims, and reads
-    each base f from the analyser's record of the triple's masks. Every
-    claim predicate reads only n, l, the crossing convention and a
-    triple's ``f``, ``x_sizes`` and ``t_counts``, and the first three are
-    fixed per graph, so the statuses are decided once per ``(f, x_sizes,
-    t_counts)`` and kept as verdicts without a witness, the tuple returned
-    while none is violated; a violated one is checked again on each triple,
-    so that it carries that triple's own replay witness.
+    Every claim predicate reads only n, l, the crossing convention and a
+    triple's ``f``, ``x_sizes`` and ``t_counts``, which depend only on its
+    path masks and crossing counts. ``walk`` groups the triples by those
+    (and by subdivision statuses when ``t_values`` is set), and analyses and
+    checks the first triple of each group: ``groups`` holds, per group in
+    the order met, its ``TripleAnalysis``, those verdicts and whether one is
+    violated. ``witnessed`` builds a violated verdict again on another
+    triple of the group, so that it carries that triple's replay witness.
     """
 
-    def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool):
+    def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool,
+                 t_values: tuple[int, ...]):
         self.graph = graph
         self.l = table.length
         self.analyze = TripleAnalyzer(graph, strict_t, table.paths)
         self.subdivisions = Subdivisions(graph, table, self.analyze)
         self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
         self.prop1 = "prop1" in checks
-        self.statuses: dict[tuple, tuple[tuple[ClaimVerdict, ...], bool]] = {}
+        self.t_values = t_values
+        self.groups: list[tuple[TripleAnalysis, tuple[ClaimVerdict, ...], bool]] = []
 
-    def __call__(self, triple: PathTriple, i: int, j: int, k: int
-                 ) -> tuple[TripleAnalysis, tuple[ClaimVerdict, ...]]:
-        analysis = self.analyze(triple, self.analyze.t_counts(i, j, k))
-        key = (analysis.f, analysis.x_sizes, analysis.t_counts)
-        known = self.statuses.get(key)
-        if known is None:
-            verdicts = tuple(c(self.graph, triple, self.l, analysis) for c in self.checkers)
-            violated = any(v.status == VIOLATED for v in verdicts)
-            kept = tuple(ClaimVerdict(v.claim, v.status) for v in verdicts)
-            self.statuses[key] = (kept, violated)
-            return analysis, verdicts if violated else kept
-        verdicts, violated = known
-        if violated:
-            verdicts = tuple(
-                c(self.graph, triple, self.l, analysis) if v.status == VIOLATED else v
-                for c, v in zip(self.checkers, verdicts)
-            )
-        return analysis, verdicts
+    def walk(self, triples: TripleStream) -> Iterator[tuple[tuple[int, int, int], int, tuple]]:
+        """Each triple of ``triples`` as its path indices ``(i, j, k)``, the
+        index of its group in ``groups`` and its own subdivision verdicts,
+        one ``(subdivision_prop, size_bound)`` pair per t of ``t_values``."""
+        masks, crossings, groups = self.analyze.masks, self.analyze.t_counts, self.groups
+        t_values = self.t_values
+        index: dict[tuple, int] = {}
+        subdivision: tuple = ()
+        for at in triples.indices():
+            i, j, k = at
+            key = (masks[i], masks[j], masks[k], crossings(i, j, k))
+            if t_values:
+                subdivision = tuple(self.subdivisions.verdicts(triples.at(i, j, k), t_values))
+                key += tuple([v.status for pair in subdivision for v in pair])
+            g = index.get(key)
+            if g is None:
+                g = index[key] = len(groups)
+                triple = triples.at(i, j, k)
+                analysis = self.analyze(triple, key[3])
+                verdicts = tuple(c(self.graph, triple, self.l, analysis) for c in self.checkers)
+                groups.append((analysis, verdicts, any(v.status == VIOLATED for v in verdicts)))
+            yield at, g, subdivision
+
+    def witnessed(self, g: int, triple: PathTriple) -> tuple[ClaimVerdict, ...]:
+        """Group ``g``'s verdicts, each violated one built again on ``triple``."""
+        analysis, verdicts, _ = self.groups[g]
+        return tuple(c(self.graph, triple, self.l, analysis) if v.status == VIOLATED else v
+                     for c, v in zip(self.checkers, verdicts))
 
 
 class _ProvenClaimViolated(Exception):
@@ -306,11 +314,6 @@ def _examine_graph(
     record.triples_total = comb(table.count, 3)
     vacuous = table.count < 3
     shortcut = not vacuous and config.triple_mode == "shortcut-first" and table.core != 0
-    pair = table.count == 2 and "prop1" in config.checks
-    # The table walks its paths only when something reads them: a lone
-    # pair's prop1 check, or triple iteration.
-    cap = None if config.triple_mode == "all" else config.triple_cap
-    triples = None if vacuous or shortcut else TripleStream(table, cap)
 
     def run(verdict: ClaimVerdict) -> None:
         claim_tally = record.tallies.setdefault(verdict.claim, {})
@@ -320,54 +323,52 @@ def _examine_graph(
             if verdict.claim in PROVEN_CLAIMS:
                 raise _ProvenClaimViolated
 
+    # The table walks its paths only when something reads them: a lone
+    # pair's prop1 check, or the triple walk.
+    internal = False
     try:
         if vacuous:
             record.status = "vacuous"
             # A lone longest-path pair still gets the pairwise check.
-            if pair:
+            if table.count == 2 and "prop1" in config.checks:
                 record.pairs_examined = 1
                 run(check_prop1(graph, table.paths[0], table.paths[1], longest_paths=table))
-            return record, violations, False
-
-        if shortcut:
+        elif shortcut:
             # Some vertex lies on every longest path, so every pair and
             # triple meets there: every intersection claim holds with
             # f = 0 throughout.
             record.status = "shortcut"
             record.max_f = 0
-            return record, violations, False
-
-        claims = _TripleClaims(graph, table, config.checks, config.strict_t)
-        paths = table.paths
-        # Each pair once, by its two path indices.
-        checked: set[tuple[int, int]] = set()
-        for i, j, k in triples.indices():
-            triple = triples.at(i, j, k)
-            analysis, verdicts = claims(triple, i, j, k)
-            record.max_f = (
-                analysis.f if record.max_f is None else max(record.max_f, analysis.f)
-            )
-            low_t = min(analysis.t_counts)
-            record.min_t = low_t if record.min_t is None else min(record.min_t, low_t)
-            if claims.prop1:
-                for a, b in ((i, j), (i, k), (j, k)):
-                    if (a, b) not in checked:
-                        checked.add((a, b))
-                        record.pairs_examined += 1
-                        run(check_prop1(graph, paths[a], paths[b], longest_paths=table))
-            for verdict in verdicts:
-                run(verdict)
-            for pair in claims.subdivisions.verdicts(triple, config.subdivision_t):
-                for verdict in pair:
+        else:
+            cap = None if config.triple_mode == "all" else config.triple_cap
+            triples = TripleStream(table, cap)
+            claims = _TripleClaims(graph, table, config.checks, config.strict_t,
+                                   config.subdivision_t)
+            groups, paths = claims.groups, table.paths
+            # Each pair once, by its two path indices.
+            checked: set[tuple[int, int]] = set()
+            for (i, j, k), g, subdivision in claims.walk(triples):
+                if claims.prop1:
+                    for a, b in ((i, j), (i, k), (j, k)):
+                        if (a, b) not in checked:
+                            checked.add((a, b))
+                            record.pairs_examined += 1
+                            run(check_prop1(graph, paths[a], paths[b], longest_paths=table))
+                _, verdicts, violated = groups[g]
+                for verdict in claims.witnessed(g, triples.at(i, j, k)) if violated else verdicts:
                     run(verdict)
-        return record, violations, False
+                for pair in subdivision:
+                    for verdict in pair:
+                        run(verdict)
     except _ProvenClaimViolated:
-        return record, violations, True
-    finally:
-        # Shortcut and vacuous graphs count no triples examined or skipped.
-        if record.status == "checked":
-            record.triples_examined = triples.examined
-            record.triples_skipped = triples.skipped
+        internal = True
+    # Shortcut and vacuous graphs count no triples examined or skipped.
+    if record.status == "checked":
+        record.triples_examined = triples.examined
+        record.triples_skipped = triples.skipped
+        record.max_f = max(analysis.f for analysis, _, _ in groups)
+        record.min_t = min(min(analysis.t_counts) for analysis, _, _ in groups)
+    return record, violations, internal
 
 
 def _corpus(max_n: int) -> Iterator[Graph]:
@@ -635,16 +636,14 @@ def analyze_one(
     ``subdivision_t`` are checked as a ``ScanConfig`` checks them.
 
     Every field of a triple entry but its paths depends only on the three
-    paths' vertex sets and crossing counts, and its subdivision statuses.
-    So a triple, walked as path indices, costs its crossing counts and one
-    lookup: a ``PathTriple`` (unless ``subdivision_t`` needs one for each),
-    the analysis, the claim statuses and the field objects are made once
-    per group of triples with equal masks, counts and statuses, and every
-    entry of the group holds those same objects (``TripleRows``). The
-    entries also share one list per path and one subdivision map per set of
-    statuses. Treat the record as read-only: editing a shared list or map
-    in one entry changes every entry that holds it, and the triple list is
-    written from its groups. A copy (``copy.deepcopy``) holds a plain list.
+    paths' vertex sets and crossing counts, and its subdivision statuses:
+    on its group in ``_TripleClaims.walk``. So the field objects are made
+    once per group, from the analysis and claim statuses of the group's
+    first triple, and every entry of the group holds those same objects
+    (``TripleRows``), as it holds one list per path. Treat the record as
+    read-only: editing a shared list or map in one entry changes every
+    entry that holds it, and the triple list is written from its groups.
+    A copy (``copy.deepcopy``) holds a plain list.
     """
     _check_settings(checks, subdivision_t)
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
@@ -662,28 +661,17 @@ def analyze_one(
     if triples.total == 0:
         out.update(status="vacuous", triples=[])
         return out
-    claims = _TripleClaims(graph, table, checks, strict_t)
-    masks, crossings = claims.analyze.masks, claims.analyze.t_counts
+    claims = _TripleClaims(graph, table, checks, strict_t, subdivision_t)
     entries = TripleRows([list(p.vertices) for p in table.paths])
     fields = entries.fields
-    groups: dict[tuple, int] = {}
-    subdivision_maps: dict[tuple, dict] = {}
-    for at in triples.indices():
-        i, j, k = at
-        key = (masks[i], masks[j], masks[k], crossings(i, j, k))
-        if subdivision_t:
-            statuses = tuple([tuple([(v.claim, v.status) for v in pair]) for pair in
-                              claims.subdivisions.verdicts(triples.at(i, j, k), subdivision_t)])
-            key += (statuses,)
-        f = groups.get(key)
-        if f is None:
-            analysis, verdicts = claims(triples.at(i, j, k), i, j, k)
+    for at, g, subdivision in claims.walk(triples):
+        if g == len(fields):  # the first triple of its group
+            analysis, verdicts, _ = claims.groups[g]
             verdict_map = {v.claim: v.status for v in verdicts}
             if claims.prop1:
                 # Two longest paths meet exactly when they share a vertex.
                 verdict_map["prop1"] = [HOLDS if size else VIOLATED
                                         for size in analysis.pairwise_sizes]
-            f = groups[key] = len(fields)
             fields.append({
                 "f": analysis.f,
                 "witnesses": sorted(analysis.witnesses),
@@ -693,9 +681,9 @@ def analyze_one(
                 "verdicts": verdict_map,
             })
             if subdivision_t:
-                fields[f]["subdivision"] = subdivision_maps.setdefault(statuses, {
-                    str(t): dict(pair) for t, pair in zip(subdivision_t, statuses)})
-        entries.add(f, at)
+                fields[g]["subdivision"] = {str(t): {v.claim: v.status for v in pair}
+                                            for t, pair in zip(subdivision_t, subdivision)}
+        entries.add(g, at)
     out.update(triples_examined=triples.examined, triples=entries,
                max_f=max(group["f"] for group in fields),
                min_t=min(min(group["t_counts"]) for group in fields), status="checked")

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import contextlib
 import stat
@@ -145,6 +146,16 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--n", "4", "--checks", "lemma99")
         assert code == 4
         assert "lemma99" in err
+
+    @pytest.mark.parametrize("command", [
+        ("scan", "--n", "4", "--triple-mode", "all"), ("analyze", "--input", "-")])
+    @pytest.mark.parametrize("value", [",", ""])
+    def test_empty_checks_rejected(self, capsys, command, value):
+        # Once a run of no check reported "violations: 0" and exited 0.
+        code, out, err = run(capsys, *command, "--checks", value)
+        assert code == 4
+        assert out == ""
+        assert "argument --checks: no check named in" in err
 
     @pytest.mark.parametrize("repeat, other", [
         (("--checks", "thm1,thm1"), ("--t", "1")),
@@ -674,6 +685,25 @@ def test_one_skip_vocabulary_across_commands(tmp_path, capsys):
             assert [len(r["verdicts"]) for r in records] == [0, 0, 0, 1]
 
 
+def test_reader_closing_early_keeps_the_exit_code(tmp_path):
+    # Once ``analyze | head -c 300`` exited 4 with "Broken pipe": the report
+    # is far larger than a pipe holds, so the write meets the closed end.
+    root = Path(__file__).resolve().parents[1]
+    src = tmp_path / "k1.g6"
+    src.write_text("KhAAPWU_?_@?\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gallai.cli", "analyze", "--input", str(src),
+         "--triple-cap", "3000"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Worker pools exist only for --jobs > 1; a serial run must not pay for
     # importing multiprocessing (and with it pickle and socket) at start-up.
@@ -698,6 +728,32 @@ def test_benchmark_tracer_installs():
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_spans_line_comments_point_at_their_wraps():
+    # An import marked "wrapped by name in perfbench/spans.py:N" is kept for
+    # that wrap, often alone; line N must wrap that name in that module, so
+    # a stale mark shows here rather than as a silently untraced layer.
+    root = Path(__file__).resolve().parents[1]
+    spans = (root / "perfbench" / "spans.py").read_text().splitlines()
+    # The names ``spans.install`` binds the wrapped modules to.
+    alias = {"cli": "cli", "scan": "scan", "subdivision": "sub", "paths": "paths"}
+    marked = []
+    for source in sorted((root / "src" / "gallai").glob("*.py")):
+        for number, line in enumerate(source.read_text().splitlines(), 1):
+            if "perfbench/spans.py" not in line:
+                continue
+            where = f"{source.name}:{number}"
+            mark = re.search(r"(\w+),?\s+# (.*\s)?wrapped by name in perfbench/spans\.py:(\d+)$",
+                             line)
+            assert mark, f"{where}: one import and one spans.py line per mark"
+            name, module = mark[1], alias[source.stem]
+            assert hasattr(importlib.import_module(f"gallai.{source.stem}"), name), where
+            wrap = spans[int(mark[3]) - 1].strip()
+            assert wrap.startswith((f'wrap({module}, "{name}"', f"{module}.{name} = ")), (
+                f"{where}: spans.py:{mark[3]} is {wrap!r}")
+            marked.append(name)
+    assert len(marked) == 9
 
 
 def test_benchmark_tracer_traces_verify_prop(tmp_path):

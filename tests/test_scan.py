@@ -11,7 +11,7 @@ import pickle
 import random
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path as FilePath
 
 import pytest
@@ -23,6 +23,7 @@ from conftest import (
     corpus_up_to,
     cycle_graph,
     path_graph,
+    petersen_family,
     star_graph,
     within_seconds,
 )
@@ -262,6 +263,37 @@ class TestTripleIteration:
         assert report.violations == []
         assert report.exit_code == EXIT_OK
 
+    @pytest.mark.parametrize("family, triples, pairs", [
+        ({"k": 1}, 11_480, 861),
+        ({"s": 2}, 816, 153),
+    ], ids=["k1", "s2"])
+    def test_gallai_free_graphs_walk_every_triple(self, tmp_path, family, triples, pairs):
+        # No vertex lies on every longest path of these graphs, so even the
+        # default mode walks their triples; in "all" mode every one of them.
+        g = petersen_family(**family)
+        src = tmp_path / "g.g6"
+        src.write_text(to_graph6(g) + "\n")
+        rec, = scan(ScanConfig(input_path=str(src), triple_mode="all")).records
+        assert (rec.status, rec.gallai_size) == ("checked", 0)
+        assert (rec.triples_examined, rec.triples_skipped, rec.pairs_examined) == (
+            triples, 0, pairs)
+        assert (rec.max_f, rec.min_t) == (0, 6)
+        tallies = dict(rec.tallies)
+        assert tallies.pop("prop1") == {HOLDS: pairs}
+        assert len(tallies) == len(TRIPLE_CLAIMS)
+        assert all(sum(tally.values()) == triples for tally in tallies.values())
+        # analyze_one's statuses per group, each counted once per triple in it.
+        res = analyze_one(g)
+        entries = res["triples"]
+        expected: dict = {}
+        for group, size in Counter(group for group, *_ in entries.rows).items():
+            for claim, status in entries.fields[group]["verdicts"].items():
+                if claim != "prop1":
+                    by_status = expected.setdefault(claim, {})
+                    by_status[status] = by_status.get(status, 0) + size
+        assert tallies == expected
+        assert (res["triples_examined"], res["max_f"], res["min_t"]) == (triples, 0, 6)
+
 
 class TestShortcutSoundness:
     def test_sampled_triples_confirm_zero(self):
@@ -404,14 +436,14 @@ class TestInjectedViolations:
 
 
 class TestClaimStatusMemo:
-    """The scan and ``analyze_one`` decide each claim once per graph and
-    (f, x_sizes, t_counts), and check a violated claim again per triple.
-    A patched ``conj4`` violates on every triple whose first crossing
-    count is 2 or 5, so equal keys repeat among the violations. The first
-    60 triples of each graph of the n <= 6 corpus are examined: below
-    n = 6, ``f`` and ``x_sizes`` alone fix the crossing counts of every
-    graph's triples, and four six-vertex graphs have triples with
-    ``t_counts`` (3, 3, 3) and (5, 5, 5) under one (f, x_sizes)."""
+    """The scan and ``analyze_one`` share one grouped walk of a graph's
+    triples (``_TripleClaims.walk``), which decides each claim once per
+    group of triples with equal path masks and crossing counts (and
+    subdivision statuses, when those are checked), and the scan checks a
+    violated claim again per triple. A patched ``conj4`` violates on every
+    triple whose first crossing count is 2 or 5, so several triples of one
+    group are violated, and each must carry its own witness. The first 60
+    triples of each graph of the n <= 6 corpus are examined."""
 
     CHECKS = tuple(TRIPLE_CLAIMS)
     CAP = 60
@@ -428,11 +460,11 @@ class TestClaimStatusMemo:
         monkeypatch.setitem(TRIPLE_CLAIMS, "conj4", predicate)
 
     @classmethod
-    def reference(cls):
+    def reference(cls, max_n=6):
         """Per graph: each triple's verdicts, one fresh ``triple_verdict``
         per claim and triple."""
         out = {}
-        for g in corpus_up_to(6):
+        for g in corpus_up_to(max_n):
             table = LongestPathTable(g)
             out[g] = [
                 [triple_verdict(name, g, t, table.length, analyze_triple(g, t))
@@ -467,6 +499,43 @@ class TestClaimStatusMemo:
         keys = Counter((g6, w["f"], tuple(w["x_sizes"]), tuple(w["t_counts"]))
                        for g6, _, w in violations)
         assert max(keys.values()) > 1 and len(violations) > 100
+        groups = Counter((g6, *(frozenset(p) for p in w["paths"]), tuple(w["t_counts"]))
+                         for g6, _, w in violations)
+        assert max(groups.values()) > 1
+
+    def test_subdivision_verdicts_match_per_triple(self, monkeypatch):
+        # Each triple's subdivision verdicts, from a fresh Subdivisions. With
+        # at most 18 vertices a subdivided graph, a triple with more distinct
+        # ends than another over the same vertex sets can be skipped where
+        # the other holds, so the statuses split some groups of masks and
+        # crossing counts.
+        monkeypatch.setattr(subdivision_module, "DEFAULT_VERIFY_MAX_VERTICES", 18)
+        ts = (0, 1)
+        splits = 0
+        expected = self.reference(5)
+        tallies = {}
+        for g, per_triple in expected.items():
+            table = LongestPathTable(g)
+            subdivided = [tuple(Subdivisions(g, table).verdicts(triple, ts))
+                          for triple in TripleStream(table, self.CAP)]
+            res = analyze_one(g, checks=self.CHECKS, triple_cap=self.CAP, subdivision_t=ts)
+            entries = res.get("triples", [])
+            assert [entry["subdivision"] for entry in entries] == [
+                {str(t): {v.claim: v.status for v in pair} for t, pair in zip(ts, pairs)}
+                for pairs in subdivided]
+            maps: dict[tuple, set] = {}
+            for entry in entries:
+                key = (*(frozenset(p) for p in entry["paths"]), tuple(entry["t_counts"]))
+                maps.setdefault(key, set()).add(str(entry["subdivision"]))
+            splits += sum(len(m) > 1 for m in maps.values())
+            for verdicts, pairs in zip(per_triple, subdivided):
+                for v in (*verdicts, *chain.from_iterable(pairs)):
+                    claim_tally = tallies.setdefault(to_graph6(g), {}).setdefault(v.claim, {})
+                    claim_tally[v.status] = claim_tally.get(v.status, 0) + 1
+        report = scan(ScanConfig(generate_n=5, checks=self.CHECKS, triple_mode="capped",
+                                 triple_cap=self.CAP, subdivision_t=ts))
+        assert {r.graph6: r.tallies for r in report.records if r.tallies} == tallies
+        assert splits > 0
 
     def test_each_path_searched_once_per_graph(self, monkeypatch):
         searched = Counter()
