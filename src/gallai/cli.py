@@ -36,6 +36,7 @@ from .scan import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_VIOLATION,
     EXIT_OK,
+    RowsRecord,
     ScanConfig,
     TRIPLE_MODES,
     TripleRows,
@@ -338,7 +339,7 @@ def _cmd_verify_prop(args) -> int:
             subdivisions = Subdivisions(graph, table)
             triples = TripleStream(table, args.triple_cap)
             verdicts = TripleRows([list(p.vertices) for p in table.paths])
-            fields = verdicts.fields
+            fields, rows = verdicts.fields, verdicts.rows
             # One fields dict per t, status and witness, which it holds (so the
             # id names no other): a holds witness is shared by equal values.
             known: dict[tuple, int] = {}
@@ -352,8 +353,8 @@ def _cmd_verify_prop(args) -> int:
                         fields.append({"t": t, "status": v.status, "witness": v.witness})
                         if v.status == VIOLATED:
                             worst_status = EXIT_INTERNAL_VIOLATION
-                    verdicts.add(f, at)
-            yield {"graph6": graph_key(graph), "verdicts": verdicts}
+                    rows.append((f, *at))
+            yield RowsRecord(graph6=graph_key(graph), verdicts=verdicts)
 
     _write_out([*report_chunks(records()), "\n"], args.out)
     return worst_status

@@ -41,13 +41,12 @@ record-by-record form: the CLI builds its per-graph records lazily and
 encodes each as soon as it is built, so a run holds the report's text but
 never all of its records; ``emit_report`` encodes a scan's graph records
 through it too. The encoder keeps no memo: it writes every object where
-it finds it, sorting a dict's keys each time. Only a ``TripleRows`` list,
-``analyze_one``'s triple entries and ``verify-prop``'s verdicts, writes
-shared text once: every field of a row but its paths comes from one of a
-few shared dicts (an entry's group, the triple's path masks and crossing
-counts, with its subdivision verdicts; a verdict's t, status and
-witness), so each of those and each path is written once, and a row is
-joined from them by index.
+it finds it, sorting a dict's keys each time. Only ``TripleRows``
+(``analyze_one``'s triple entries, ``verify-prop``'s verdicts) holds
+indices, not dicts: per row, of one of a few shared field dicts (an
+entry's group; a verdict's t, status and witness) and of three paths.
+Each of those is written once, and the rows' pieces are joined once,
+into the record's text.
 """
 
 from __future__ import annotations
@@ -466,6 +465,8 @@ def _encode(o, pad: str) -> str:
         return _quote(o)
     if type(o) is int:
         return int.__repr__(o)
+    if type(o) is TripleRows:
+        return "".join(o.pieces(pad))
     if not o or not isinstance(o, _CONTAINERS):
         # Past the containers, so that they pay nothing for the literals.
         if o is True:
@@ -478,17 +479,16 @@ def _encode(o, pad: str) -> str:
     if isinstance(o, dict):
         parts = []
         for k in sorted(o):
-            # A value is a piece of its own: a triple list's text runs to
-            # megabytes, and joining it to its key's head would copy it.
-            parts += (f"{sep}{_quote(k if isinstance(k, str) else json.dumps(k))}: ",
-                      _encode(o[k], inner))
+            parts.append(f"{sep}{_quote(k if isinstance(k, str) else json.dumps(k))}: ")
+            # A value is a piece of its own, and a triple list's pieces are
+            # spliced in: its text runs to megabytes, and each join copies it.
+            v = o[k]
+            parts += v.pieces(inner) if type(v) is TripleRows else (_encode(v, inner),)
         parts[0] = "{" + parts[0][1:]
         parts.append(f"\n{pad}}}")
         return "".join(parts)
     if type(o[0]) is int and all(type(x) is int for x in o):
         return f"[\n{inner}{sep.join(map(int.__repr__, o))}\n{pad}]"
-    if type(o) is TripleRows:
-        return o.text(_encode, pad)
     return f"[\n{inner}{sep.join([_encode(x, inner) for x in o])}\n{pad}]"
 
 
@@ -496,7 +496,7 @@ def report_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
     per container (a list of ints in one go) rather than by ``json``'s
     pure-Python indenting encoder, which collects every token first. A
-    ``TripleRows`` list writes its own text."""
+    ``TripleRows`` value is written as its list of rows."""
     return _encode(obj, "")
 
 
@@ -569,44 +569,55 @@ def emit_report(report: ScanReport, fmt: str = "json") -> str:
 # single-graph deep dive
 # ---------------------------------------------------------------------------
 
-class TripleRows(list):
-    """A list of row dicts, one per path triple, that writes its own JSON
-    text for ``report_json``: ``analyze_one``'s triple entries and a
-    ``verify-prop`` record's verdicts. A row holds three of ``paths``, the
-    record's one list per path, under ``"paths"``, and the fields of one
-    dict of ``fields``; ``rows`` holds beside each row that dict's index
-    and the three path indices. ``text`` writes each path and each fields
-    dict once, the latter split where ``"paths"`` sorts among its keys,
-    and joins every row from those texts by index, none written again.
+class TripleRows:
+    """``analyze_one``'s triple entries or a ``verify-prop`` record's
+    verdicts: per path triple, ``rows`` holds the index of its dict of
+    ``fields`` (one per group of rows equal but for their paths) and of its
+    three lists of ``paths``. It reads as a list of row dicts, each built
+    only when read (``len``, indexing, iteration, ``==``); a copy is a
+    plain list. Being no ``list``, it makes ``json.dumps`` raise rather
+    than write ``[]``. ``pieces`` writes each path and each fields dict
+    once, split where ``"paths"`` sorts among its keys, and lays out every
+    row from those texts by index.
     """
 
     def __init__(self, paths: list[list[int]]):
-        super().__init__()
         self.paths = paths
         self.fields: list[dict] = []
         self.rows: list[tuple[int, int, int, int]] = []
 
+    def _row(self, row: tuple[int, int, int, int]) -> dict:
+        f, i, j, k = row
+        return {**self.fields[f], "paths": [self.paths[i], self.paths[j], self.paths[k]]}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self._row, self.rows)
+
+    def __getitem__(self, index):
+        rows = self.rows[index]
+        return list(map(self._row, rows)) if type(index) is slice else self._row(rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if type(other) is TripleRows else other)
+
     def __reduce__(self):
-        # A copy is a plain list, written entry by entry, so it can be edited.
         return list, (list(self),)
 
-    def add(self, f: int, at: tuple[int, int, int]) -> None:
-        """Append the row of ``fields[f]`` and the paths at indices ``at``."""
-        i, j, k = at
-        row = self.fields[f].copy()
-        row["paths"] = [self.paths[i], self.paths[j], self.paths[k]]
-        self.append(row)
-        self.rows.append((f, i, j, k))
-
-    def text(self, encode, pad: str) -> str:
+    def pieces(self, pad: str) -> list[str]:
+        """The rows' text at indent ``pad``, unjoined: a record joins it once."""
+        if not self.rows:
+            return ["[]"]
         inner, field = pad + "  ", pad + "    "
         item = field + "  "
         sep = ",\n" + item
-        paths = [encode(p, item) for p in self.paths]
+        paths = [_encode(p, item) for p in self.paths]
         opens, closes = [], []
         for fields in self.fields:
             keys = sorted(fields)
-            texts = [f"\n{field}{_quote(k)}: {encode(fields[k], field)}" for k in keys]
+            texts = [f"\n{field}{_quote(k)}: {_encode(fields[k], field)}" for k in keys]
             cut = bisect(keys, "paths")
             opens.append("{" + ",".join([*texts[:cut], f'\n{field}"paths": [\n{item}']))
             closes.append(",".join([f"\n{field}]", *texts[cut:]]) + f"\n{inner}}}")
@@ -616,7 +627,16 @@ class TripleRows(list):
             parts += (between, opens[f], paths[i], sep, paths[j], sep, paths[k], closes[f])
         parts[0] = "[\n" + inner  # in place of the separator before the first row
         parts.append(f"\n{pad}]")
-        return "".join(parts)
+        return parts
+
+
+class RowsRecord(dict):
+    """A record holding ``TripleRows``: ``json`` and ``copy`` read a dict
+    subclass through ``items``, which gives each as a plain list, while
+    ``report_json`` reads it by key and writes it from its rows."""
+
+    def items(self):
+        return [(k, list(v) if type(v) is TripleRows else v) for k, v in dict.items(self)]
 
 
 def analyze_one(
@@ -639,14 +659,13 @@ def analyze_one(
     paths' vertex sets and crossing counts, and its subdivision statuses:
     on its group in ``_TripleClaims.walk``. So the field objects are made
     once per group, from the analysis and claim statuses of the group's
-    first triple, and every entry of the group holds those same objects
-    (``TripleRows``), as it holds one list per path. Treat the record as
-    read-only: editing a shared list or map in one entry changes every
-    entry that holds it, and the triple list is written from its groups.
-    A copy (``copy.deepcopy``) holds a plain list.
+    first triple; a triple stores only its group's and paths' indices
+    (``TripleRows``), and its entry, holding those objects, is built when
+    read. Treat the record as read-only: editing a shared list or map in
+    one entry changes every entry that holds it. A copy holds a plain list.
     """
     _check_settings(checks, subdivision_t)
-    out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
+    out: dict = RowsRecord(graph6=graph_key(graph), n=graph.n, m=graph.m)
     status, table = gated_table(graph, enumeration_cap)
     if table is not None:
         out.update(l=table.length, truncated=table.truncated,
@@ -663,7 +682,7 @@ def analyze_one(
         return out
     claims = _TripleClaims(graph, table, checks, strict_t, subdivision_t)
     entries = TripleRows([list(p.vertices) for p in table.paths])
-    fields = entries.fields
+    fields, rows = entries.fields, entries.rows
     for at, g, subdivision in claims.walk(triples):
         if g == len(fields):  # the first triple of its group
             analysis, verdicts, _ = claims.groups[g]
@@ -683,7 +702,7 @@ def analyze_one(
             if subdivision_t:
                 fields[g]["subdivision"] = {str(t): {v.claim: v.status for v in pair}
                                             for t, pair in zip(subdivision_t, subdivision)}
-        entries.add(g, at)
+        rows.append((g, *at))
     out.update(triples_examined=triples.examined, triples=entries,
                max_f=max(group["f"] for group in fields),
                min_t=min(min(group["t_counts"]) for group in fields), status="checked")

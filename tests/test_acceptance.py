@@ -51,6 +51,14 @@ GOLDEN_DIGESTS = {
     # nonzero exclusive counts.
     "analyze --input KhAAPWU_?_@?":
         "dba43bc5cba3549fcd7eb7168bc59e3daec7803b08068f9b124396f72cf88821",
+    # Every triple entry of the Gallai-free graph read back from its rows,
+    # one line each, by the text report.
+    "analyze --input KhAAPWU_?_@? --format text":
+        "dbbf71f3d74460f48f0f39d83c504f915da94c22f55e1f830b404a6712dad359",
+    # Every verdict row; "BW" has one longest path and no triples, so its
+    # empty verdict list is written as [].
+    "verify-prop --input BW,Bw,Fs?GG --t 1,2":
+        "618e447474b54c364e2a242eb1089ee850d27f0f3e8b07d5e0346b8f9a7069a7",
     # The built instances: extended and subdivided graphs, lifted paths.
     "subdivide --input <n <= 5> --t 2 --triple 3":
         "e406e0f74bc6ed37eeae3f14ab81558f959a68790982eb1493ffcbc0ea77c0ff",
@@ -225,11 +233,16 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
             [str(corpus_file), "--triple-cap", "300", "--strict-t-convention"],
         "analyze --input <n = 6> --triple-cap 300": [str(n6_file), "--triple-cap", "300"],
         "analyze --input KhAAPWU_?_@?": [str(free_file)],
+        "analyze --input KhAAPWU_?_@? --format text": [str(free_file), "--format", "text"],
     }
     analyze_digests = {}
     for name, argv in analyze_runs.items():
         assert main(["analyze", "--input", *argv]) == 0
         analyze_digests[name] = _sha256(capsys.readouterr().out)
+    rows_file = tmp_path / "rows.g6"
+    rows_file.write_text("BW\nBw\nFs?GG\n")
+    assert main(["verify-prop", "--input", str(rows_file), "--t", "1,2"]) == 0
+    verify_rows = capsys.readouterr().out
     assert main(["scan", "--input", str(free_file)]) == 0
     scan_free = capsys.readouterr().out
     assert main(["scan", "--input", str(free_file), "--t", "1", "--triple-cap", "300"]) == 0
@@ -253,6 +266,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "scan --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(scan_free_t),
         "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),
         "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(verify_free),
+        "verify-prop --input BW,Bw,Fs?GG --t 1,2": _sha256(verify_rows),
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS

@@ -668,7 +668,7 @@ class TestReportJson:
     @given(_same_shape_records())
     @example([{1: 1}, {1.0: 1}, {True: 1}, {0.0: [{0: 1}]}, {-0.0: [{False: 1}]},
               {"b": 1, "a": 2}, {"a": 2, "b": 1}, {"a": {"b": 1, "a": 2}}])
-    def test_shapes_shared_across_records(self, records):
+    def test_repeated_and_equal_keys_across_records(self, records):
         # Records in one report_chunks call, with key sets repeated in
         # another order and keys equal but written apart (1, 1.0, True).
         expected = json.dumps(records, indent=2, sort_keys=True)
@@ -740,7 +740,7 @@ class TestReportJson:
         assert chunks[0] == "[\n  " and chunks[2] == ",\n  " and chunks[-1] == "\n]"
         assert chunks[1::2][:2] == [report_json(r).replace("\n", "\n  ") for r in records]
 
-    def test_memo_lasts_one_record(self):
+    def test_text_follows_values_when_ids_are_reused(self):
         # Each record is freed once encoded, so the next record's lists
         # may reuse its ids; each record's text depends on its values alone.
         records = ({"v": [i, i + 1], "w": {"k": [i]}} for i in range(300))
@@ -951,11 +951,16 @@ class TestSharedFragments:
     """``analyze_one`` shares each fragment among its triple entries; its
     records equal the old ones, built with fresh lists for every triple."""
 
-    def test_records_equal_fresh_ones(self):
+    @pytest.fixture(scope="class")
+    def corpus_records(self):
+        """The record of each graph on at most five vertices, from
+        ``analyze_one`` and from ``fresh_record``."""
+        return [(analyze_one(g), fresh_record(g)) for g in corpus_up_to(5)]
+
+    def test_records_equal_fresh_ones(self, corpus_records):
         shared = 0
-        for g in corpus_up_to(5):
-            res = analyze_one(g)
-            assert res == fresh_record(g)
+        for res, fresh in corpus_records:
+            assert res == fresh
             lists = [id(x) for t in res["triples"]
                      for x in (*t["paths"], t["witnesses"], t["x_sizes"])]
             shared += len(lists) - len(set(lists))
@@ -974,6 +979,32 @@ class TestSharedFragments:
         # The standard library's indenting encoder is the reference for the
         # entries' own text.
         assert "".join(report_chunks([rec])) == json.dumps([rec], indent=2, sort_keys=True)
+
+    def test_rows_read_as_a_list_of_dicts(self, corpus_records):
+        # Triple entries are kept as indices and built when read: every
+        # reader sees the fresh record's entries, a copy is a plain list,
+        # and json.dumps without an indent writes the record in full or
+        # raises, never an empty list.
+        g = parse_graph6("KhAAPWU_?_@?")
+        checked = 0
+        for res, fresh in [*corpus_records, (analyze_one(g), fresh_record(g))]:
+            rows, expected = res["triples"], fresh["triples"]
+            if not expected:
+                continue
+            checked += len(expected)
+            assert len(rows) == len(expected) and bool(rows)
+            assert list(rows) == expected and rows == expected and expected == rows
+            assert rows[0] == expected[0] and rows[-1] == expected[-1]
+            assert rows[1::7] == expected[1::7] and rows[5:0] == []
+            assert rows != expected[:-1]
+            for copied in (copy.deepcopy(rows), pickle.loads(pickle.dumps(rows))):
+                assert type(copied) is list and copied == expected
+            assert json.dumps(res) == json.dumps({**res, "triples": list(rows)})
+            with pytest.raises(TypeError, match="TripleRows"):
+                json.dumps(rows)
+        assert checked > 11_480
+        with pytest.raises(IndexError):
+            rows[len(expected)]
 
     def test_a_copied_record_can_be_edited(self):
         res = analyze_one(parse_graph6("KhAAPWU_?_@?"), subdivision_t=(1,), triple_cap=30)
