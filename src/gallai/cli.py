@@ -34,14 +34,13 @@ from .paths import enumerate_longest_paths  # wrapped by name in perfbench/spans
 from .scan import (
     ALL_CHECKS,
     EXIT_CONFIG_ERROR,
-    EXIT_INTERNAL_VIOLATION,
     EXIT_OK,
-    RowsRecord,
     ScanConfig,
     TRIPLE_MODES,
     TripleRows,
     _check_settings,
     analyze_one,
+    claims_exit_code,
     emit_report,
     gated_table,
     read_graphs,
@@ -227,19 +226,24 @@ def _cmd_scan(args) -> int:
 
 def _cmd_analyze(args) -> int:
     graphs = read_graphs(args.input, args.input_format)
-    # Built lazily: each record is rendered, and can be freed, before the
-    # next graph is analysed.
-    results = (
-        analyze_one(
-            g,
-            checks=args.checks,
-            enumeration_cap=args.cap,
-            triple_cap=args.triple_cap,
-            subdivision_t=args.t,
-            strict_t=args.strict_t_convention,
-        )
-        for g in graphs
-    )
+    violated: set[str] = set()
+
+    def analyzed():
+        # Built lazily: each record is rendered, and can be freed, before
+        # the next graph is analysed.
+        for g in graphs:
+            res = analyze_one(g, checks=args.checks, enumeration_cap=args.cap,
+                              triple_cap=args.triple_cap, subdivision_t=args.t,
+                              strict_t=args.strict_t_convention)
+            rows = res.get("triples")
+            # Statuses are read per group of triples, never per row.
+            for fields in rows.fields if type(rows) is TripleRows else ():
+                for statuses in (fields["verdicts"], *fields.get("subdivision", {}).values()):
+                    violated.update(c for c, s in statuses.items()
+                                    if s == VIOLATED or type(s) is list and VIOLATED in s)
+            yield res
+
+    results = analyzed()
     if args.format == "json":
         _write_out([*report_chunks(results), "\n"], args.out)
     else:
@@ -254,7 +258,7 @@ def _cmd_analyze(args) -> int:
                 lines.append(f"  triple {entry['paths']}: f={entry['f']} "
                              f"t_counts={entry['t_counts']} x={entry['x_sizes']}")
         _write_out(["\n".join(lines) + "\n"], args.out)
-    return EXIT_OK
+    return claims_exit_code(violated)
 
 
 def _export_graph(graph: Graph) -> dict:
@@ -324,12 +328,11 @@ def _cmd_verify_prop(args) -> int:
         worst_s = result.pop("worst_instance_s")
         sys.stderr.write(f"verify-prop: slowest instance took {worst_s:.3f}s\n")
         _write_out([report_json(result) + "\n"], args.out)
-        return EXIT_OK if not result["violations"] else EXIT_INTERNAL_VIOLATION
+        return claims_exit_code(v["claim"] for v in result["violations"])
     graphs = read_graphs(args.input, args.input_format)
-    worst_status = EXIT_OK
+    violated: set[str] = set()
 
     def records():
-        nonlocal worst_status
         for graph in graphs:
             status, table = gated_table(graph)
             if status:
@@ -352,12 +355,12 @@ def _cmd_verify_prop(args) -> int:
                         f = known[key] = len(fields)
                         fields.append({"t": t, "status": v.status, "witness": v.witness})
                         if v.status == VIOLATED:
-                            worst_status = EXIT_INTERNAL_VIOLATION
+                            violated.add(v.claim)
                     rows.append((f, *at))
-            yield RowsRecord(graph6=graph_key(graph), verdicts=verdicts)
+            yield {"graph6": graph_key(graph), "verdicts": verdicts}
 
     _write_out([*report_chunks(records()), "\n"], args.out)
-    return worst_status
+    return claims_exit_code(violated)
 
 
 def main(argv: list[str] | None = None) -> int:

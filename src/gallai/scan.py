@@ -45,8 +45,8 @@ it finds it, sorting a dict's keys each time. Only ``TripleRows``
 (``analyze_one``'s triple entries, ``verify-prop``'s verdicts) holds
 indices, not dicts: per row, of one of a few shared field dicts (an
 entry's group; a verdict's t, status and witness) and of three paths.
-Each of those is written once, and the rows' pieces are joined once,
-into the record's text.
+Each of those is written once, and the rows' pieces are spliced into the
+text of the plain dict record that holds them, which is joined once.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import io
 import json
 import sys
 import time
-from bisect import bisect
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -63,6 +62,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .claims import (
+    CONJECTURE_CLAIMS,
     HOLDS,
     PROVEN_CLAIMS,
     SKIPPED_BUDGET,
@@ -105,6 +105,15 @@ EXIT_OK = 0
 EXIT_CONJECTURE_VIOLATION = 2
 EXIT_INTERNAL_VIOLATION = 3
 EXIT_CONFIG_ERROR = 4
+
+
+def claims_exit_code(violated: Iterable[str]) -> int:
+    """Every command's exit code from the claims its run found violated:
+    a proven claim gives 3, else a conjecture 2, else 0."""
+    violated = set(violated)
+    if violated & PROVEN_CLAIMS:
+        return EXIT_INTERNAL_VIOLATION
+    return EXIT_CONJECTURE_VIOLATION if violated & CONJECTURE_CLAIMS else EXIT_OK
 
 
 class ScanConfig(FrozenRecord):
@@ -214,11 +223,8 @@ class ScanReport(Record):
 
     @property
     def exit_code(self) -> int:
-        if self.internal_violation:
-            return EXIT_INTERNAL_VIOLATION
-        if self.violations:
-            return EXIT_CONJECTURE_VIOLATION
-        return EXIT_OK
+        # ``internal_violation`` is set exactly when a proven claim is among these.
+        return claims_exit_code(v.claim for v in self.violations)
 
     def summary(self) -> dict:
         by_status: dict[str, int] = {}
@@ -465,8 +471,6 @@ def _encode(o, pad: str) -> str:
         return _quote(o)
     if type(o) is int:
         return int.__repr__(o)
-    if type(o) is TripleRows:
-        return "".join(o.pieces(pad))
     if not o or not isinstance(o, _CONTAINERS):
         # Past the containers, so that they pay nothing for the literals.
         if o is True:
@@ -496,7 +500,7 @@ def report_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, joined
     per container (a list of ints in one go) rather than by ``json``'s
     pure-Python indenting encoder, which collects every token first. A
-    ``TripleRows`` value is written as its list of rows."""
+    dict's ``TripleRows`` value is written as its list of rows."""
     return _encode(obj, "")
 
 
@@ -573,12 +577,11 @@ class TripleRows:
     """``analyze_one``'s triple entries or a ``verify-prop`` record's
     verdicts: per path triple, ``rows`` holds the index of its dict of
     ``fields`` (one per group of rows equal but for their paths) and of its
-    three lists of ``paths``. It reads as a list of row dicts, each built
-    only when read (``len``, indexing, iteration, ``==``); a copy is a
-    plain list. Being no ``list``, it makes ``json.dumps`` raise rather
-    than write ``[]``. ``pieces`` writes each path and each fields dict
-    once, split where ``"paths"`` sorts among its keys, and lays out every
-    row from those texts by index.
+    three lists of ``paths``. A reader iterates it, and each row dict is
+    built only then; ``len`` and ``==`` (against rows or a list of dicts)
+    read it as that list. It is no ``list``, so ``json.dumps`` refuses it;
+    ``report_json`` writes it as a dict's value, from ``pieces``: each path
+    and each fields dict (by ``_encode``) once, and every row by index.
     """
 
     def __init__(self, paths: list[list[int]]):
@@ -596,15 +599,8 @@ class TripleRows:
     def __iter__(self) -> Iterator[dict]:
         return map(self._row, self.rows)
 
-    def __getitem__(self, index):
-        rows = self.rows[index]
-        return list(map(self._row, rows)) if type(index) is slice else self._row(rows)
-
     def __eq__(self, other) -> bool:
         return list(self) == (list(other) if type(other) is TripleRows else other)
-
-    def __reduce__(self):
-        return list, (list(self),)
 
     def pieces(self, pad: str) -> list[str]:
         """The rows' text at indent ``pad``, unjoined: a record joins it once."""
@@ -616,11 +612,11 @@ class TripleRows:
         paths = [_encode(p, item) for p in self.paths]
         opens, closes = [], []
         for fields in self.fields:
-            keys = sorted(fields)
-            texts = [f"\n{field}{_quote(k)}: {_encode(fields[k], field)}" for k in keys]
-            cut = bisect(keys, "paths")
-            opens.append("{" + ",".join([*texts[:cut], f'\n{field}"paths": [\n{item}']))
-            closes.append(",".join([f"\n{field}]", *texts[cut:]]) + f"\n{inner}}}")
+            # Split at the row's own "paths" line; keys nested deeper sit deeper.
+            head, _, tail = _encode({**fields, "paths": None}, inner).partition(
+                f'\n{field}"paths": null')
+            opens.append(f'{head}\n{field}"paths": [\n{item}')
+            closes.append(f"\n{field}]{tail}")
         between = ",\n" + inner
         parts = []
         for f, i, j, k in self.rows:
@@ -628,15 +624,6 @@ class TripleRows:
         parts[0] = "[\n" + inner  # in place of the separator before the first row
         parts.append(f"\n{pad}]")
         return parts
-
-
-class RowsRecord(dict):
-    """A record holding ``TripleRows``: ``json`` and ``copy`` read a dict
-    subclass through ``items``, which gives each as a plain list, while
-    ``report_json`` reads it by key and writes it from its rows."""
-
-    def items(self):
-        return [(k, list(v) if type(v) is TripleRows else v) for k, v in dict.items(self)]
 
 
 def analyze_one(
@@ -661,11 +648,14 @@ def analyze_one(
     once per group, from the analysis and claim statuses of the group's
     first triple; a triple stores only its group's and paths' indices
     (``TripleRows``), and its entry, holding those objects, is built when
-    read. Treat the record as read-only: editing a shared list or map in
-    one entry changes every entry that holds it. A copy holds a plain list.
+    read. The record is a plain dict: ``report_json`` writes it, and
+    ``json.dumps`` refuses it. Treat it as read-only: editing a shared list
+    or map in one entry changes every entry that holds it. A deep copy is
+    an equal ``TripleRows``; ``copy.deepcopy(list(record["triples"]))``
+    gives entries that can be edited one by one.
     """
     _check_settings(checks, subdivision_t)
-    out: dict = RowsRecord(graph6=graph_key(graph), n=graph.n, m=graph.m)
+    out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
     status, table = gated_table(graph, enumeration_cap)
     if table is not None:
         out.update(l=table.length, truncated=table.truncated,

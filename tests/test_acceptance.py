@@ -20,7 +20,7 @@ from conftest import corpus, corpus_up_to, enumerate_all_simple_paths
 from gallai.cli import main
 from gallai.graphs import parse_graph6, to_graph6
 from gallai.paths import enumerate_longest_paths
-from gallai.scan import ScanConfig, emit_report, scan, subdivision_sweep
+from gallai.scan import ScanConfig, TripleRows, emit_report, scan, subdivision_sweep
 
 EXPECTED_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -270,6 +270,47 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     }
     assert code == code_input == 0
     assert digests == GOLDEN_DIGESTS
+
+
+def test_json_reports_build_no_row_dict(capsys, tmp_path, monkeypatch):
+    # A triple row's dict is built only for a reader of the rows: the JSON
+    # of analyze and verify-prop --input is written from the rows' indices
+    # and the per-group text alone, so it keeps its digest with no row dict
+    # to build, and only the text report, which reads the rows, fails.
+    corpus_file = tmp_path / "n5.g6"
+    corpus_file.write_text("".join(to_graph6(g) + "\n" for g in corpus_up_to(5)))
+    free_file = tmp_path / "gallai_free.g6"
+    free_file.write_text("KhAAPWU_?_@?\n")
+    rows_file = tmp_path / "rows.g6"
+    rows_file.write_text("BW\nBw\nFs?GG\n")
+    free_t = ["analyze", "--input", str(free_file), "--t", "1,2", "--triple-cap", "300"]
+    assert main(free_t) == 0
+    free_t_out = capsys.readouterr().out
+    runs = {
+        "analyze --input <n <= 5> --t 1,2 --triple-cap 300":
+            ["analyze", "--input", str(corpus_file), "--t", "1,2", "--triple-cap", "300"],
+        "analyze --input <n <= 5> --triple-cap 300 --strict-t-convention":
+            ["analyze", "--input", str(corpus_file), "--triple-cap", "300",
+             "--strict-t-convention"],
+        "analyze --input KhAAPWU_?_@?": ["analyze", "--input", str(free_file)],
+        "verify-prop --input BW,Bw,Fs?GG --t 1,2":
+            ["verify-prop", "--input", str(rows_file), "--t", "1,2"],
+        "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40":
+            ["verify-prop", "--input", str(corpus_file), "--t", "0,1,2", "--triple-cap", "40"],
+    }
+
+    def refuse(self, row):
+        raise AssertionError("a row dict was built")
+
+    monkeypatch.setattr(TripleRows, "_row", refuse)
+    for name, argv in runs.items():
+        assert main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == GOLDEN_DIGESTS[name], name
+    # The Gallai-free graph with --t has no digest: the unpatched run is the reference.
+    assert main(free_t) == 0
+    assert capsys.readouterr().out == free_t_out
+    with pytest.raises(AssertionError, match="a row dict was built"):
+        main(["analyze", "--input", str(free_file), "--format", "text"])
 
 
 def test_cold_start_loads_csv_only_to_write_csv():

@@ -28,11 +28,11 @@ from conftest import (
     star_graph,
     within_seconds,
 )
-from gallai.claims import HOLDS, SKIPPED_BUDGET, VIOLATED, ClaimVerdict
+from gallai.claims import HOLDS, SKIPPED_BUDGET, TRIPLE_CLAIMS, VIOLATED, ClaimVerdict
 from gallai.cli import main
 from gallai.graphs import format_edge_list, parse_edge_list, parse_graph6, to_graph6
 from gallai.paths import Path as GraphPath, enumerate_longest_paths
-from gallai.scan import report_json
+from gallai.scan import TripleRows, report_json
 from gallai.triples import TripleStream
 
 cli = importlib.import_module("gallai.cli")
@@ -249,6 +249,28 @@ class TestAnalyze:
         assert out == ""
         assert "--triple-cap" in err
 
+    # One claim forced to fail on every one of K4's 220 triples: analyze
+    # exits as a scan of all triples does, 3 for a proven claim and 2 for a
+    # conjecture, in both formats and with the report unchanged in form.
+    @pytest.mark.parametrize("claim, t, expected", [
+        ("thm1", (), 3), ("conj_Z", (), 2), ("subdivision_prop", ("--t", "1"), 3)],
+        ids=["thm1", "conj_Z", "subdivision_prop"])
+    def test_violated_claims_set_the_exit_code(self, tmp_path, capsys, monkeypatch, claim, t,
+                                               expected):
+        if claim == "subdivision_prop":
+            violated = ClaimVerdict(claim, VIOLATED, {"forced": True})
+            monkeypatch.setattr(subdivision, "verify_proposition", lambda *args: violated)
+        else:
+            monkeypatch.setitem(TRIPLE_CLAIMS, claim,
+                                lambda n, l, a: (claim, VIOLATED, {"forced": True}))
+        src = tmp_path / "k4.g6"
+        src.write_text("C~\n")
+        code, out, _ = run(capsys, "analyze", "--input", str(src), *t)
+        assert code == expected
+        assert out.count('"violated"') == 220
+        assert run(capsys, "analyze", "--input", str(src), "--format", "text", *t)[0] == expected
+        assert run(capsys, "scan", "--input", str(src), "--triple-mode", "all", *t)[0] == expected
+
 
 class TestSubdivide:
     def test_star_instance(self, tmp_path, capsys):
@@ -420,14 +442,16 @@ class TestVerifyProp:
                     *({"graph6": g, "verdicts": returned.get(g, [])} for g in graphs[1:])]
         assert kept == expected
         assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-        first, second = kept[2]["verdicts"][:2]
+        first, second, *_ = kept[2]["verdicts"]
         assert (first["t"], second["t"]) == (1, 2) and first["witness"] is second["witness"]
         assert len(kept[2]["verdicts"]) == 20 and len(kept[3]["verdicts"]) == 2
+        # A record is a plain dict, which json.dumps refuses; a copy equals it.
+        assert type(kept[2]) is dict
+        with pytest.raises(TypeError, match="TripleRows"):
+            json.dumps(kept[2])
         for copied in (copy.deepcopy(kept[2]), pickle.loads(pickle.dumps(kept[2]))):
-            assert type(copied["verdicts"]) is list and copied == kept[2]
-            copied["verdicts"][0]["status"] = "edited"
-            copied["verdicts"][1]["paths"][0] = [0]
-            assert report_json(copied) == json.dumps(copied, indent=2, sort_keys=True)
+            assert type(copied["verdicts"]) is TripleRows and copied == kept[2]
+            assert report_json(copied) == report_json(kept[2])
 
     def test_each_subdivided_graph_searched_once(self, tmp_path, capsys, monkeypatch):
         # K4's 220 triples share 5 end sets, so 10 (end set, t) graphs, each

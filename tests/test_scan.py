@@ -39,6 +39,7 @@ from gallai.scan import (
     EXIT_INTERNAL_VIOLATION,
     EXIT_OK,
     ScanConfig,
+    TripleRows,
     analyze_one,
     emit_report,
     report_chunks,
@@ -830,7 +831,7 @@ class TestAnalyzeOne:
         assert res["triples_total"] == 1
         assert res["max_f"] == 0
         assert res["min_t"] == 1
-        entry = res["triples"][0]
+        entry = next(iter(res["triples"]))
         assert entry["f"] == 0
         assert entry["t_counts"] == [1, 1, 1]
         assert entry["verdicts"]["conj_Z"] == HOLDS
@@ -854,7 +855,7 @@ class TestAnalyzeOne:
 
     def test_subdivision_results_included(self):
         res = analyze_one(star_graph(3), subdivision_t=(1,))
-        sub = res["triples"][0]["subdivision"]["1"]
+        sub = next(iter(res["triples"]))["subdivision"]["1"]
         assert sub["subdivision_prop"] == HOLDS
         assert sub["size_bound"] == HOLDS
 
@@ -864,7 +865,7 @@ class TestAnalyzeOne:
 
     def test_json_serializable(self):
         res = analyze_one(cycle_graph(5), subdivision_t=(0, 1))
-        json.dumps(res)
+        assert json.loads(report_json(res)) == {**res, "triples": list(res["triples"])}
 
     @staticmethod
     def refuse_work(monkeypatch):
@@ -978,13 +979,15 @@ class TestSharedFragments:
         assert rec == fresh_record(g, **kw)
         # The standard library's indenting encoder is the reference for the
         # entries' own text.
-        assert "".join(report_chunks([rec])) == json.dumps([rec], indent=2, sort_keys=True)
+        listed = {**rec, "triples": list(rec["triples"])}
+        assert "".join(report_chunks([rec])) == json.dumps([listed], indent=2, sort_keys=True)
 
-    def test_rows_read_as_a_list_of_dicts(self, corpus_records):
-        # Triple entries are kept as indices and built when read: every
-        # reader sees the fresh record's entries, a copy is a plain list,
-        # and json.dumps without an indent writes the record in full or
-        # raises, never an empty list.
+    def test_rows_read_by_iteration(self, corpus_records):
+        # Triple entries are kept as indices and built when iterated: every
+        # reader sees the fresh record's entries. json.dumps refuses the
+        # rows and the plain dict holding them, rather than writing [], and
+        # report_json writes the record as json.dumps writes it with its
+        # rows listed.
         g = parse_graph6("KhAAPWU_?_@?")
         checked = 0
         for res, fresh in [*corpus_records, (analyze_one(g), fresh_record(g))]:
@@ -992,27 +995,42 @@ class TestSharedFragments:
             if not expected:
                 continue
             checked += len(expected)
+            assert type(res) is dict and type(rows) is TripleRows
             assert len(rows) == len(expected) and bool(rows)
             assert list(rows) == expected and rows == expected and expected == rows
-            assert rows[0] == expected[0] and rows[-1] == expected[-1]
-            assert rows[1::7] == expected[1::7] and rows[5:0] == []
             assert rows != expected[:-1]
-            for copied in (copy.deepcopy(rows), pickle.loads(pickle.dumps(rows))):
-                assert type(copied) is list and copied == expected
-            assert json.dumps(res) == json.dumps({**res, "triples": list(rows)})
-            with pytest.raises(TypeError, match="TripleRows"):
-                json.dumps(rows)
+            listed = {**res, "triples": list(rows)}
+            assert report_json(res) == json.dumps(listed, indent=2, sort_keys=True)
+            for value in (res, rows):
+                with pytest.raises(TypeError, match="TripleRows"):
+                    json.dumps(value)
         assert checked > 11_480
-        with pytest.raises(IndexError):
-            rows[len(expected)]
 
-    def test_a_copied_record_can_be_edited(self):
-        res = analyze_one(parse_graph6("KhAAPWU_?_@?"), subdivision_t=(1,), triple_cap=30)
+    @staticmethod
+    def mutable_ids(obj) -> set[int]:
+        """The ids of the lists, dicts and ``TripleRows`` reachable from ``obj``."""
+        ids, todo = set(), [obj]
+        while todo:
+            o = todo.pop()
+            if isinstance(o, (list, dict, TripleRows)) and id(o) not in ids:
+                ids.add(id(o))
+                todo.extend(vars(o).values() if isinstance(o, TripleRows)
+                            else o.values() if isinstance(o, dict) else o)
+        return ids
+
+    def test_a_copy_equals_the_record_and_shares_nothing(self):
+        g = parse_graph6("KhAAPWU_?_@?")
+        res = analyze_one(g, subdivision_t=(1,), triple_cap=30)
+        fresh = fresh_record(g, subdivision_t=(1,), triple_cap=30)
         for copied in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
-            assert type(copied["triples"]) is list and copied == res
-            copied["triples"][3]["f"] = 99
-            copied["triples"][4]["paths"][0] = [0]
-            assert report_json(copied) == json.dumps(copied, indent=2, sort_keys=True)
+            assert type(copied["triples"]) is TripleRows and copied == res
+            assert not self.mutable_ids(copied) & self.mutable_ids(res)
+            assert report_json(copied) == report_json(res)
+        # Entries edited one by one: a deep copy of the listed rows.
+        entries = copy.deepcopy(list(res["triples"]))
+        entries[3]["f"] = fresh["triples"][3]["f"] = 99
+        entries[4]["paths"][0] = fresh["triples"][4]["paths"][0] = [0]
+        assert entries == fresh["triples"] and res["triples"] != entries
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_records_with_subdivisions_and_caps(self, strict):
