@@ -19,16 +19,16 @@ per-triple work is skipped and the graph is recorded as such. Graphs whose
 longest paths have empty common intersection (none exist at these corpus
 sizes) fall through to explicit triple iteration.
 
-A scan and ``analyze_one`` walk a graph's triples alike, as path indices
-``(i, j, k)``, through one ``_TripleClaims.walk``: it groups the triples
-by path masks and crossing counts (and subdivision statuses, when those
-are checked), and analyses and checks only the first triple of each
-group. The scan folds the walk into tallies and violations, and reads
-``max_f`` and ``min_t`` off the groups; ``analyze_one`` makes its triple
-entries' fields once per group. ``prop1`` holds for a pair exactly when
-its intersection is not empty, so ``analyze_one`` reads it off the
-triple's pairwise sizes; the scan checks each distinct longest-path pair
-once, for its tally and a violation's replay witness.
+A scan and ``analyze_one`` walk a graph's triples alike, one block of
+path indices ``(i, j, k)`` per path pair ``(i, j)``, through one
+``_TripleClaims.walk``: it groups the triples by path masks and crossing
+counts (and subdivision statuses, when those are checked), and analyses
+and checks only the first triple of each group. The scan folds the walk
+into tallies and violations, reading ``max_f`` and ``min_t`` off the
+groups; ``analyze_one`` makes its triple entries' fields once per group.
+``prop1`` holds for a pair exactly when its intersection is not empty, so
+``analyze_one`` reads it off the triple's pairwise sizes; the scan checks
+each distinct pair once, for its tally and a violation's replay witness.
 
 Reports are deterministic: graphs are keyed and ordered by their graph6
 encoding, triples iterate in canonical sorted order, and the JSON form
@@ -56,7 +56,7 @@ import json
 import sys
 import time
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Iterable, Iterator
@@ -248,9 +248,9 @@ class _TripleClaims:
     path masks and crossing counts. ``walk`` groups the triples by those
     (and by subdivision statuses when ``t_values`` is set), and analyses and
     checks the first triple of each group: ``groups`` holds, per group in
-    the order met, its ``TripleAnalysis``, those verdicts and whether one is
-    violated. ``witnessed`` builds a violated verdict again on another
-    triple of the group, so that it carries that triple's replay witness.
+    the order met, its ``TripleAnalysis``, those verdicts, whether one is
+    violated and that triple's subdivision verdicts. ``witnessed`` builds a
+    violated verdict again on another triple, with that triple's witness.
     """
 
     def __init__(self, graph: Graph, table: LongestPathTable, checks, strict_t: bool,
@@ -262,34 +262,52 @@ class _TripleClaims:
         self.checkers = [_TRIPLE_CHECKERS[c] for c in checks if c in _TRIPLE_CHECKERS]
         self.prop1 = "prop1" in checks
         self.t_values = t_values
-        self.groups: list[tuple[TripleAnalysis, tuple[ClaimVerdict, ...], bool]] = []
+        self.groups: list[tuple[TripleAnalysis, tuple[ClaimVerdict, ...], bool, tuple]] = []
 
-    def walk(self, triples: TripleStream) -> Iterator[tuple[tuple[int, int, int], int, tuple]]:
-        """Each triple of ``triples`` as its path indices ``(i, j, k)``, the
-        index of its group in ``groups`` and its own subdivision verdicts,
-        one ``(subdivision_prop, size_bound)`` pair per t of ``t_values``."""
-        masks, crossings, groups = self.analyze.masks, self.analyze.t_counts, self.groups
-        t_values = self.t_values
+    def walk(self, triples: TripleStream) -> Iterator[tuple[int, int, range, list, list]]:
+        """``triples`` in blocks ``(i, j, ks, gs, subdivisions)``, one per path
+        pair: triples ``(i, j, k)``, ``k`` in ``ks``, each one's group and,
+        with ``t_values``, its ``(subdivision_prop, size_bound)`` per t; a
+        block counts in ``triples.examined`` once handed out. In a block,
+        path k's mask and crossings between i and j decide the group."""
+        analyze, groups, t_values = self.analyze, self.groups, self.t_values
+        masks, crossing, count = analyze.masks, analyze.crossing, len(triples.paths)
+        stop = triples.total if triples.cap is None else triples.cap
         index: dict[tuple, int] = {}
         subdivision: tuple = ()
-        for at in triples.indices():
-            i, j, k = at
-            key = (masks[i], masks[j], masks[k], crossings(i, j, k))
-            if t_values:
-                subdivision = tuple(self.subdivisions.verdicts(triples.at(i, j, k), t_values))
-                key += tuple([v.status for pair in subdivision for v in pair])
-            g = index.get(key)
-            if g is None:
-                g = index[key] = len(groups)
-                triple = triples.at(i, j, k)
-                analysis = self.analyze(triple, key[3])
-                verdicts = tuple(c(self.graph, triple, self.l, analysis) for c in self.checkers)
-                groups.append((analysis, verdicts, any(v.status == VIOLATED for v in verdicts)))
-            yield at, g, subdivision
+        for i, j in combinations(range(count - 1), 2):
+            if triples.examined >= stop:
+                return
+            ks = range(j + 1, min(count, j + 1 + stop - triples.examined))
+            mi, mj = masks[i], masks[j]
+            across = analyze.across(mi, mj)
+            near: dict[tuple, int] = {}  # by path k's mask, crossings (and statuses)
+            gs, subdivisions = [], []
+            for k in ks:
+                local = masks[k], across[k] if k in across else crossing(k, mi, mj)
+                if t_values:
+                    subdivision = tuple(self.subdivisions.verdicts(triples.at(i, j, k), t_values))
+                    subdivisions.append(subdivision)
+                    local += tuple([v.status for pair in subdivision for v in pair])
+                g = near.get(local)
+                if g is None:  # the graph-wide key: masks, crossing counts, statuses
+                    mk, ck = local[:2]
+                    t_counts = crossing(i, mj, mk), crossing(j, mi, mk), ck
+                    g = near[local] = index.setdefault((mi, mj, t_counts, local), len(groups))
+                    if g == len(groups):
+                        first = triples.at(i, j, k)
+                        analysis = analyze(first, t_counts)
+                        verdicts = tuple(c(self.graph, first, self.l, analysis)
+                                         for c in self.checkers)
+                        groups.append((analysis, verdicts,
+                                       any(v.status == VIOLATED for v in verdicts), subdivision))
+                gs.append(g)
+            triples.examined += len(ks)
+            yield i, j, ks, gs, subdivisions
 
     def witnessed(self, g: int, triple: PathTriple) -> tuple[ClaimVerdict, ...]:
         """Group ``g``'s verdicts, each violated one built again on ``triple``."""
-        analysis, verdicts, _ = self.groups[g]
+        analysis, verdicts, *_ = self.groups[g]
         return tuple(c(self.graph, triple, self.l, analysis) if v.status == VIOLATED else v
                      for c, v in zip(self.checkers, verdicts))
 
@@ -352,27 +370,32 @@ def _examine_graph(
             groups, paths = claims.groups, table.paths
             # Each pair once, by its two path indices.
             checked: set[tuple[int, int]] = set()
-            for (i, j, k), g, subdivision in claims.walk(triples):
-                if claims.prop1:
-                    for a, b in ((i, j), (i, k), (j, k)):
-                        if (a, b) not in checked:
-                            checked.add((a, b))
-                            record.pairs_examined += 1
-                            run(check_prop1(graph, paths[a], paths[b], longest_paths=table))
-                _, verdicts, violated = groups[g]
-                for verdict in claims.witnessed(g, triples.at(i, j, k)) if violated else verdicts:
-                    run(verdict)
-                for pair in subdivision:
-                    for verdict in pair:
+            for i, j, ks, gs, subdivisions in claims.walk(triples):
+                for n, k in enumerate(ks):
+                    if claims.prop1:
+                        for a, b in ((i, j), (i, k), (j, k)):
+                            if (a, b) not in checked:
+                                checked.add((a, b))
+                                record.pairs_examined += 1
+                                run(check_prop1(graph, paths[a], paths[b], longest_paths=table))
+                    _, verdicts, violated, _ = groups[gs[n]]
+                    if violated:
+                        verdicts = claims.witnessed(gs[n], triples.at(i, j, k))
+                    for verdict in verdicts:
                         run(verdict)
+                    for pair in subdivisions[n] if subdivisions else ():
+                        for verdict in pair:
+                            run(verdict)
     except _ProvenClaimViolated:
         internal = True
+        if record.status == "checked":  # stopped inside a block: the rest went unexamined
+            triples.examined -= len(ks) - n - 1
     # Shortcut and vacuous graphs count no triples examined or skipped.
     if record.status == "checked":
         record.triples_examined = triples.examined
         record.triples_skipped = triples.skipped
-        record.max_f = max(analysis.f for analysis, _, _ in groups)
-        record.min_t = min(min(analysis.t_counts) for analysis, _, _ in groups)
+        record.max_f = max(analysis.f for analysis, *_ in groups)
+        record.min_t = min(min(analysis.t_counts) for analysis, *_ in groups)
     return record, violations, internal
 
 
@@ -645,14 +668,14 @@ def analyze_one(
     Every field of a triple entry but its paths depends only on the three
     paths' vertex sets and crossing counts, and its subdivision statuses:
     on its group in ``_TripleClaims.walk``. So the field objects are made
-    once per group, from the analysis and claim statuses of the group's
-    first triple; a triple stores only its group's and paths' indices
-    (``TripleRows``), and its entry, holding those objects, is built when
-    read. The record is a plain dict: ``report_json`` writes it, and
-    ``json.dumps`` refuses it. Treat it as read-only: editing a shared list
-    or map in one entry changes every entry that holds it. A deep copy is
-    an equal ``TripleRows``; ``copy.deepcopy(list(record["triples"]))``
-    gives entries that can be edited one by one.
+    once per group, from its first triple's analysis and claim statuses;
+    each block of the walk extends the rows (``TripleRows``) by its
+    triples' group and path indices, and an entry is built when read. The
+    record is a plain dict: ``report_json`` writes it, and ``json.dumps``
+    refuses it. Treat it as read-only: editing a shared list or map in one
+    entry changes every entry that holds it. A deep copy is an equal
+    ``TripleRows``; ``copy.deepcopy(list(record["triples"]))`` gives
+    entries that can be edited one by one.
     """
     _check_settings(checks, subdivision_t)
     out: dict = {"graph6": graph_key(graph), "n": graph.n, "m": graph.m}
@@ -673,9 +696,8 @@ def analyze_one(
     claims = _TripleClaims(graph, table, checks, strict_t, subdivision_t)
     entries = TripleRows([list(p.vertices) for p in table.paths])
     fields, rows = entries.fields, entries.rows
-    for at, g, subdivision in claims.walk(triples):
-        if g == len(fields):  # the first triple of its group
-            analysis, verdicts, _ = claims.groups[g]
+    for i, j, ks, gs, _ in claims.walk(triples):
+        for analysis, verdicts, _, subdivision in claims.groups[len(fields):]:
             verdict_map = {v.claim: v.status for v in verdicts}
             if claims.prop1:
                 # Two longest paths meet exactly when they share a vertex.
@@ -690,9 +712,9 @@ def analyze_one(
                 "verdicts": verdict_map,
             })
             if subdivision_t:
-                fields[g]["subdivision"] = {str(t): {v.claim: v.status for v in pair}
-                                            for t, pair in zip(subdivision_t, subdivision)}
-        rows.append((g, *at))
+                fields[-1]["subdivision"] = {str(t): {v.claim: v.status for v in pair}
+                                             for t, pair in zip(subdivision_t, subdivision)}
+        rows += zip(gs, repeat(i), repeat(j), ks)
     out.update(triples_examined=triples.examined, triples=entries,
                max_f=max(group["f"] for group in fields),
                min_t=min(min(group["t_counts"]) for group in fields), status="checked")

@@ -14,8 +14,8 @@ counted per graph as the memo keeps them, or 45 distinct ones across its
 32 graphs), so a ``TripleAnalyzer`` computes those parameters once per
 graph and triple of sets. That record is the one per-graph memo of them:
 ``analyze`` reads its prop1 statuses off the pairwise sizes, and the
-subdivision check its base f; it keeps crossing counts by path index, as
-``TripleStream.indices`` walks. ``analyze_triple`` is a one-shot analyser.
+subdivision check its base f; its crossing memo is keyed by a pair of
+masks, as the walk's blocks read it. ``analyze_triple`` is one-shot.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ class TripleAnalyzer:
     ``f``, its witnesses, ``x_sizes`` and ``pairwise_sizes`` are computed
     once per triple of path masks, in path order, and shared by every
     triple over the same vertex sets; ``sets`` gives that record alone.
-    A path's crossing count also reads its vertex order: ``t_counts`` gives
-    a triple's by its indices in ``paths``, once per index and pair of other
-    masks, and a call takes them (or counts a triple of no list afresh).
-    ``distances`` is the BFS distance dict of ``f_value``, one search a path.
+    A path's crossing count also reads its vertex order: ``across`` holds
+    them by pair of other masks and then index in ``paths``, filled lazily
+    by ``crossing``; a call takes a triple's (or counts one of no list
+    afresh). ``distances`` is the BFS distance dict of ``f_value``.
     """
 
     def __init__(self, graph: Graph, strict_t: bool = False, paths: Sequence[Path] = ()):
@@ -195,12 +195,14 @@ class TripleAnalyzer:
         self._by_masks: dict[tuple[int, int, int], tuple] = {}
         self.paths = paths
         self.masks = [p.mask for p in paths]
-        self._t_counts: dict[tuple[int, int, int], int] = {}
+        self._across: dict[tuple[int, int], dict[int, int]] = {}
 
     def __call__(self, triple: PathTriple, t_counts: tuple | None = None) -> TripleAnalysis:
         f, witnesses, x_sizes, pairwise_sizes = self.sets(triple)
         if t_counts is None:  # a triple of no path list: counted afresh
-            t_counts = TripleAnalyzer(self.graph, self.strict_t, triple.paths).t_counts(0, 1, 2)
+            m0, m1, m2 = (p.mask for p in triple.paths)
+            t_counts = tuple(_crossings(p.vertices, a, b, self.strict_t)
+                             for p, a, b in zip(triple.paths, (m1, m0, m0), (m2, m2, m1)))
         analysis = object.__new__(TripleAnalysis)  # as __init__ does, without the call
         analysis.__dict__.update(f=f, witnesses=witnesses, x_sizes=x_sizes, t_counts=t_counts,
                                  pairwise_sizes=pairwise_sizes, strict_crossings=self.strict_t)
@@ -229,20 +231,16 @@ class TripleAnalyzer:
         sets = self._by_masks[key] = f, witnesses, x_sizes, pairwise_sizes
         return sets
 
-    def t_counts(self, i: int, j: int, k: int) -> tuple[int, int, int]:
-        """The crossing counts of ``paths[i]``, ``paths[j]`` and
-        ``paths[k]``, each between the other two."""
-        masks, memo = self.masks, self._t_counts
-        mi, mj, mk = masks[i], masks[j], masks[k]
-        keys = a, b, c = (i, mj, mk), (j, mi, mk), (k, mi, mj)
-        try:
-            return memo[a], memo[b], memo[c]
-        except KeyError:
-            for key in keys:
-                if key not in memo:
-                    p, mask_a, mask_b = key
-                    memo[key] = _crossings(self.paths[p].vertices, mask_a, mask_b, self.strict_t)
-            return memo[a], memo[b], memo[c]
+    def across(self, mask_a: int, mask_b: int) -> dict[int, int]:
+        """The crossing counts between two masks so far, by path index."""
+        return self._across.setdefault((mask_a, mask_b), {})
+
+    def crossing(self, p: int, mask_a: int, mask_b: int) -> int:
+        """Path ``p``'s crossing count between two masks, counted once."""
+        counts = self.across(mask_a, mask_b)
+        if p not in counts:
+            counts[p] = _crossings(self.paths[p].vertices, mask_a, mask_b, self.strict_t)
+        return counts[p]
 
 
 def analyze_triple(

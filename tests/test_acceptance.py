@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus, corpus_up_to, enumerate_all_simple_paths
+from conftest import corpus, corpus_up_to, enumerate_all_simple_paths, petersen_family
 from gallai.cli import main
 from gallai.graphs import parse_graph6, to_graph6
 from gallai.paths import enumerate_longest_paths
@@ -74,6 +74,14 @@ GOLDEN_DIGESTS = {
     # graph: all 300 verdicts hold.
     "verify-prop --input KhAAPWU_?_@? --t 1 --triple-cap 300":
         "ef84e7b1fd68836110a5b4122b75a85ee3f034e90f84813394ca82fec3744dbd",
+    # A Gallai-free graph of 72 longest paths over many path masks,
+    # petersen_family(s=3): the cap ends inside path pair (1, 9)'s block.
+    "analyze --input QhAAPWU_??_BC???_?WO???C??W --triple-cap 3000":
+        "5c135ca2b8056758f2879e38fd5158d8e8154ab62c55fba93aec3fb4c418b54b",
+    "analyze --input QhAAPWU_??_BC???_?WO???C??W --triple-cap 3000 --t 1":
+        "d4d1de258d4851eb3b5f785e5e51f1fd53563cd9dd2ba73536060288ceca55c0",
+    "scan --input QhAAPWU_??_BC???_?WO???C??W --triple-mode capped --triple-cap 3000":
+        "01204ec6c441a510aab0a68f083b2ff8d4b03267610a2a1853831e842955f8b8",
 }
 
 
@@ -252,6 +260,21 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
     assert main(["verify-prop", "--input", str(free_file), "--t", "1",
                  "--triple-cap", "300"]) == 0
     verify_free = capsys.readouterr().out
+    petersen_file = tmp_path / "petersen_s3.g6"
+    petersen_file.write_text(to_graph6(petersen_family(s=3)) + "\n")
+    petersen_runs = {
+        "analyze --input QhAAPWU_??_BC???_?WO???C??W --triple-cap 3000":
+            ["analyze", "--input", str(petersen_file), "--triple-cap", "3000"],
+        "analyze --input QhAAPWU_??_BC???_?WO???C??W --triple-cap 3000 --t 1":
+            ["analyze", "--input", str(petersen_file), "--triple-cap", "3000", "--t", "1"],
+        "scan --input QhAAPWU_??_BC???_?WO???C??W --triple-mode capped --triple-cap 3000":
+            ["scan", "--input", str(petersen_file), "--triple-mode", "capped",
+             "--triple-cap", "3000"],
+    }
+    petersen_digests = {}
+    for name, argv in petersen_runs.items():
+        assert main(argv) == 0
+        petersen_digests[name] = _sha256(capsys.readouterr().out)
     scan_n8 = scan(ScanConfig(generate_n=8))
     digests = {
         "scan --n 7 json": _sha256(emit_report(full_scan_report, "json")),
@@ -262,6 +285,7 @@ def test_golden_report_digests(full_scan_report, capsys, tmp_path):
         "verify-prop --n 5 --t 1,2": _sha256(verify_n5),
         "verify-prop --input <n <= 5> --t 0,1,2 --triple-cap 40": _sha256(verify_input),
         **analyze_digests,
+        **petersen_digests,
         "scan --input KhAAPWU_?_@?": _sha256(scan_free),
         "scan --input KhAAPWU_?_@? --t 1 --triple-cap 300": _sha256(scan_free_t),
         "subdivide --input <n <= 5> --t 2 --triple 3": _sha256(subdivide_out),

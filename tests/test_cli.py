@@ -191,6 +191,26 @@ class TestScan:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_proven_violation_stops_inside_a_block(self, tmp_path, capsys, monkeypatch):
+        # thm1 forced to fail where the third path has two vertices of its
+        # own: on the Gallai-free graph that first happens at triple 209,
+        # the 19th of path pair (0, 6)'s block, and the scan stops there,
+        # counting no triple or pair past it.
+        real = TRIPLE_CLAIMS["thm1"]
+        monkeypatch.setitem(TRIPLE_CLAIMS, "thm1", lambda n, l, a: (
+            ("thm1", VIOLATED, {"forced": True}) if a.x_sizes[2] >= 2 else real(n, l, a)))
+        src = tmp_path / "free.g6"
+        src.write_text("KhAAPWU_?_@?\n")
+        code, out, _ = run(capsys, "scan", "--input", str(src), "--triple-mode", "all")
+        report = json.loads(out)
+        rec, = report["graphs"]
+        assert code == 3 and report["summary"]["aborted"]
+        assert (rec["triples_examined"], rec["triples_skipped"], rec["pairs_examined"]) == (
+            209, 11_271, 250)
+        violation, = report["violations"]
+        paths = enumerate_longest_paths(parse_graph6("KhAAPWU_?_@?")).paths
+        assert violation["witness"]["paths"] == [list(paths[i].vertices) for i in (0, 6, 25)]
+
 
 class TestAnalyze:
     def test_star_json(self, tmp_path, capsys):

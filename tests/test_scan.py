@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations
+from math import comb
 from pathlib import Path as FilePath
 
 import pytest
@@ -558,6 +559,130 @@ class TestClaimStatusMemo:
             base = {mask for adj, mask in searched if adj == g.adjacency}
             paths = {p for t in res["triples"] for p in map(tuple, t["paths"])}
             assert base == {sum(1 << v for v in p) for p in paths}
+
+
+class TestBlockWalk:
+    """``_TripleClaims.walk`` hands out a graph's triples one path pair at a
+    time and resolves most of them to their group inside that block. Its
+    reference walks one triple at a time: a fresh ``TripleAnalyzer`` for
+    each triple, and groups in first-seen order by path masks, crossing
+    counts and subdivision statuses. ``analyze_one``'s rows and fields and
+    the scan's records must follow it, also at caps that end inside a block.
+    Subdivision checks are slow, so a graph is walked uncapped only when
+    it has at most ``top`` triples (300, or 61 with subdivision checks), or
+    is the Gallai-free ``KhAAPWU_?_@?`` without them; no cap passes ``top``."""
+
+    CAPS = (None, 1, 7, 61, 300)
+    FREE = "KhAAPWU_?_@?"
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [*corpus_up_to(6), parse_graph6(self.FREE), petersen_family(s=3)]
+
+    @staticmethod
+    def reference(g, cap, strict, ts):
+        """Per triple: its row ``(group, i, j, k)`` and its own verdicts,
+        prop1 per pair first; per group: its first triple's record fields."""
+        table = LongestPathTable(g)
+        stream = TripleStream(table, cap)
+        subdivisions = Subdivisions(g, table)
+        index, fields, rows, verdicts, prop1 = {}, [], [], [], {}
+        for i, j, k in stream.indices():
+            triple = stream.at(i, j, k)
+            a = TripleAnalyzer(g, strict, triple.paths)(triple)
+            sub = tuple(subdivisions.verdicts(triple, ts))
+            key = (*(p.mask for p in triple), a.t_counts, *(v.status for p in sub for v in p))
+            group = index.setdefault(key, len(fields))
+            for p, q in combinations(triple.paths, 2):
+                if (p, q) not in prop1:
+                    prop1[p, q] = check_prop1(g, p, q, longest_paths=table)
+            pairs = [prop1[pair] for pair in combinations(triple.paths, 2)]
+            claims = [triple_verdict(c, g, triple, table.length, a) for c in TRIPLE_CLAIMS]
+            if group == len(fields):
+                entry = {"f": a.f, "witnesses": sorted(a.witnesses),
+                         "x_sizes": list(a.x_sizes), "t_counts": list(a.t_counts),
+                         "pairwise_sizes": list(a.pairwise_sizes),
+                         "verdicts": {**{v.claim: v.status for v in claims},
+                                      "prop1": [v.status for v in pairs]}}
+                if ts:
+                    entry["subdivision"] = {str(t): {v.claim: v.status for v in pair}
+                                            for t, pair in zip(ts, sub)}
+                fields.append(entry)
+            rows.append((group, i, j, k))
+            verdicts.append((pairs, [*claims, *chain.from_iterable(sub)]))
+        return rows, fields, verdicts
+
+    @staticmethod
+    def scan_record(total, rows, fields, verdicts):
+        """The scan's record fields over ``rows``: each pair's prop1 once."""
+        tallies, pairs = {}, set()
+        for (_, *at), (prop1, rest) in zip(rows, verdicts):
+            new = [v for pair, v in zip(combinations(at, 2), prop1) if pair not in pairs]
+            pairs.update(combinations(at, 2))
+            for v in (*new, *rest):
+                by_status = tallies.setdefault(v.claim, {})
+                by_status[v.status] = by_status.get(v.status, 0) + 1
+        used = fields[:max(group for group, *_ in rows) + 1]
+        return {"triples_examined": len(rows), "triples_skipped": total - len(rows),
+                "pairs_examined": len(pairs), "tallies": tallies,
+                "max_f": max(e["f"] for e in used),
+                "min_t": min(min(e["t_counts"]) for e in used)}
+
+    @pytest.mark.parametrize("ts", [(), (0, 1)], ids=["no-t", "t01"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["relaxed", "strict"])
+    def test_rows_and_tallies_follow_the_per_triple_walk(self, graphs, tmp_path, strict, ts):
+        top = 61 if ts else 300
+        expected = {}
+        for g in graphs:
+            count = LongestPathTable(g).count
+            if count >= 3:
+                uncapped = comb(count, 3) <= top or not ts and to_graph6(g) == self.FREE
+                ref = self.reference(g, None if uncapped else top, strict, ts)
+                expected[to_graph6(g)] = g, count, ref
+        ends_in_block = 0
+        for cap in [c for c in self.CAPS if c is None or c <= top]:
+            walked = {g6: v for g6, v in expected.items()
+                      if cap is not None or len(v[2][0]) == comb(v[1], 3)}
+            src = tmp_path / f"cap{cap}.g6"
+            src.write_text("".join(g6 + "\n" for g6 in walked))
+            mode = dict(triple_mode="all") if cap is None else dict(
+                triple_mode="capped", triple_cap=cap)
+            report = scan(ScanConfig(input_path=str(src), strict_t=strict, subdivision_t=ts,
+                                     **mode))
+            records = {r.graph6: r for r in report.records}
+            assert report.exit_code == EXIT_OK and len(records) == len(walked)
+            for g6, (g, count, (rows, fields, verdicts)) in walked.items():
+                rows = rows[:cap]
+                rec = analyze_one(g, triple_cap=cap, strict_t=strict, subdivision_t=ts)
+                assert rec["triples_examined"] == len(rows)
+                assert rec["triples"].rows == rows
+                assert rec["triples"].fields == fields[:max(group for group, *_ in rows) + 1]
+                want = self.scan_record(comb(count, 3), rows, fields, verdicts)
+                assert {k: getattr(records[g6], k) for k in want} == want
+                ends_in_block += rows[-1][3] < count - 1
+        assert ends_in_block > 100
+
+    # analyze_one's crossing counts, each counted once per path and pair of
+    # other masks, when a triple first needs it: counting every later path
+    # of a block's mask pair at once makes more calls (on s = 4 at cap 300).
+    @pytest.mark.parametrize("graph, cap, calls", [
+        ("KhAAPWU_?_@?", None, 6_907),
+        ({"s": 3}, 300, 313),
+        ({"s": 3}, 20_000, 6_315),
+        ({"s": 4}, 300, 320),
+    ], ids=["free", "s3-300", "s3-20000", "s4-300"])
+    def test_crossings_counted_lazily(self, monkeypatch, graph, cap, calls):
+        counted = Counter()
+        real = triples_module._crossings
+
+        def counting(vertices, mask_a, mask_b, strict):
+            counted[vertices, mask_a, mask_b] += 1
+            return real(vertices, mask_a, mask_b, strict)
+
+        g = parse_graph6(graph) if isinstance(graph, str) else petersen_family(**graph)
+        monkeypatch.setattr(triples_module, "_crossings", counting)
+        analyze_one(g, triple_cap=cap)
+        assert sum(counted.values()) == calls and max(counted.values()) == 1
 
 
 class TestEmitReport:
